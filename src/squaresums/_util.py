@@ -4,9 +4,67 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
+from .errors import DomainError
+
 
 def format_real(value: float) -> str:
     """Round-trip-safe decimal text: 17 significant digits, `.` separator."""
     if isinstance(value, float) and math.isnan(value):
         return "nan"
     return f"{value:.17g}"
+
+
+def factor_sieve(Q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest-prime-factor sieve with the prime-power split of every q <= Q.
+
+    Returns int32 arrays (p, rest) indexed by q: p[q] is the smallest prime
+    dividing q and rest[q] is q with every factor p removed, so p^k = q / rest[q]
+    exactly divides q and rest[q] has only larger primes. Both are 1 at q = 1;
+    index 0 is an unused zero. A multiplicative f then satisfies
+    f(q) = f(q / rest[q]) f(rest[q]), and since rest[q] <= q / 2 the arrays can be
+    filled (and f assembled) over the dyadic blocks [lo, 2 lo) in increasing
+    order: every rest[q] of a block lies in an earlier one. The Python loops run
+    over d <= sqrt(Q), sieving at the primes, and over the log2(Q) blocks.
+    """
+    if Q < 1:
+        raise DomainError(f"Q must be >= 1, got {Q}")
+    if Q >= 2**31:
+        raise DomainError(f"Q must be < 2**31, got {Q}")
+    p = np.zeros(Q + 1, dtype=np.int32)
+    for d in range(2, math.isqrt(Q) + 1):
+        if p[d] == 0:  # no smaller prime divides d, so d is prime
+            multiples = p[d * d :: d]
+            multiples[multiples == 0] = d
+    q = np.arange(Q + 1, dtype=np.int32)
+    primes = p == 0
+    p[primes] = q[primes]
+    p[:2] = (0, 1)
+    rest = np.zeros(Q + 1, dtype=np.int32)
+    rest[1] = 1
+    lo = 2
+    while lo <= Q:
+        hi = min(2 * lo, Q + 1)
+        block = p[lo:hi]
+        up = q[lo:hi] // block
+        rest[lo:hi] = np.where(p[up] == block, rest[up], up)
+        lo = hi
+    return p, rest
+
+
+def assemble_multiplicative(values: np.ndarray, rest: np.ndarray) -> np.ndarray:
+    """Turn f at prime powers into f at every q, in place, along `factor_sieve`.
+
+    On entry values[..., q] holds f(p^k) for the prime power p^k = q / rest[q]
+    (and f(1) at q = 1); on return it holds f(q) = f(p^k) * f(rest[q]).
+    Unrolled, f(q) is the product of its prime-power factors taken from the
+    largest prime down, each multiplied onto the running product of the larger
+    ones, which starts at f(1).
+    """
+    lo = 2
+    while lo < values.shape[-1]:
+        hi = min(2 * lo, values.shape[-1])
+        values[..., lo:hi] *= values[..., rest[lo:hi]]
+        lo = hi
+    return values

@@ -21,6 +21,7 @@ from .errors import DomainError, InsufficientPointsError, SquaresumsError, Table
 from ._util import format_real
 
 LIMIT_CAP = 10**8
+Q_CAP = 10**7  # singular series memory grows linearly in Q: about 0.75 GB at the cap
 
 
 class CliUsageError(Exception):
@@ -218,6 +219,10 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
                 raise CliUsageError("--dump-terms requires --q-max")
         if cfg.q_max is not None and cfg.q_max < 1:
             raise CliUsageError("--q-max must be >= 1")
+        if cfg.q_max is not None and cfg.q_max > Q_CAP:
+            raise CliUsageError(f"--q-max {cfg.q_max} exceeds {Q_CAP}")
+        if cfg.q_grid and max(cfg.q_grid) > Q_CAP:
+            raise CliUsageError(f"--q-grid entry {max(cfg.q_grid)} exceeds {Q_CAP}")
     if cfg.subcommand == "gauss" and cfg.q < 1:
         raise CliUsageError("--q must be >= 1")
     if cfg.subcommand == "weyl-sweep":

@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import DomainError, NotCoprimeError
 from .expsum import gauss_sum
+from ._util import assemble_multiplicative, factor_sieve
 
 _BERNOULLI_2J = (
     Fraction(1, 6),
@@ -57,14 +58,11 @@ def zeta_real(s: float, precision_terms: int = 64) -> float:
 
 def totient_sieve(Q: int) -> np.ndarray:
     """phi(1..Q) exactly; index 0 is an unused zero."""
-    if Q < 1:
-        raise DomainError(f"Q must be >= 1, got {Q}")
+    p, rest = factor_sieve(Q)
     phi = np.arange(Q + 1, dtype=np.int64)
-    phi[0] = 0
-    for p in range(2, Q + 1):
-        if phi[p] == p:  # untouched by any smaller prime, so p is prime
-            phi[p::p] -= phi[p::p] // p
-    return phi
+    phi[1:] //= rest[1:]  # the prime power p^k exactly dividing q
+    phi[2:] -= phi[2:] // p[2:]  # phi(p^k) = p^k - p^(k-1)
+    return assemble_multiplicative(phi, rest)
 
 
 def b1_terms_direct(Q: int) -> np.ndarray:
@@ -83,23 +81,6 @@ def b1_terms_direct(Q: int) -> np.ndarray:
 def b1_direct(Q: int) -> float:
     """Partial sum of B1 over q <= Q using the closed magnitude law."""
     return float(np.sum(b1_terms_direct(Q)))
-
-
-def b1_direct_via_sums(Q: int) -> float:
-    """Partial sum of B1 with every |S(q,a)| evaluated as an actual sum.
-
-    Cross-check path for the magnitude law; O(q^2) per q, keep Q modest.
-    """
-    if Q < 1:
-        raise DomainError(f"Q must be >= 1, got {Q}")
-    totals = []
-    for q in range(1, Q + 1):
-        s = 0.0
-        for a in range(1, q + 1):
-            if math.gcd(a, q) == 1:
-                s += abs(gauss_sum(q, a)) ** 6
-        totals.append(s / float(q) ** 6)
-    return math.fsum(totals)
 
 
 def b1_terms_euler(Q: int) -> np.ndarray:

@@ -5,10 +5,16 @@ its partial sums S3(n, Q) = sum_{q<=Q} A(q, n) converge (slowly) to a limit
 with 2 pi sqrt(n) S3(n) = r_3(n). The archimedean counterpart is the singular
 integral I(n), computed here exactly by coefficient extraction.
 
-A(q, n) depends on n only through n mod q, and for fixed q the whole residue
-profile is two length-q DFTs away from the exact table of squares mod q. That
-is how a_term and singular_series evaluate it; the literal double sum is kept
-as a_term_direct so tests can cross-check the transform route entry by entry.
+A(q, n) is multiplicative in q, so a_term and singular_series evaluate it as
+the product of the local factors A(p^k, n) over the prime powers p^k exactly
+dividing q (Vaughan, The Hardy-Littlewood Method, 2nd ed., ch. 4). For odd p
+the local factors have closed forms in the Legendre symbol and the Ramanujan
+sum (_odd_local_factor). For p = 2 they come from the residue profile
+_a_profile(2^k): two length-2^k DFTs of the exact table of squares mod 2^k.
+That transform works for any q, and the tests use it at every q as the
+independent check of the local-factor route. singular_series_many finds the
+prime-power split of every q <= Q with one smallest-prime-factor sieve and
+assembles all Q terms in one vectorised pass.
 """
 
 from __future__ import annotations
@@ -19,12 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from ._util import format_real
+from ._util import assemble_multiplicative, factor_sieve, format_real
 
 IMAG_TOLERANCE = 1e-9
-
-_PROFILE_CACHE_MAX = 2048
-_profile_cache: dict[int, tuple[np.ndarray, float]] = {}
 
 
 def _a_profile(q: int) -> tuple[np.ndarray, float]:
@@ -35,15 +38,17 @@ def _a_profile(q: int) -> tuple[np.ndarray, float]:
     masked S^3/q^3. Both steps are the defining sums, just evaluated for all
     indices at once.
     """
-    cached = _profile_cache.get(q)
-    if cached is not None:
-        return cached
     h = np.arange(1, q + 1, dtype=np.int64)
-    g = np.bincount((h * h) % q, minlength=q).astype(np.float64)
-    s_all = np.conj(np.fft.fft(g))
-    a = np.arange(q)
-    masked = np.where(np.gcd(a, q) == 1, s_all**3, 0.0) / float(q) ** 3
-    profile = np.fft.fft(masked)
+    h *= h
+    h %= q
+    s = np.fft.fft(np.bincount(h, minlength=q).astype(np.float64))
+    del h
+    np.conj(s, out=s)
+    s **= 3
+    s[np.gcd(np.arange(q), q) != 1] = 0.0
+    s /= float(q) ** 3
+    profile = np.fft.fft(s)
+    del s
     resid = float(np.abs(profile.imag).max())
     if resid > IMAG_TOLERANCE:
         raise AssertionError(
@@ -51,46 +56,68 @@ def _a_profile(q: int) -> tuple[np.ndarray, float]:
         )
     real = np.ascontiguousarray(profile.real)
     real.setflags(write=False)
-    result = (real, resid)
-    if q <= _PROFILE_CACHE_MAX:
-        _profile_cache[q] = result
-    return result
+    return real, resid
+
+
+def _legendre(a: int, p: int) -> int:
+    """Legendre symbol (a/p) for an odd prime p, by Euler's criterion."""
+    t = pow(a, (p - 1) // 2, p)
+    return -1 if t == p - 1 else t
+
+
+def _odd_local_factor(p: int, k: int, n: int) -> float:
+    """A(p^k, n) for an odd prime p, in closed form.
+
+    With below = p^{k-1}, A(p^k, n) vanishes unless below | n. Then for odd k
+    it is (-m/p) p^{-(k+1)/2} with m = n / below, and for even k it is the
+    Ramanujan sum c_{p^k}(n) p^{-3k/2}: p^k - below if p^k | n, else -below.
+    Each value is one correctly rounded quotient of exact integers.
+    """
+    below = p ** (k - 1)
+    if n % below:
+        return 0.0
+    if k % 2:
+        return _legendre(-(n // below), p) / p ** ((k + 1) // 2)
+    if n % (below * p):
+        return -below / p ** (3 * k // 2)
+    return (below * p - below) / p ** (3 * k // 2)
+
+
+def _prime_powers(q: int) -> list[tuple[int, int]]:
+    """(p, k) for each prime power p^k exactly dividing q, p ascending."""
+    out = []
+    d = 2
+    while d * d <= q:
+        if q % d == 0:
+            k = 0
+            while q % d == 0:
+                q //= d
+                k += 1
+            out.append((d, k))
+        d += 1 if d == 2 else 2
+    if q > 1:
+        out.append((q, 1))
+    return out
 
 
 def a_term(q: int, n: int) -> float:
-    """A(q, n), real by construction; raises if the imaginary residue is large."""
-    if q < 1:
-        raise DomainError(f"q must be >= 1, got {q}")
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    profile, _ = _a_profile(q)
-    return float(profile[n % q])
+    """A(q, n) as the product of its local factors A(p^k, n), p^k || q.
 
-
-def a_term_direct(q: int, n: int) -> float:
-    """Literal definition of A(q, n), one Gauss sum per coprime a.
-
-    Slow cross-check path for the transform evaluation above.
+    The product runs from the largest prime down, the order in which
+    singular_series_many assembles its terms, so both give the same float.
     """
-    from .expsum import gauss_sum
-
     if q < 1:
         raise DomainError(f"q must be >= 1, got {q}")
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    roots = np.exp((-2j * np.pi / q) * np.arange(q))
-    total = 0j
-    for a in range(1, q + 1):
-        if math.gcd(a, q) != 1:
-            continue
-        total += gauss_sum(q, a) ** 3 * roots[(a * n) % q]
-    total /= float(q) ** 3
-    if abs(total.imag) > IMAG_TOLERANCE:
-        raise AssertionError(
-            f"A({q}, {n}) imaginary residue {abs(total.imag):.3e} "
-            f"exceeds {IMAG_TOLERANCE}"
-        )
-    return total.real
+    term = 1.0
+    for p, k in reversed(_prime_powers(q)):
+        if p == 2:
+            local = _a_profile(2**k)[0][n % 2**k]
+        else:
+            local = _odd_local_factor(p, k, n)
+        term = local * term
+    return float(term)
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,9 +150,11 @@ def singular_series(n: int, Q: int) -> SingularTruncation:
 
 
 def singular_series_many(ns, Q: int) -> dict[int, SingularTruncation]:
-    """One pass over q = 1..Q serving several n at once.
+    """S3(n, Q) for several n from one sieve and one pass over q = 1..Q.
 
-    The per-q residue profile is the expensive part and is shared by every n.
+    The local factors A(p^k, n) are placed at q = p^k and spread to every q by
+    assemble_multiplicative. The DFT profiles of the powers of 2 are shared
+    by every n.
     """
     if Q < 1:
         raise DomainError(f"Q must be >= 1, got {Q}")
@@ -134,14 +163,27 @@ def singular_series_many(ns, Q: int) -> dict[int, SingularTruncation]:
         return {}
     if min(ns) < 1:
         raise DomainError("all n must be >= 1")
-    terms = {n: np.empty(Q, dtype=np.float64) for n in ns}
-    for q in range(1, Q + 1):
-        profile, _ = _a_profile(q)
-        for n in ns:
-            terms[n][q - 1] = profile[n % q]
+    local = np.zeros((len(ns), Q + 1), dtype=np.float64)
+    local[:, 1] = 1.0
+    power = 2
+    while power <= Q:  # before the sieve, so the largest transform and it never coexist
+        local[:, power] = _a_profile(power)[0][[n % power for n in ns]]
+        power *= 2
+    p, rest = factor_sieve(Q)
+    q = np.arange(Q + 1, dtype=np.int32)
+    odd_primes = q[(p == q) & (q > 2)].tolist()
+    for row, n in zip(local, ns):
+        for prime in odd_primes:
+            power, k = prime, 1
+            while power <= Q:
+                row[power] = _odd_local_factor(prime, k, n)
+                power, k = power * prime, k + 1
+    pk = q.copy()
+    pk[1:] //= rest[1:]
+    terms = assemble_multiplicative(local[:, pk], rest)
     return {
         n: SingularTruncation(n=n, Q=Q, value=float(np.sum(t)), terms=t)
-        for n, t in terms.items()
+        for n, t in zip(ns, terms[:, 1:])
     }
 
 

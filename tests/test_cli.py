@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from squaresums import cli
+from squaresums import cli, singular
 
 
 def run_cli(args):
@@ -249,6 +249,19 @@ def test_usage_errors_exit_2(capsys):
     assert run_cli(["verify-general", "--n", "3", "--limit", "10"]) == 2
     assert run_cli(["nonsense"]) == 2
     capsys.readouterr()
+
+
+def test_singular_q_above_cap_fails_before_any_work(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("singular series started above the cap")
+
+    monkeypatch.setattr(singular, "singular_series_many", refuse)
+    monkeypatch.setattr(singular, "singular_series", refuse)
+    over = str(cli.Q_CAP + 1)
+    assert run_cli(["singular", "--n", "1", "--q-max", over, "--dump-terms"]) == 2
+    assert run_cli(["singular", "--n", "1", "--q-grid", f"1,{over}"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all("exceeds" in line for line in err)
 
 
 def test_runtime_errors_exit_1(tmp_path, capsys):

@@ -7,10 +7,28 @@ import pytest
 
 from squaresums import constants
 from squaresums.errors import DomainError, NotCoprimeError
+from squaresums.expsum import gauss_sum
 
 ZETA_3 = 1.2020569031595942854
 B1_REFERENCE = 1.5639231744230924294     # 8 zeta(2) / (7 zeta(3))
 C3_REFERENCE = 30.870606090503587384     # 8 pi^4 / (21 zeta(3))
+
+
+def b1_direct_via_sums(Q: int) -> float:
+    """Partial sum of B1 with every |S(q,a)| evaluated as an actual sum.
+
+    Cross-check path for the magnitude law; O(q^2) per q, keep Q modest.
+    """
+    if Q < 1:
+        raise DomainError(f"Q must be >= 1, got {Q}")
+    totals = []
+    for q in range(1, Q + 1):
+        s = 0.0
+        for a in range(1, q + 1):
+            if math.gcd(a, q) == 1:
+                s += abs(gauss_sum(q, a)) ** 6
+        totals.append(s / float(q) ** 6)
+    return math.fsum(totals)
 
 
 def test_zeta_matches_classical_values():
@@ -41,11 +59,13 @@ def test_zeta_domain():
 
 
 def test_totient_sieve_matches_gcd_count():
-    phi = constants.totient_sieve(200)
-    assert phi[0] == 0
-    for n in range(1, 201):
-        want = sum(1 for a in range(1, n + 1) if math.gcd(a, n) == 1)
-        assert phi[n] == want, n
+    # Q just below, at and above a prime square moves the last sieving prime
+    for Q in (1, 2, 3, 4, 5, 8, 9, 10, 120, 121, 122, 200, 361):
+        phi = constants.totient_sieve(Q)
+        assert phi.shape == (Q + 1,) and phi[0] == 0
+        for n in range(1, Q + 1):
+            want = sum(1 for a in range(1, n + 1) if math.gcd(a, n) == 1)
+            assert phi[n] == want, (Q, n)
     with pytest.raises(DomainError):
         constants.totient_sieve(0)
 
@@ -69,7 +89,7 @@ def test_b1_routes_converge_to_closed_form():
 
 
 def test_b1_magnitude_law_route_matches_literal_gauss_sums():
-    assert constants.b1_direct_via_sums(64) == pytest.approx(
+    assert b1_direct_via_sums(64) == pytest.approx(
         constants.b1_direct(64), abs=1e-9
     )
 

@@ -7,9 +7,11 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from squaresums import repcount, singular
 from squaresums.errors import DomainError
+from squaresums.expsum import gauss_sum
 
 FROZEN = json.loads(
     (pathlib.Path(__file__).parent / "fixtures" / "frozen_constants.json").read_text()
@@ -25,6 +27,42 @@ def brute_a_term(q: int, n: int) -> complex:
         s = sum(cmath.exp(2j * cmath.pi * a * h * h / q) for h in range(1, q + 1))
         total += s**3 / q**3 * cmath.exp(-2j * cmath.pi * a * n / q)
     return total
+
+
+def a_term_direct(q: int, n: int) -> float:
+    """Literal definition of A(q, n), one Gauss sum per coprime a.
+
+    Slow cross-check path for the local-factor evaluation.
+    """
+    if q < 1:
+        raise DomainError(f"q must be >= 1, got {q}")
+    if n < 1:
+        raise DomainError(f"n must be >= 1, got {n}")
+    roots = np.exp((-2j * np.pi / q) * np.arange(q))
+    total = 0j
+    for a in range(1, q + 1):
+        if math.gcd(a, q) != 1:
+            continue
+        total += gauss_sum(q, a) ** 3 * roots[(a * n) % q]
+    total /= float(q) ** 3
+    if abs(total.imag) > singular.IMAG_TOLERANCE:
+        raise AssertionError(
+            f"A({q}, {n}) imaginary residue {abs(total.imag):.3e} "
+            f"exceeds {singular.IMAG_TOLERANCE}"
+        )
+    return total.real
+
+
+def odd_prime_powers(limit: int) -> list[tuple[int, int, int]]:
+    """(p, k, p^k) for every odd prime power p^k <= limit."""
+    out = []
+    for p in range(3, limit + 1, 2):
+        if all(p % d for d in range(3, math.isqrt(p) + 1, 2)):
+            power, k = p, 1
+            while power <= limit:
+                out.append((p, k, power))
+                power, k = power * p, k + 1
+    return out
 
 
 def brute_i_exact(n: int, x: int) -> float:
@@ -51,7 +89,7 @@ def test_a_term_matches_literal_definition():
             lit = brute_a_term(q, n)
             assert abs(lit.imag) < 1e-9, (q, n)
             assert singular.a_term(q, n) == pytest.approx(lit.real, abs=1e-9), (q, n)
-            assert singular.a_term_direct(q, n) == pytest.approx(
+            assert a_term_direct(q, n) == pytest.approx(
                 lit.real, abs=1e-9
             ), (q, n)
 
@@ -60,8 +98,36 @@ def test_a_term_fast_path_matches_direct_path():
     for q in (1, 2, 3, 8, 121, 360, 625):
         for n in (1, 5, 49, 99):
             assert singular.a_term(q, n) == pytest.approx(
-                singular.a_term_direct(q, n), abs=1e-11
+                a_term_direct(q, n), abs=1e-11
             ), (q, n)
+
+
+def test_odd_local_factors_match_transform():
+    worst = 0.0
+    for p, k, q in odd_prime_powers(4096):
+        profile, _ = singular._a_profile(q)
+        n = np.arange(1, 3 * q + 1)
+        closed = np.array([singular._odd_local_factor(p, k, int(m)) for m in n])
+        worst = max(worst, float(np.abs(closed - profile[n % q]).max()))
+    assert worst <= 1e-12, worst
+
+
+def test_assembled_terms_match_full_length_transform():
+    ns = range(1, 51)
+    many = singular.singular_series_many(ns, 2000)
+    worst = 0.0
+    for q in range(1, 2001):
+        profile, _ = singular._a_profile(q)
+        for n in ns:
+            worst = max(worst, abs(many[n].terms[q - 1] - profile[n % q]))
+    assert worst <= 1e-12, worst
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(q=st.integers(1, 4096), n=st.integers(1, 10**12))
+def test_a_term_matches_transform_property(q, n):
+    profile, _ = singular._a_profile(q)
+    assert abs(singular.a_term(q, n) - profile[n % q]) <= 1e-12
 
 
 def test_a_term_periodic_in_n():
