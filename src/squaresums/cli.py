@@ -22,6 +22,9 @@ from ._util import format_real
 
 LIMIT_CAP = 10**8
 Q_CAP = 10**7  # singular series memory grows linearly in Q: about 0.75 GB at the cap
+N_TERMS_CAP = 10**7  # weyl_sum holds about 40 B per term: about 0.4 GB at the cap
+GRID_POINTS_CAP = 10**6  # weyl-sweep evaluates ceil(1 / --grid) points
+GAUSS_Q_CAP = 2**16  # listing S(q, a) for every coprime a costs O(q^2)
 
 
 class CliUsageError(Exception):
@@ -223,14 +226,23 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             raise CliUsageError(f"--q-max {cfg.q_max} exceeds {Q_CAP}")
         if cfg.q_grid and max(cfg.q_grid) > Q_CAP:
             raise CliUsageError(f"--q-grid entry {max(cfg.q_grid)} exceeds {Q_CAP}")
-    if cfg.subcommand == "gauss" and cfg.q < 1:
-        raise CliUsageError("--q must be >= 1")
+    if cfg.subcommand == "gauss":
+        if cfg.q < 1:
+            raise CliUsageError("--q must be >= 1")
+        if cfg.q > GAUSS_Q_CAP:
+            raise CliUsageError(f"--q {cfg.q} exceeds {GAUSS_Q_CAP}")
     if cfg.subcommand == "weyl-sweep":
         cfg.grid_step = float(args.grid)
         if cfg.n_terms < 1:
             raise CliUsageError("--n-terms must be >= 1")
+        if cfg.n_terms > N_TERMS_CAP:
+            raise CliUsageError(f"--n-terms {cfg.n_terms} exceeds {N_TERMS_CAP}")
         if not 0.0 < cfg.grid_step <= 1.0:
             raise CliUsageError("--grid must be in (0, 1]")
+        if math.ceil(1.0 / cfg.grid_step) > GRID_POINTS_CAP:
+            raise CliUsageError(
+                f"--grid {cfg.grid_step} gives more than {GRID_POINTS_CAP} points"
+            )
     return cfg
 
 

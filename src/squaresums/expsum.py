@@ -4,10 +4,15 @@ the weighted sum v(beta) = (1/2) sum_{m<=x} m^{-1/2} e(beta m), and the
 rational-point approximant f*(alpha) = S(q,a)/q * v(alpha - a/q), where
 e(z) = exp(2 pi i z).
 
-Rational phases like a h^2 / q, and the dyadic-rational phases alpha m^2
-that a float alpha produces, are reduced mod 1 in exact integer arithmetic
-before any complex exponential is taken, so accuracy does not degrade as
-the raw phase grows.
+Rational phases like a h^2 / q, and the dyadic-rational phases that a float
+alpha or beta produces (alpha m^2 in f, beta B i and beta j in the blocks of
+v below), are reduced mod 1 in exact integer arithmetic before any complex
+exponential is taken, so accuracy does not degrade as the raw phase grows.
+
+v is evaluated in blocks: with m = B i + j and B = isqrt(x) + 1,
+v(beta) = (1/2) sum_i e(beta B i) sum_j w_{B i + j} e(beta j), so one call
+takes about 2 sqrt(x) exponentials and one real matrix-vector product
+against a cached (rows x B) matrix of the weights w_m = m^{-1/2}.
 """
 
 from __future__ import annotations
@@ -20,6 +25,10 @@ import numpy as np
 from .errors import DomainError, NotCoprimeError
 
 ComplexValue = complex
+
+# Python-int phases are formed this many at a time, so the fallback for large
+# denominators holds no more than a fixed number of int objects at once.
+_OBJECT_CHUNK = 1 << 16
 
 
 @lru_cache(maxsize=8)
@@ -52,12 +61,33 @@ def gauss_magnitude_closed(q: int) -> float:
     return 0.0
 
 
+def _dyadic_fracs(num: int, den: int, k: np.ndarray) -> np.ndarray:
+    """(num * k mod den) / den, correctly rounded, for den a power of two and
+    k a 1-d uint64 array of exact non-negative integers.
+
+    For den <= 2^64 the product is formed as wrapping uint64 arithmetic, which
+    is exact mod 2^64 and hence mod den; otherwise in Python ints.
+    """
+    num %= den
+    if den <= 1 << 64:
+        p = k * np.uint64(num)
+        p &= np.uint64(den - 1)
+        fracs = p.astype(np.float64)
+        fracs *= 1.0 / den  # a power of two: exact, and p / den is never subnormal
+        return fracs
+    fracs = np.empty(k.shape, dtype=np.float64)
+    for lo in range(0, k.size, _OBJECT_CHUNK):
+        part = k[lo : lo + _OBJECT_CHUNK].astype(object)
+        fracs[lo : lo + _OBJECT_CHUNK] = num * part % den / den
+    return fracs
+
+
 def weyl_sum(alpha: float, N: int) -> complex:
     """f(alpha) = sum_{m=1..N} e(alpha m^2).
 
-    alpha is taken as the exact dyadic rational num/den the float holds; the
-    quadratic phase num*m^2 mod den is advanced by second differences in
-    integer arithmetic, one correctly rounded division per term.
+    alpha is taken as the exact dyadic rational num/den the float holds; each
+    phase num*m^2 mod den is reduced exactly and divided once, correctly
+    rounded.
     """
     if N < 1:
         raise DomainError(f"N must be >= 1, got {N}")
@@ -65,31 +95,38 @@ def weyl_sum(alpha: float, N: int) -> complex:
     if not math.isfinite(alpha):
         raise DomainError("alpha must be finite")
     num, den = alpha.as_integer_ratio()
-    num %= den
-    fracs = np.empty(N, dtype=np.float64)
-    p = num % den
-    d = 3 * num % den
-    two = 2 * num % den
-    for i in range(N):
-        fracs[i] = p / den
-        p = (p + d) % den
-        d = (d + two) % den
+    squares = np.arange(1, N + 1, dtype=np.uint64)
+    squares *= squares
+    fracs = _dyadic_fracs(num, den, squares)
+    del squares  # keeps the peak at about 40 B per term
     z = np.exp((2j * np.pi) * fracs)
     return complex(z.sum())
 
 
 @lru_cache(maxsize=4)
-def _inv_sqrt_weights(x: int) -> np.ndarray:
-    w = 1.0 / np.sqrt(np.arange(1, x + 1, dtype=np.float64))
+def _block_weights(x: int) -> np.ndarray:
+    """w_m = m^{-1/2} at row i, column j of m = B i + j, B = isqrt(x) + 1,
+    with zeros at m = 0 and beyond x."""
+    B = math.isqrt(x) + 1
+    rows = x // B + 1
+    w = np.zeros(rows * B, dtype=np.float64)
+    w[1 : x + 1] = 1.0 / np.sqrt(np.arange(1, x + 1, dtype=np.float64))
+    w = w.reshape(rows, B)
     w.setflags(write=False)
     return w
+
+
+def _unit_phases(num: int, den: int, k: np.ndarray) -> np.ndarray:
+    return np.exp((2j * np.pi) * _dyadic_fracs(num, den, k))
 
 
 def v_sum(beta: float, x: int) -> complex:
     """v(beta) = (1/2) sum_{m=1..x} m^{-1/2} e(beta m).
 
-    Periodic in beta with period 1, so beta is folded to [-1/2, 1/2] first;
-    that keeps the phase arguments small and the evaluation accurate.
+    Periodic in beta with period 1 and conjugate-symmetric, so beta is folded
+    to [0, 1/2]. The sum is taken in blocks m = B i + j (module docstring):
+    the phases beta B i and beta j are reduced mod 1 exactly, and the inner
+    sums over j are one product with the cached weight matrix.
     """
     if x < 1:
         raise DomainError(f"x must be >= 1, got {x}")
@@ -97,10 +134,14 @@ def v_sum(beta: float, x: int) -> complex:
     if not math.isfinite(beta):
         raise DomainError("beta must be finite")
     beta -= round(beta)
-    w = _inv_sqrt_weights(x)
-    m = np.arange(1, x + 1, dtype=np.float64)
-    z = np.exp((2j * np.pi * beta) * m)
-    return complex(0.5 * (w * z).sum())
+    num, den = abs(beta).as_integer_ratio()
+    w = _block_weights(x)
+    rows, B = w.shape
+    inner = _unit_phases(num, den, np.arange(B, dtype=np.uint64))
+    row_sums = w @ inner.real + 1j * (w @ inner.imag)
+    outer = _unit_phases(num, den, np.arange(0, rows * B, B, dtype=np.uint64))
+    v = complex(0.5 * np.dot(outer, row_sums))
+    return v.conjugate() if beta < 0 else v
 
 
 def f_star(alpha: float, q: int, a: int, x: int) -> complex:

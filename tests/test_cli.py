@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from squaresums import cli, singular
+from squaresums import cli, expsum, singular
 
 
 def run_cli(args):
@@ -262,6 +262,27 @@ def test_singular_q_above_cap_fails_before_any_work(monkeypatch, capsys):
     assert run_cli(["singular", "--n", "1", "--q-grid", f"1,{over}"]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 2 and all("exceeds" in line for line in err)
+
+
+def test_weyl_and_gauss_above_caps_fail_before_any_work(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("exponential sum started above the cap")
+
+    for name in ("weyl_sum", "gauss_sum", "gauss_magnitude_closed"):
+        monkeypatch.setattr(expsum, name, refuse)
+    over_terms = str(cli.N_TERMS_CAP + 1)
+    fine_grid = repr(1.0 / (cli.GRID_POINTS_CAP + 1))
+    assert run_cli(["weyl-sweep", "--n-terms", over_terms, "--grid", "1"]) == 2
+    assert run_cli(["weyl-sweep", "--n-terms", "1", "--grid", fine_grid]) == 2
+    assert run_cli(["gauss", "--q", str(cli.GAUSS_Q_CAP + 1)]) == 2
+    assert run_cli(["gauss", "--q", str(cli.GAUSS_Q_CAP + 1), "--a", "1"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 4 and all("exceeds" in line or "more than" in line for line in err)
+    # the caps themselves are accepted
+    parse = cli.build_parser().parse_args
+    at_cap = parse(["weyl-sweep", "--n-terms", str(cli.N_TERMS_CAP), "--grid", "1e-6"])
+    assert cli._config_from_args(at_cap).n_terms == cli.N_TERMS_CAP
+    assert cli._config_from_args(parse(["gauss", "--q", str(cli.GAUSS_Q_CAP)])).q == cli.GAUSS_Q_CAP
 
 
 def test_runtime_errors_exit_1(tmp_path, capsys):

@@ -7,6 +7,7 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from squaresums import expsum
 from squaresums.errors import DomainError, NotCoprimeError
@@ -28,6 +29,53 @@ def brute_v(beta: float, x: int) -> complex:
     return 0.5 * sum(
         cmath.exp(2j * cmath.pi * beta * m) / math.sqrt(m) for m in range(1, x + 1)
     )
+
+
+def weyl_sum_reference(alpha: float, N: int) -> complex:
+    """f(alpha) = sum_{m=1..N} e(alpha m^2).
+
+    alpha is taken as the exact dyadic rational num/den the float holds; the
+    quadratic phase num*m^2 mod den is advanced by second differences in
+    integer arithmetic, one correctly rounded division per term.
+    """
+    if N < 1:
+        raise DomainError(f"N must be >= 1, got {N}")
+    alpha = float(alpha)
+    if not math.isfinite(alpha):
+        raise DomainError("alpha must be finite")
+    num, den = alpha.as_integer_ratio()
+    num %= den
+    fracs = np.empty(N, dtype=np.float64)
+    p = num % den
+    d = 3 * num % den
+    two = 2 * num % den
+    for i in range(N):
+        fracs[i] = p / den
+        p = (p + d) % den
+        d = (d + two) % den
+    z = np.exp((2j * np.pi) * fracs)
+    return complex(z.sum())
+
+
+def v_exact_phase(beta: float, x: int) -> complex:
+    """v(beta) with each phase beta*m reduced mod 1 in Python ints and each
+    component summed with math.fsum."""
+    num, den = float(beta).as_integer_ratio()
+    re, im = [], []
+    for m in range(1, x + 1):
+        theta = 2 * math.pi * (num * m % den / den)
+        w = 1 / math.sqrt(m)
+        re.append(w * math.cos(theta))
+        im.append(w * math.sin(theta))
+    return 0.5 * complex(math.fsum(re), math.fsum(im))
+
+
+def v_sum_unblocked(beta: float, x: int) -> complex:
+    """v(beta) as one vector of x exponentials of the folded beta, unreduced."""
+    beta -= round(beta)
+    w = 1.0 / np.sqrt(np.arange(1, x + 1, dtype=np.float64))
+    m = np.arange(1, x + 1, dtype=np.float64)
+    return complex(0.5 * (w * np.exp((2j * np.pi * beta) * m)).sum())
 
 
 def test_gauss_known_values():
@@ -101,6 +149,24 @@ def test_weyl_rational_point_is_scaled_gauss_sum():
         assert abs(f - 10 * expsum.gauss_sum(q, a)) < 1e-9, (q, a)
 
 
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(
+    alpha=st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(min_value=-4.0, max_value=4.0),
+        st.floats(min_value=-(2.0**-12), max_value=2.0**-12),
+    ),
+    N=st.integers(1, 3000),
+)
+@example(alpha=5e-324, N=3000)
+@example(alpha=-5e-324, N=3000)
+@example(alpha=-(2.0**-13) / 3, N=2999)
+@example(alpha=1 / 3, N=3000)
+def test_weyl_matches_second_difference_reference_bitwise(alpha, N):
+    # |alpha| < 2^-12 with a full mantissa has den > 2^64: the Python-int path
+    assert expsum.weyl_sum(alpha, N) == weyl_sum_reference(alpha, N)
+
+
 def test_v_matches_naive_sum():
     for beta in (0.0, 0.1, -0.35, 0.5):
         got = expsum.v_sum(beta, 200)
@@ -112,6 +178,35 @@ def test_v_periodicity_and_symmetry():
     v = expsum.v_sum(0.21, 500)
     assert expsum.v_sum(1.21, 500) == pytest.approx(v, abs=1e-12)
     assert expsum.v_sum(-0.21, 500) == v.conjugate()
+
+
+V_BETAS = sorted(
+    set(np.linspace(-0.5, 0.5, 9).tolist())
+    | {0.1234567, -1 / 3, 2.5e-7, -2.5e-7, 0.5 - 2.0**-40, 1.21}
+)
+
+
+@pytest.mark.parametrize("x", [1, 2, 3, 4, 5, 960, 961, 962, 2 * 10**4])
+def test_v_matches_exact_phase_oracle(x):
+    # x = k^2 - 1, k^2, k^2 + 1 (k = 2, 31) move the block width and the
+    # zero padding at the tail of the weight matrix across each edge
+    for beta in V_BETAS:
+        got = expsum.v_sum(beta, x)
+        want = v_exact_phase(beta, x)
+        assert abs(got - want) <= 1e-12 * abs(want) + 1e-12, (x, beta, got, want)
+
+
+def test_v_matches_unblocked_formula_on_major_arc_offsets():
+    # the positive offsets of the frozen major-arc grid at its smallest and
+    # largest q (the negative ones are conjugates under both formulas); the
+    # unblocked formula takes x exponentials per call, so not every q
+    cfg = FROZEN["major_arc"]
+    N, x = cfg["n_terms"], cfg["x"]
+    grid = np.linspace(-1.0, 1.0, cfg["betas_per_pair"])
+    for beta in [g / (4 * q * N) for q in (1, cfg["q_max"]) for g in grid if g > 0]:
+        got = expsum.v_sum(float(beta), x)
+        want = v_sum_unblocked(float(beta), x)
+        assert abs(got - want) <= 1e-12 * abs(want) + 1e-12, (beta, got, want)
 
 
 def test_f_star_composition():
