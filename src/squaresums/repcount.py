@@ -3,15 +3,19 @@ k squares of integers (signs and order both count, so r_2(1) = 4).
 
 Tables are built by independent routes so they can be cross-checked entry by
 entry: a direct lattice enumeration for one and two squares, an exact integer
-convolution that stacks tables, and a two-square fold for k = 3 that never
-touches the convolution code. All arithmetic is exact in int64; builders
-detect overflow and raise instead of wrapping.
+convolution that stacks tables, and a two-square fold for k = 3. The
+convolution and the fold share one shift-add kernel (_shift_add), but the
+fold's input is the lattice-enumerated r_2, never the r_1 convolution chain,
+so the two routes still check each other. All arithmetic is exact in int64;
+the kernel detects overflow and raises instead of wrapping. Threads are capped
+at the CPU count.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -19,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CountOverflowError, DomainError, TableTooShortError
+from ._util import SAFE_LIMIT, atomic_write
 
 TAG_DIRECT = "direct-lattice"
 TAG_CONVOLUTION = "convolution"
@@ -31,9 +36,6 @@ BUILDER_TAGS = frozenset(
 )
 
 _I64_MAX = (1 << 63) - 1
-# fast accumulation is allowed only when a conservative bound on every
-# partial sum stays below this; the factor-2 margin absorbs float slop
-_SAFE_LIMIT = float(1 << 62)
 
 _BINARY_MAGIC = b"RKTB"
 _HEADER = struct.Struct("<4sIQ")
@@ -70,7 +72,8 @@ class RepTable:
 
 
 def _chunk_ranges(n: int, threads: int) -> list[tuple[int, int]]:
-    threads = max(1, min(int(threads), n)) if n > 0 else 1
+    """Split range(n) into at most min(threads, n, os.cpu_count()) contiguous chunks."""
+    threads = max(1, min(int(threads), n, os.cpu_count() or 1)) if n > 0 else 1
     if threads == 1 or n == 0:
         return [(0, n)]
     step = -(-n // threads)
@@ -116,6 +119,23 @@ def _run_chunked(apply_chunk, x: int, threads: int):
             fut.result()
 
 
+def _shift_add(offsets, weights, src: np.ndarray, x: int, threads: int) -> np.ndarray:
+    """Exact out[n] = sum_j weights[j] * src[n - offsets[j]] for n <= x.
+
+    Offsets ascend. Accumulation is unguarded only when a conservative bound
+    on every entry stays below SAFE_LIMIT.
+    """
+    out = np.zeros(x + 1, dtype=np.int64)
+    bound = float(np.sum(weights, dtype=np.float64)) * float(src.max()) * 1.01
+    guarded = not bound < SAFE_LIMIT
+
+    def chunk(lo, hi):
+        _accumulate_shifts(out, offsets, weights, src, lo, hi, guarded)
+
+    _run_chunked(chunk, x, threads)
+    return out
+
+
 def _convolve_counts(c1: np.ndarray, c2: np.ndarray, x: int, threads: int) -> np.ndarray:
     """Exact out[n] = sum_{m<=n} c1[m]*c2[n-m] for n <= x, overflow-checked."""
     c1 = c1[: x + 1]
@@ -124,19 +144,10 @@ def _convolve_counts(c1: np.ndarray, c2: np.ndarray, x: int, threads: int) -> np
     # O(sqrt(x)) vector adds instead of O(x)
     if np.count_nonzero(c1) > np.count_nonzero(c2):
         c1, c2 = c2, c1
-    out = np.zeros(x + 1, dtype=np.int64)
     offsets = np.flatnonzero(c1)
     if offsets.size == 0:
-        return out
-    bound = float(np.sum(c1, dtype=np.float64)) * float(c2.max()) * 1.01
-    guarded = not bound < _SAFE_LIMIT
-    weights = c1[offsets]
-
-    def chunk(lo, hi):
-        _accumulate_shifts(out, offsets, weights, c2, lo, hi, guarded)
-
-    _run_chunked(chunk, x, threads)
-    return out
+        return np.zeros(x + 1, dtype=np.int64)
+    return _shift_add(offsets, c1[offsets], c2, x, threads)
 
 
 def build_r1(x: int) -> RepTable:
@@ -200,34 +211,15 @@ def _r2_lattice(x: int) -> np.ndarray:
 def build_r3_fold(x: int, threads: int = 1) -> RepTable:
     """Three-square counts via r_3(n) = sum over m^2 <= n of r_2(n - m^2).
 
-    Independent of the convolution code on purpose: the two builders
-    cross-validate each other.
+    The r_2 input comes from lattice enumeration, not from convolving r_1
+    tables, so this builder and build_rk cross-validate each other.
     """
     if x < 0:
         raise DomainError(f"limit must be >= 0, got {x}")
-    r2 = _r2_lattice(x)
-    counts = np.zeros(x + 1, dtype=np.int64)
     mmax = math.isqrt(x)
     squares = [m * m for m in range(mmax + 1)]
     weights = [1] + [2] * mmax
-    bound = float(sum(weights)) * float(r2.max()) * 1.01
-    guarded = not bound < _SAFE_LIMIT
-
-    def chunk(lo, hi):
-        for off, w in zip(squares, weights):
-            if off >= hi:
-                break
-            start = max(lo, off)
-            seg = r2[start - off : hi - off]
-            if guarded:
-                top = int(seg.max(initial=0))
-                if top and w > _I64_MAX // top:
-                    raise CountOverflowError("count product exceeds 64-bit range")
-            counts[start:hi] += w * seg
-            if guarded and seg.size and int(counts[start:hi].min()) < 0:
-                raise CountOverflowError("count accumulator exceeds 64-bit range")
-
-    _run_chunked(chunk, x, threads)
+    counts = _shift_add(squares, weights, _r2_lattice(x), x, threads)
     return RepTable(order=3, limit=x, counts=counts, builder_tag=TAG_FOLD)
 
 
@@ -283,8 +275,8 @@ def build_rk(x: int, k: int, threads: int = 1) -> RepTable:
 
 
 def save_csv(table: RepTable, path, header_comment: str | None = None) -> None:
-    """Write `n,count` rows; an optional single comment line goes first."""
-    with open(path, "w", newline="") as fh:
+    """Write `n,count` rows, atomically; an optional single comment line goes first."""
+    with atomic_write(path) as fh:
         if header_comment:
             fh.write(f"# {header_comment}\n")
         fh.write("n,count\n")
@@ -293,29 +285,48 @@ def save_csv(table: RepTable, path, header_comment: str | None = None) -> None:
 
 def load_csv(path, order: int, builder_tag: str = TAG_FILE) -> RepTable:
     """Read a table written by save_csv. The CSV carries no order, so the
-    caller must state it."""
+    caller must state it. Malformed content of any kind raises DomainError."""
     values: list[int] = []
-    with open(path, newline="") as fh:
+    with open(path, newline="", errors="replace") as fh:
         rows = csv.reader(line for line in fh if not line.startswith("#"))
-        header = next(rows, None)
-        if header != ["n", "count"]:
-            raise DomainError(f"expected header n,count, got {header}")
-        for i, row in enumerate(rows):
-            n, c = int(row[0]), int(row[1])
-            if n != i:
-                raise DomainError(f"rows out of order at line {i + 2}")
-            values.append(c)
+        try:
+            header = next(rows, None)
+            if header != ["n", "count"]:
+                raise DomainError(f"expected header n,count, got {header}")
+            for i, (n, c) in enumerate(rows):
+                if int(n) != i:
+                    raise DomainError(f"rows out of order at line {i + 2}")
+                values.append(int(c))
+        except (ValueError, csv.Error) as exc:
+            raise DomainError(f"line {len(values) + 2} is not an n,count row: {exc}") from None
     if not values:
         raise DomainError("table file has no rows")
-    counts = np.array(values, dtype=np.int64)
+    try:
+        counts = np.array(values, dtype=np.int64)
+    except OverflowError:
+        raise DomainError("a count lies outside the 64-bit range") from None
     return RepTable(
         order=order, limit=len(values) - 1, counts=counts, builder_tag=builder_tag
     )
 
 
+def load_table(path, order: int, limit: int) -> RepTable:
+    """Read a table of the given order covering at least `limit`, in either
+    format; the binary magic tells them apart."""
+    with open(path, "rb") as fh:
+        binary = fh.read(len(_BINARY_MAGIC)) == _BINARY_MAGIC
+    table = load_binary(path) if binary else load_csv(path, order=order)
+    if table.order != order:
+        raise DomainError(f"table {path} has order {table.order}, expected {order}")
+    if table.limit < limit:
+        raise TableTooShortError(f"table {path} covers n <= {table.limit}, not {limit}")
+    return table
+
+
 def save_binary(table: RepTable, path) -> None:
-    """Compact dump: 16-byte header (magic, k, x), then little-endian 64-bit counts."""
-    with open(path, "wb") as fh:
+    """Compact dump, written atomically: 16-byte header (magic, k, x), then
+    little-endian 64-bit counts."""
+    with atomic_write(path, binary=True) as fh:
         fh.write(_HEADER.pack(_BINARY_MAGIC, table.order, table.limit))
         fh.write(np.ascontiguousarray(table.counts, dtype="<u8").tobytes())
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from ._util import assemble_multiplicative, factor_sieve, format_real
+from ._util import assemble_multiplicative, factor_sieve
 
 IMAG_TOLERANCE = 1e-9
 
@@ -248,20 +248,3 @@ def i_exact_range(n_max: int, x: int) -> np.ndarray:
     hi = min(n_max, 3 * m_hi)
     out[3 : hi + 1] = triple[: hi - 2] / 8.0
     return out
-
-
-def truncation_csv_lines(trunc: SingularTruncation) -> list[str]:
-    """Per-q terms as `q,A_q_n` rows, then a `total,<value>` footer."""
-    lines = ["q,A_q_n"]
-    for q, t in enumerate(trunc.terms, start=1):
-        lines.append(f"{q},{format_real(t)}")
-    lines.append(f"total,{format_real(trunc.value)}")
-    return lines
-
-
-def save_truncation_csv(trunc: SingularTruncation, path, header_comment: str | None = None) -> None:
-    with open(path, "w", newline="") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        fh.write("\n".join(truncation_csv_lines(trunc)))
-        fh.write("\n")

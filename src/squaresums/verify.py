@@ -11,15 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import repcount, singular
 from .constants import mean_square_constant, w_constant
 from .errors import DomainError, InsufficientPointsError, TableTooShortError
-from ._util import format_real
-
-_SAFE_LIMIT = float(1 << 62)
+from ._util import SAFE_LIMIT
 
 
 @dataclass(frozen=True)
@@ -126,7 +125,7 @@ def _prefix_at(counts: np.ndarray, xs: list[int], square: bool) -> dict[int, int
         bound = top * top * len(counts) * 1.01
     else:
         bound = float(np.sum(counts, dtype=np.float64)) * 1.01
-    if bound < _SAFE_LIMIT:
+    if bound < SAFE_LIMIT:
         data = counts * counts if square else counts
         prefix = np.cumsum(data)
         base = int(data[0])
@@ -213,6 +212,36 @@ def fit_error_exponent(checkpoints) -> FitResult:
     )
 
 
+def read_series(path) -> list[SimpleNamespace]:
+    """(x, abs_err) of every data row of a series CSV, such as verify-* output.
+
+    Comment lines and rows not led by an integer (footers) are skipped; a
+    malformed data row raises DomainError.
+    """
+    with open(path, newline="", errors="replace") as fh:
+        lines = [line.strip() for line in fh]
+    rows = [line.split(",") for line in lines if line and not line.startswith("#")]
+    if not rows:
+        return []
+    header, *data = rows
+    if "x" not in header or "abs_err" not in header:
+        raise DomainError(f"{path} lacks x/abs_err columns: {header}")
+    xi, ei = header.index("x"), header.index("abs_err")
+    points = []
+    for row in data:
+        if not row[0].lstrip("-").isdigit():
+            continue  # footer or another non-data row
+        try:
+            x, abs_err = int(row[xi]), float(row[ei])
+        except (IndexError, ValueError):
+            bad = ",".join(row)
+            raise DomainError(f"{path}: no integer x and real abs_err in {bad!r}") from None
+        if x < 1:
+            raise DomainError(f"{path}: x must be >= 1, got {x}")
+        points.append(SimpleNamespace(x=x, abs_err=abs_err))
+    return points
+
+
 def singular_truncation_sweep(n: int, Q_grid) -> TruncationSweep:
     """Truncated count formula 2 pi sqrt(n) S3(n, Q) against exact r_3(n)."""
     qs = sorted({int(Q) for Q in Q_grid})
@@ -231,53 +260,3 @@ def singular_truncation_sweep(n: int, Q_grid) -> TruncationSweep:
         rel_err = abs_err / r3 if r3 > 0 else math.nan
         points.append(TruncationPoint(Q=Q, bateman=val, abs_err=abs_err, rel_err=rel_err))
     return TruncationSweep(n=n, r3=r3, points=tuple(points))
-
-
-SERIES_CSV_HEADER = "x,partial_sum,main_term,abs_err,rel_err"
-
-
-def series_csv_lines(checkpoints) -> list[str]:
-    lines = [SERIES_CSV_HEADER]
-    for c in checkpoints:
-        lines.append(
-            f"{c.x},{c.partial_sum},{format_real(c.main_term)},"
-            f"{format_real(c.abs_err)},{format_real(c.rel_err)}"
-        )
-    return lines
-
-
-def checkpoint_dicts(checkpoints) -> list[dict]:
-    return [
-        {
-            "x": c.x,
-            "partial_sum": c.partial_sum,
-            "main_term": c.main_term,
-            "abs_err": c.abs_err,
-            "rel_err": c.rel_err,
-        }
-        for c in checkpoints
-    ]
-
-
-def fit_dict(fit: FitResult | None) -> dict | None:
-    if fit is None:
-        return None
-    return {
-        "slope": fit.slope,
-        "intercept": fit.intercept,
-        "r_squared": fit.r_squared,
-        "points_used": fit.points_used,
-    }
-
-
-SWEEP_CSV_HEADER = "Q,bateman,r3,abs_err,rel_err"
-
-
-def sweep_csv_lines(sweep: TruncationSweep) -> list[str]:
-    lines = [SWEEP_CSV_HEADER]
-    for p in sweep.points:
-        lines.append(
-            f"{p.Q},{format_real(p.bateman)},{sweep.r3},"
-            f"{format_real(p.abs_err)},{format_real(p.rel_err)}"
-        )
-    return lines

@@ -1,11 +1,21 @@
 """Command-line behavior: formats, exit codes, reproducibility."""
 
+import contextlib
+import hashlib
+import io
 import json
 import math
+import os
+import re
+import stat
+import tempfile
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from squaresums import cli, expsum, singular
+from squaresums import cli, expsum, repcount, singular, verify
 
 
 def run_cli(args):
@@ -311,3 +321,283 @@ def test_override_limit_flag_is_honored():
     )
     assert cfg.limit == 300000000
     assert cfg.override_limit is True
+
+
+# sha256 of the output of each subcommand and format under --reproducible (the
+# table file for `tables`, stdout otherwise), with the exit status. The digests
+# pin the output bytes the CLI wrote before it had a single emitter.
+PINNED = [
+    ("tables --limit 400 --k 3", 0, "1d5b8c82fe7e2c744f96515b600fcf87387069257a10c638778e052317b93e1f"),
+    ("tables --limit 400 --k 3 --table-format binary", 0, "d1b03f579ea5047e462db37508aa2433e30c00b415abd4dd4f8a2bc4d3d4fb20"),
+    ("verify-mean --limit 10000 --checkpoints 100,1000,10000 --format csv", 0, "cd2c59b1be5aa26169264c3b8daba1fbc8836e6975988f97130f323eebb3f805"),
+    ("verify-mean --limit 10000 --checkpoints 100,1000,10000 --format json", 0, "e0357ecd27178e673adcb0ff1553c2a4a7c2b0466f4f5dfc0104493f5adbcc2d"),
+    ("verify-mean --limit 10000 --checkpoints 100,1000,10000 --format text", 0, "2896e249af26274bae1e080b766b6da5f4486a0fd8173097d2ab8fc1729c9195"),
+    ("verify-mean --limit 400 --checkpoints 100,400 --format csv", 0, "d7a14bcb3eddba8521f07d7c491dcfe46ac97466b6361d2b7174206f2241163f"),
+    ("verify-mean --limit 400 --checkpoints 100,400 --format json", 0, "4c9cfb78e3577abc1b2989c6c714805c9fc8966388ae09abb3b2281e4b438771"),
+    ("verify-mean --limit 400 --checkpoints 100,400 --format text", 0, "dcfcddf7373601b971803b29207290a9e636c87bba419cb24189e74f7946000e"),
+    ("verify-mean --limit 2 --checkpoints 1,2 --format csv", 1, "295433d7754cbe5e2cc6843548c6882b26b789b2e4e905b541c63027911f53f7"),
+    ("verify-mean --limit 2 --checkpoints 1,2 --format json", 1, "9ec23510fa62e377adf7e7c13deaa085e588fd37797af44e53dc8c30c99444a7"),
+    ("verify-mean --limit 2 --checkpoints 1,2 --format text", 1, "24896bdbfd94f37be9480a1495db30a38012a0dcadc24a562c95ddb3359cb552"),
+    ("verify-mean --limit 4 --checkpoints 1,4 --format csv", 0, "c18fd5f90c77ba837705839d261b336436121288ac659d4e0aa97712a8efe493"),
+    ("verify-mean --limit 4 --checkpoints 1,4 --format json", 0, "1859643a2fe72a85f7319d7fefb542df2c762594910343988a61bf1328ad9f1b"),
+    ("verify-mean --limit 4 --checkpoints 1,4 --format text", 0, "1c465fa517b4ec91174d3cd66e8df7df31da421d234dc87866318cd0f58fbb70"),
+    ("verify-meansquare --limit 30000 --format csv", 0, "0b65739c95993932afa7eb071e0c030e5a07112592806a3b98df9fcddea3b549"),
+    ("verify-meansquare --limit 30000 --format json", 0, "1cc67974ec28ad1b27a811cb6cf2c933f6489471ee3bfc659f00c13bf629b5db"),
+    ("verify-meansquare --limit 30000 --format text", 0, "81fb3b387397c47c1cff754c552d3316a3181830b591ac6433f95ef8688e814a"),
+    ("verify-general --n 4 --limit 2000 --checkpoints 100,300,1000,2000 --format csv", 0, "ca5482baf8d9cbea0355ef223528ee154c26f849515b6e41e5fe1df5935939a5"),
+    ("verify-general --n 4 --limit 2000 --checkpoints 100,300,1000,2000 --format json", 0, "d3536eefd21897100e1309af9458aecd6cff27cbbff1a133131a9b8734f69d25"),
+    ("verify-general --n 4 --limit 2000 --checkpoints 100,300,1000,2000 --format text", 0, "124dda514e77c7ddbf6fedc33c9d9ef66ab3e854d3ae6471ab303ae49f2ff37a"),
+    ("constants --w-orders 3,4 --format csv", 0, "4c9c1e846922561be7d66f0599c5bbcbae03a7e9ba2b44a1292c255f22d57224"),
+    ("constants --w-orders 3,4 --format json", 0, "60d4c52fbf1cc472d3492f00dac1bce46d469920d466febf61910400ffd9811c"),
+    ("constants --w-orders 3,4 --format text", 0, "61f4863b5417d7b1111a0ab453988c13acac59102432a78ddbf74a4c3d598183"),
+    ("constants --precision extended --digits 20 --w-orders 3,4 --format csv", 0, "b7bcb97fbd883c7a2f54b649a94012f2689eb1157cfdbe53521af415a6cd8046"),
+    ("constants --precision extended --digits 20 --w-orders 3,4 --format json", 0, "da20a5a132e4c1305c7e0d8e095d96aecf09c947a4c24a6a5cc065faed6c1cc7"),
+    ("constants --precision extended --digits 20 --w-orders 3,4 --format text", 0, "b47956b0cddb19e705c7203c769553d1c292f94f573e8c506d8fbbd9957accf7"),
+    ("singular --n 1 --format csv", 0, "5edf323d0b3f6def2d42ce6b6eedabb2c8da9d9fbbaf48d72cb7b3779889e443"),
+    ("singular --n 1 --format json", 0, "ce0d51558a1a1dc0d7ed224d91516bdca1d9332cee51a293be2383e073ffe656"),
+    ("singular --n 1 --format text", 0, "dfcb84e9fc43073bb176f827894ad5dd0dac9e013451a21994a82c9e504e9fd6"),
+    ("singular --n 7 --q-grid 1,50 --format csv", 0, "26111e46a15956b9ffb31ffd4d6d17f7a19be10fb19ea813f3eb0467dad849f3"),
+    ("singular --n 7 --q-grid 1,50 --format json", 0, "4d8589ccb059507ff9231d1040b8868901a9f979e7106dcf4370c497cb843bf2"),
+    ("singular --n 7 --q-grid 1,50 --format text", 0, "b80a16ebf493c98edbff25533fb6f199d3b9502cd606469964ceb31bf53e0028"),
+    ("singular --n 1 --q-max 4 --dump-terms --format csv", 0, "2ded261b2fd8086b868f3e304448eeeff4c2eb0d1e5d1f348340fcd97c1fa9b2"),
+    ("singular --n 1 --q-max 4 --dump-terms --format json", 0, "3501c661c73b86b2ee406ccad5bbd5f6678b9635db6868b5082e8adc836dad51"),
+    ("singular --n 1 --q-max 4 --dump-terms --format text", 0, "fd1342c98beefb30b89877f97730d1ceb7d2ed94cc8b2b7fc47c09e82eb8f38f"),
+    ("singular --n 1 --q-max 2000 --dump-terms --format csv", 0, "4ea897429a1dc79afb43c999da82374b13ab881cacb0b833816f08b6b7886dd4"),
+    ("singular --n 1 --q-max 2000 --dump-terms --format json", 0, "599f25a7abf623bb2557285a8bb323eb6bd51f4e3d7544efbe0c8a6e9a3a2710"),
+    ("singular --n 1 --q-max 2000 --dump-terms --format text", 0, "552da0515b6668643cfd740deb8434956b2fa3806b99cbb9626cba7b25af4a62"),
+    ("gauss --q 6 --a 1 --format csv", 0, "f363e924d0efc883f9f805c62e7652a4dfaa4cb5aaa0c96c66dca2fd92e86b0f"),
+    ("gauss --q 6 --a 1 --format json", 0, "c7f3ee01f2aa3e749ef68e099a5d2f3bf43a427d07c249173e9074575a51405d"),
+    ("gauss --q 6 --a 1 --format text", 0, "0ab5e9238e8cbd95675f6b5620183f13e3205772a712d1049e2b1e5038fcab2f"),
+    ("gauss --q 12 --format csv", 0, "a4d3e9ebf48f20daab009ca733def6313322d16670b8326a54213b6245e59e3a"),
+    ("gauss --q 12 --format json", 0, "309faaac2576d929dac44e7c8872f6d4245314ebd62033ba90f847ad089f836d"),
+    ("gauss --q 12 --format text", 0, "f3d13a2a1e8c825dfa6621073da1ff43baad13ff44e9080b9346acd0b42ac178"),
+    ("weyl-sweep --n-terms 40 --grid 0.25 --format csv", 0, "560d51fad78a6b49273beabe0d574ab20fcdbf268a73f57e13a2dbb9801f79b5"),
+    ("weyl-sweep --n-terms 40 --grid 0.25 --format json", 0, "a1d9fa51cb3ef701e2440e669f5429ee583da91dcb9313c21487e630a4a5e028"),
+    ("weyl-sweep --n-terms 40 --grid 0.25 --format text", 0, "ba5a3ac5d26e466b0eb320490d20582f4b9af63db4dfccf9a9d9502d1b7219a8"),
+    ("weyl-sweep --n-terms 10000 --grid 0.002 --format csv", 0, "83e41b64899ba11c88976eb69e7145785b9f6c22a17f754e706d41da524fe8e6"),
+    ("fit --input SERIES --format csv", 0, "ab368bca6ca6c52b02400c9ccb57539a88e5038a057822bb56f160b8214553bd"),
+    ("fit --input SERIES --format json", 0, "beca154b3912181878d260b285cac95d0c34a4c7b5b6e7c192cab7c90b9409c0"),
+    ("fit --input SERIES --format text", 0, "ea551f42a89722f86ee53753b0cc9536a4822127ec4e3b0cd6d00395d03868b0"),
+]
+
+
+@pytest.mark.parametrize("args,code,digest", PINNED, ids=[case[0] for case in PINNED])
+def test_pinned_output_bytes(args, code, digest, tmp_path, capsys):
+    argv = args.split() + ["--reproducible"]
+    if argv[0] == "fit":  # SERIES is a verify-mean export
+        series = tmp_path / "series.csv"
+        mean = ["verify-mean", "--limit", "10000", "--checkpoints", "100,300,1000,3000,10000"]
+        assert run_cli(mean + ["--reproducible", "--output", str(series)]) == 0
+        argv[argv.index("SERIES")] = str(series)
+    table = tmp_path / "table"
+    if argv[0] == "tables":
+        argv += ["--output", str(table)]
+    capsys.readouterr()
+    assert run_cli(argv) == code
+    data = table.read_bytes() if argv[0] == "tables" else capsys.readouterr().out.encode()
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+def test_series_rows_objects_and_sweep_nan(capsys):
+    """CSV rows and JSON objects built from Checkpoint, FitResult and TruncationPoint."""
+    cps = verify.mean_value_series(repcount.build_r3_fold(4), [1, 4])
+    base = ["verify-mean", "--limit", "4", "--checkpoints", "1,4", "--reproducible"]
+    assert run_cli(base) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "x,partial_sum,main_term,abs_err,rel_err"
+    assert lines[1].startswith("1,6,")
+    assert len(lines) == 3
+    row = lines[2].split(",")
+    assert int(row[0]) == 4 and int(row[1]) == 32
+    assert float(row[2]) == pytest.approx(cps[1].main_term)
+    assert run_cli(base + ["--format", "json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["series"][0] == {
+        "x": 1,
+        "partial_sum": 6,
+        "main_term": cps[0].main_term,
+        "abs_err": cps[0].abs_err,
+        "rel_err": cps[0].rel_err,
+    }
+    assert out["fit"] is None  # two checkpoints are too few for a fit
+    fitted = ["verify-mean", "--limit", "2000", "--checkpoints", "10,100,1000,2000"]
+    assert run_cli(fitted + ["--format", "json", "--reproducible"]) == 0
+    fit = json.loads(capsys.readouterr().out)["fit"]
+    assert set(fit) == {"slope", "intercept", "r_squared", "points_used"}
+    assert run_cli(["singular", "--n", "7", "--q-grid", "1", "--reproducible"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "Q,bateman,r3,abs_err,rel_err"
+    assert lines[1].split(",")[4] == "nan"
+
+
+def test_dump_terms_rows_and_generated_line(tmp_path, capsys):
+    args = ["singular", "--n", "1", "--q-max", "4", "--dump-terms"]
+    assert run_cli(args + ["--reproducible"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "q,A_q_n"
+    assert lines[1] == "1,1"
+    assert len(lines) == 6
+    assert lines[-1].startswith("total,")
+    assert float(lines[-1].split(",")[1]) == pytest.approx(7 / 6, abs=1e-12)
+    path = tmp_path / "trunc.csv"
+    assert run_cli(args + ["--output", str(path)]) == 0
+    text = path.read_text().splitlines()
+    assert re.fullmatch(r"# generated \d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\+00:00", text[0])
+    assert text[1:] == lines
+
+
+def test_emit_renders_only_the_requested_format(capsys):
+    def refuse():
+        raise AssertionError("rendered a format that was not requested")
+
+    class Unread:
+        def __iter__(self):
+            raise AssertionError("rows read for the text form")
+
+    outputs = {}
+    for fmt in ("csv", "json", "text"):
+        args = SimpleNamespace(output_format=fmt, output=None, reproducible=True)
+        rows = Unread() if fmt == "text" else iter([(1, 0.5), (2, float("nan"))])
+        text = (lambda: ["a line"]) if fmt == "text" else refuse
+        assert cli._emit(args, cli.Result(("k", "v"), rows, text, "rows")) == 0
+        outputs[fmt] = capsys.readouterr().out
+    assert outputs["csv"] == "k,v\n1,0.5\n2,nan\n"
+    assert json.loads(outputs["json"]) == {"rows": [{"k": 1, "v": 0.5}, {"k": 2, "v": None}]}
+    assert outputs["text"] == "a line\n"
+
+
+def test_failed_write_leaves_existing_output_intact(tmp_path, monkeypatch):
+    target = tmp_path / "terms.csv"
+    target.write_bytes(b"previous contents\n")
+    target.chmod(0o600)
+    read = []
+
+    def terms_failing_after_two_chunks():
+        for _ in range(2 * 4096):
+            read.append(None)
+            yield 0.5
+        raise OSError(28, "No space left on device")
+
+    terms = SimpleNamespace(tolist=terms_failing_after_two_chunks)
+    trunc = SimpleNamespace(n=1, Q=10**4, value=1.0, terms=terms)
+    monkeypatch.setattr(cli.singular, "singular_series", lambda n, q_max: trunc)
+    args = ["singular", "--n", "1", "--q-max", "10000", "--dump-terms", "--output", str(target)]
+    assert run_cli(args) == 1  # two chunks of rows were written before the failure
+    assert len(read) == 2 * 4096
+    assert target.read_bytes() == b"previous contents\n"
+    assert os.listdir(tmp_path) == ["terms.csv"]
+    monkeypatch.undo()
+    assert run_cli(args + ["--reproducible"]) == 0
+    assert target.read_text().startswith("q,A_q_n\n1,1\n")
+    assert os.listdir(tmp_path) == ["terms.csv"]
+    assert stat.S_IMODE(os.stat(target).st_mode) == 0o600  # an existing file keeps its mode
+
+
+def _run_captured(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, err.getvalue()
+
+
+def _is_int(text):
+    try:
+        int(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _is_float(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+_JUNK = st.text(
+    alphabet=st.characters(blacklist_categories=("Cs",), blacklist_characters=',"\r\n'),
+    min_size=1,
+    max_size=8,
+)
+
+
+@st.composite
+def _bad_table(draw):
+    """An `n,count` file with valid rows around one bad row."""
+    good = draw(st.integers(min_value=0, max_value=5))
+    n = good
+    bad = draw(
+        st.one_of(
+            _JUNK.filter(lambda s: not _is_int(s)).map(lambda s: f"{n},{s}"),
+            st.just(f"{n}"),
+            st.integers(min_value=2**63, max_value=2**200).map(lambda c: f"{n},{c}"),
+            st.integers(max_value=-1).map(lambda c: f"{n},{c}"),
+            st.integers(max_value=-1).map(lambda m: f"{m},1"),
+        )
+    )
+    rows = [f"{i},{draw(st.integers(0, 100))}" for i in range(good)] + [bad, f"{n + 1},6"]
+    return "n,count\n" + "\n".join(rows) + "\n"
+
+
+@st.composite
+def _bad_series(draw):
+    """A verify-* series export with one short, non-numeric or non-positive-x row."""
+    x = draw(st.integers(min_value=1, max_value=10**6))
+    bad = draw(
+        st.one_of(
+            st.just(f"{x}"),
+            st.just(f"{x},1,2"),
+            _JUNK.filter(lambda s: not _is_float(s)).map(lambda s: f"{x},1,2,{s},0.1"),
+            st.integers(max_value=0).map(lambda m: f"{m},1,2,3,0.1"),
+        )
+    )
+    good = ["100,1,2,3,0.1", "1000,1,2,5,0.1", "10000,1,2,9,0.1"]
+    at = draw(st.integers(min_value=0, max_value=len(good)))
+    rows = good[:at] + [bad] + good[at:]
+    return "x,partial_sum,main_term,abs_err,rel_err\n" + "\n".join(rows) + "\n"
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(table=_bad_table(), series=_bad_series())
+def test_malformed_input_files_end_in_one_error_line(table, series):
+    with tempfile.TemporaryDirectory() as tmp:
+        table_path = os.path.join(tmp, "table.csv")
+        series_path = os.path.join(tmp, "series.csv")
+        with open(table_path, "w", encoding="utf-8") as fh:
+            fh.write(table)
+        with open(series_path, "w", encoding="utf-8") as fh:
+            fh.write(series)
+        for argv in (
+            ["verify-mean", "--limit", "1", "--table", table_path],
+            ["fit", "--input", series_path],
+        ):
+            code, err = _run_captured(argv)
+            assert code == 1, (argv, err)
+            assert err.startswith("error: DomainError: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize(
+    "content,expected",
+    [
+        ("n,count\n0,1\n1,abc\n", "not an n,count row"),
+        ("n,count\n0,1\n1,99999999999999999999\n", "64-bit range"),
+        ("n,count\n0,1\n1\n", "not an n,count row"),
+    ],
+    ids=["non-integer", "above-2^63", "one-cell"],
+)
+def test_malformed_table_cases(tmp_path, content, expected):
+    path = tmp_path / "table.csv"
+    path.write_text(content)
+    code, err = _run_captured(["verify-mean", "--limit", "1", "--table", str(path)])
+    assert code == 1
+    assert err.startswith("error: DomainError: ") and expected in err and err.count("\n") == 1
+
+
+def test_short_fit_row_is_a_domain_error(tmp_path):
+    path = tmp_path / "series.csv"
+    path.write_text("x,partial_sum,main_term,abs_err,rel_err\n100,1,2\n")
+    code, err = _run_captured(["fit", "--input", str(path)])
+    assert code == 1
+    assert err.startswith("error: DomainError: ") and err.count("\n") == 1

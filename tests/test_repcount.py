@@ -2,6 +2,9 @@
 
 import itertools
 import math
+import os
+import stat
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -203,6 +206,85 @@ def test_csv_round_trip(tmp_path, t3_fold):
     assert (loaded.counts == t3_fold.counts).all()
     first = path.read_text().splitlines()[0]
     assert first == "# demo"
+
+
+def test_chunk_ranges_cap_threads_at_cpu_count(monkeypatch):
+    # only the plan is inspected; no thread is started
+    chunks = repcount._chunk_ranges(10**6, 10**6)
+    assert 1 <= len(chunks) <= (os.cpu_count() or 1)
+    assert chunks[0][0] == 0 and chunks[-1][1] == 10**6
+    assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
+    monkeypatch.setattr(repcount.os, "cpu_count", lambda: 4)
+    assert len(repcount._chunk_ranges(10**6, 10**6)) == 4
+    assert len(repcount._chunk_ranges(10**6, 3)) == 3
+    assert repcount._chunk_ranges(2, 10**6) == [(0, 1), (1, 2)]
+    monkeypatch.setattr(repcount.os, "cpu_count", lambda: None)
+    assert repcount._chunk_ranges(10**6, 10**6) == [(0, 10**6)]
+
+
+class _FailingCounts:
+    """Counts whose reading fails once a writer has started the file."""
+
+    def __iter__(self):
+        yield 1
+        raise OSError(28, "No space left on device")
+
+    def __array__(self, *args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("save", [repcount.save_csv, repcount.save_binary])
+def test_table_writers_replace_the_target_atomically(tmp_path, save):
+    target = tmp_path / "table.out"
+    target.write_bytes(b"previous table")
+    target.chmod(0o600)
+    with pytest.raises(OSError):
+        save(SimpleNamespace(order=3, limit=1, counts=_FailingCounts()), target)
+    assert target.read_bytes() == b"previous table"
+    assert os.listdir(tmp_path) == ["table.out"]
+    save(repcount.build_r1(4), target)
+    assert target.read_bytes() != b"previous table"
+    assert os.listdir(tmp_path) == ["table.out"]
+    assert stat.S_IMODE(os.stat(target).st_mode) == 0o600  # an existing file keeps its mode
+    umask = os.umask(0)
+    os.umask(umask)
+    save(repcount.build_r1(4), tmp_path / "new.out")
+    assert stat.S_IMODE(os.stat(tmp_path / "new.out").st_mode) == 0o666 & ~umask
+
+
+def test_table_writers_write_through_a_symlink(tmp_path):
+    target, link = tmp_path / "table.csv", tmp_path / "link.csv"
+    target.write_text("old")
+    link.symlink_to(target)
+    repcount.save_csv(repcount.build_r1(1), link)
+    assert link.is_symlink()
+    assert target.read_text() == "n,count\n0,1\n1,2\n"
+    assert sorted(os.listdir(tmp_path)) == ["link.csv", "table.csv"]
+
+
+def test_load_table_detects_the_format(tmp_path, t3_fold):
+    csv_path, bin_path = tmp_path / "r3.csv", tmp_path / "r3.bin"
+    repcount.save_csv(t3_fold, csv_path)
+    repcount.save_binary(t3_fold, bin_path)
+    for path in (csv_path, bin_path):
+        loaded = repcount.load_table(path, 3, t3_fold.limit)
+        assert (loaded.counts == t3_fold.counts).all()
+    with pytest.raises(DomainError):
+        repcount.load_table(bin_path, 4, 1)
+    with pytest.raises(TableTooShortError):
+        repcount.load_table(csv_path, 3, t3_fold.limit + 1)
+
+
+@pytest.mark.parametrize(
+    "body",
+    ["0,1\n1,x\n", "0,1\n1\n", "0,1\n1,2,3\n", "0,1\n1,9223372036854775808\n", "0,-1\n"],
+    ids=["non-integer", "one-cell", "three-cells", "above-2^63", "negative"],
+)
+def test_csv_rejects_malformed_rows(tmp_path, body):
+    path = tmp_path / "bad.csv"
+    path.write_text("n,count\n" + body)
+    with pytest.raises(DomainError):
+        repcount.load_csv(path, order=1)
 
 
 def test_csv_rejects_bad_header(tmp_path):

@@ -233,21 +233,6 @@ def test_i_exact_tracks_sqrt_growth():
     assert float(dev[100:].max()) <= cfg["ceiling"]
 
 
-def test_truncation_csv_lines_and_file(tmp_path):
-    trunc = singular.singular_series(1, 4)
-    lines = singular.truncation_csv_lines(trunc)
-    assert lines[0] == "q,A_q_n"
-    assert lines[1] == "1,1"
-    assert len(lines) == 6
-    assert lines[-1].startswith("total,")
-    assert float(lines[-1].split(",")[1]) == pytest.approx(7 / 6, abs=1e-12)
-    path = tmp_path / "trunc.csv"
-    singular.save_truncation_csv(trunc, path, header_comment="demo")
-    text = path.read_text().splitlines()
-    assert text[0] == "# demo"
-    assert text[1:] == lines
-
-
 def test_domain_errors():
     with pytest.raises(DomainError):
         singular.a_term(0, 1)

@@ -167,35 +167,6 @@ def test_truncation_sweep_zero_class():
         verify.singular_truncation_sweep(2, [0, 5])
 
 
-def test_csv_and_dict_emitters(t3):
-    cps = verify.mean_value_series(t3, [1, 4])
-    lines = verify.series_csv_lines(cps)
-    assert lines[0] == "x,partial_sum,main_term,abs_err,rel_err"
-    assert lines[1].startswith("1,6,")
-    assert len(lines) == 3
-    row = lines[2].split(",")
-    assert int(row[0]) == 4 and int(row[1]) == 32
-    assert float(row[2]) == pytest.approx(cps[1].main_term)
-    dicts = verify.checkpoint_dicts(cps)
-    assert dicts[0] == {
-        "x": 1,
-        "partial_sum": 6,
-        "main_term": cps[0].main_term,
-        "abs_err": cps[0].abs_err,
-        "rel_err": cps[0].rel_err,
-    }
-    assert verify.fit_dict(None) is None
-    fit = verify.fit_error_exponent(
-        verify.mean_value_series(t3, [10, 100, 1000, 2000])
-    )
-    d = verify.fit_dict(fit)
-    assert set(d) == {"slope", "intercept", "r_squared", "points_used"}
-    sweep = verify.singular_truncation_sweep(7, [1])
-    slines = verify.sweep_csv_lines(sweep)
-    assert slines[0] == "Q,bateman,r3,abs_err,rel_err"
-    assert slines[1].split(",")[4] == "nan"
-
-
 def test_series_agrees_across_builders(t3):
     conv = repcount.build_rk(2000, 3)
     xs = [100, 1000, 2000]
