@@ -30,6 +30,9 @@ Q_CAP = 10**7  # singular series memory grows linearly in Q: 414 MiB peak RSS at
 N_TERMS_CAP = 10**7  # weyl_sum holds about 40 B per term: about 0.4 GB at the cap
 GRID_POINTS_CAP = 10**6  # weyl-sweep evaluates ceil(1 / --grid) points
 GAUSS_Q_CAP = 2**16  # listing S(q, a) for every coprime a costs O(q^2)
+B1_Q_CAP = 10**7  # the B1 totient sieves: 2.6 s and 512 MiB peak RSS at the cap
+W_ORDER_CAP = 198  # the largest N whose pi^N / Gamma(N/2)^2 fits a double
+DIGITS_CAP = 1000  # every W_N up to W_ORDER_CAP to 1000 digits takes about 4 s
 
 
 class CliUsageError(Exception):
@@ -152,9 +155,14 @@ def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
         _require(args.k == 3, f"--builder {args.builder} requires --k 3")
     if cmd == "constants":
         _require(min(args.b1_direct_q, args.b1_euler_q) >= 1, "B1 truncation levels must be >= 1")
+        for flag, q in (("--b1-direct-q", args.b1_direct_q), ("--b1-euler-q", args.b1_euler_q)):
+            _require(q <= B1_Q_CAP, f"{flag} {q} exceeds {B1_Q_CAP}")
         args.w_orders = _parse_int_list(args.w_orders, "--w-orders")
         _require(min(args.w_orders) >= 3, "--w-orders entries must be >= 3")
+        top = max(args.w_orders)
+        _require(top <= W_ORDER_CAP, f"--w-orders entry {top} exceeds {W_ORDER_CAP}")
         _require(args.digits >= 1, "--digits must be >= 1")
+        _require(args.digits <= DIGITS_CAP, f"--digits {args.digits} exceeds {DIGITS_CAP}")
     if cmd == "singular":
         _require(args.n >= 1, "--n must be >= 1")
         _require(args.n <= LIMIT_CAP, f"--n {args.n} exceeds {LIMIT_CAP}")

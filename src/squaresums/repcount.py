@@ -6,19 +6,25 @@ entry: a direct lattice enumeration for one and two squares, an exact integer
 convolution that stacks tables, and a two-square fold for k = 3. The
 convolution and the fold share one shift-add kernel (_shift_add), but the
 fold's input is the lattice-enumerated r_2, never the r_1 convolution chain,
-so the two routes still check each other. All arithmetic is exact in int64;
-the kernel detects overflow and raises instead of wrapping. Threads are capped
-at the CPU count.
+so the two routes still check each other. The kernel builds its output in
+cache-sized tiles (_TILE entries), each taking every shifted source segment
+that reaches it. All arithmetic is exact in int64: a tile whose a-priori bound
+stays below SAFE_LIMIT runs unchecked, any other checks every product and sum
+and raises instead of wrapping. Tiles are dealt to threads in turn; threads
+are capped at the CPU count.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 import os
+import re
 import struct
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 
@@ -36,6 +42,8 @@ BUILDER_TAGS = frozenset(
 )
 
 _I64_MAX = (1 << 63) - 1
+_TILE = 2**15  # output entries per shift-add tile: 256 KiB of int64, resident in L2
+_CSV_CHUNK = 2**16  # table rows formatted per write
 
 _BINARY_MAGIC = b"RKTB"
 _HEADER = struct.Struct("<4sIQ")
@@ -71,68 +79,113 @@ class RepTable:
         object.__setattr__(self, "counts", c)
 
 
-def _chunk_ranges(n: int, threads: int) -> list[tuple[int, int]]:
-    """Split range(n) into at most min(threads, n, os.cpu_count()) contiguous chunks."""
-    threads = max(1, min(int(threads), n, os.cpu_count() or 1)) if n > 0 else 1
-    if threads == 1 or n == 0:
-        return [(0, n)]
-    step = -(-n // threads)
-    return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
+def _tile_plan(offsets, weights, src: np.ndarray, x: int, threads: int):
+    """The output tiles (lo, hi, guarded) of _shift_add, dealt round-robin to
+    min(threads, tiles, os.cpu_count()) workers: one list of tiles per worker.
 
-
-def _accumulate_shifts(out, offsets, weights, src, lo, hi, guarded):
-    """out[n] += sum_j weights[j] * src[n - offsets[j]] for lo <= n < hi.
-
-    Only out[lo:hi] is touched, so disjoint ranges are safe to run in
-    parallel. In guarded mode every product and every running sum is checked
-    against the int64 ceiling; terms are non-negative, so a wrap is visible
-    as a negative entry immediately after the add that caused it.
+    Work per entry grows with the number of offsets below it, so dealing tiles
+    in turn balances the workers where contiguous halves would not. A tile is
+    unguarded only when (sum of the weights at offsets below hi) *
+    max(src[0:hi]) * 1.01 < SAFE_LIMIT: that bounds every product and every
+    partial sum written into it, since each entry n < hi adds w * src[n - off]
+    over off <= n. The maximum is kept running from tile to tile, so no
+    x-sized array is made.
     """
-    for off, w in zip(offsets, weights):
-        off = int(off)
-        if off >= hi:
+    offsets = np.asarray(offsets)
+    below = np.cumsum(np.asarray(weights, dtype=np.float64))
+    tiles = []
+    top = 0
+    for lo in range(0, x + 1, _TILE):
+        hi = min(lo + _TILE, x + 1)
+        top = max(top, int(src[lo:hi].max()))
+        k = int(np.searchsorted(offsets, hi))  # offsets ascend: these are < hi
+        bound = (float(below[k - 1]) if k else 0.0) * float(top) * 1.01
+        tiles.append((lo, hi, not bound < SAFE_LIMIT))
+    workers = max(1, min(int(threads), len(tiles), os.cpu_count() or 1))
+    return [tiles[i::workers] for i in range(workers)]
+
+
+def _add_tile(tile, lo, runs, src, acc) -> None:
+    """tile[n - lo] += w * src[n - off] for every offset off <= n of every run
+    (w, offsets), over the entries n of the tile, which starts at lo.
+
+    The segments of a run of several offsets are summed in `acc` (scratch of
+    at least the tile's size) and scaled by w once, so the fold's weight-2 run
+    costs one add per segment, not a multiply and an add. Unchecked: the
+    tile's plan bound covers it.
+    """
+    hi = lo + tile.size
+    for w, offsets in runs:
+        if offsets[0] >= hi:
             break
-        w = int(w)
-        if w == 0:
-            continue
-        start = max(lo, off)
-        seg = src[start - off : hi - off]
-        if guarded:
-            top = int(seg.max(initial=0))
+        base = max(lo, offsets[0])  # the run reaches the entries n >= base
+        grouped = w != 1 and len(offsets) > 1
+        sums = acc[: hi - base] if grouped else tile[base - lo :]
+        if grouped:
+            sums.fill(0)
+        for off in offsets:
+            if off >= hi:
+                break
+            start = max(lo, off)
+            seg = src[start - off : hi - off]
+            if w != 1 and not grouped:
+                seg = np.multiply(seg, w, out=acc[: seg.size])
+            sums[start - base :] += seg
+        if grouped:
+            sums *= w
+            tile[base - lo :] += sums
+
+
+def _add_tile_checked(tile, lo, runs, src, acc) -> None:
+    """_add_tile one product at a time, for a tile whose bound fails.
+
+    Every product and every running sum is checked against the int64 ceiling;
+    terms are non-negative, so a wrap is visible as a negative entry
+    immediately after the add that caused it.
+    """
+    hi = lo + tile.size
+    for w, offsets in runs:
+        for off in offsets:
+            if off >= hi:
+                return
+            start = max(lo, off)
+            seg = src[start - off : hi - off]
+            top = int(seg.max())
             if top and w > _I64_MAX // top:
                 raise CountOverflowError(
                     f"count product {w}*{top} exceeds 64-bit range"
                 )
-        out[start:hi] += w * seg
-        if guarded and seg.size and int(out[start:hi].min()) < 0:
-            raise CountOverflowError("count accumulator exceeds 64-bit range")
-
-
-def _run_chunked(apply_chunk, x: int, threads: int):
-    chunks = _chunk_ranges(x + 1, threads)
-    if len(chunks) == 1:
-        apply_chunk(*chunks[0])
-        return
-    with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-        futures = [pool.submit(apply_chunk, lo, hi) for lo, hi in chunks]
-        for fut in futures:
-            fut.result()
+            dst = tile[start - lo :]
+            dst += np.multiply(seg, w, out=acc[: seg.size])
+            if int(dst.min()) < 0:
+                raise CountOverflowError("count accumulator exceeds 64-bit range")
 
 
 def _shift_add(offsets, weights, src: np.ndarray, x: int, threads: int) -> np.ndarray:
     """Exact out[n] = sum_j weights[j] * src[n - offsets[j]] for n <= x.
 
-    Offsets ascend. Accumulation is unguarded only when a conservative bound
-    on every entry stays below SAFE_LIMIT.
+    Offsets ascend and weights are non-negative. The output is built one
+    cache-sized tile at a time, each tile taking every offset below its end;
+    only the tiles whose bound (see _tile_plan) reaches SAFE_LIMIT are checked.
     """
     out = np.zeros(x + 1, dtype=np.int64)
-    bound = float(np.sum(weights, dtype=np.float64)) * float(src.max()) * 1.01
-    guarded = not bound < SAFE_LIMIT
+    plan = _tile_plan(offsets, weights, src, x, threads)
+    # runs (w, offsets) of consecutive offsets sharing one nonzero weight
+    pairs = groupby(zip(map(int, offsets), map(int, weights)), key=itemgetter(1))
+    runs = [(w, [off for off, _ in group]) for w, group in pairs if w]
 
-    def chunk(lo, hi):
-        _accumulate_shifts(out, offsets, weights, src, lo, hi, guarded)
+    def run(tiles):
+        acc = np.empty(_TILE, dtype=np.int64)
+        for lo, hi, guarded in tiles:
+            add = _add_tile_checked if guarded else _add_tile
+            add(out[lo:hi], lo, runs, src, acc)
 
-    _run_chunked(chunk, x, threads)
+    if len(plan) == 1:
+        run(plan[0])
+        return out
+    with ThreadPoolExecutor(max_workers=len(plan)) as pool:
+        for fut in [pool.submit(run, tiles) for tiles in plan]:
+            fut.result()
     return out
 
 
@@ -277,36 +330,43 @@ def build_rk(x: int, k: int, threads: int = 1) -> RepTable:
 def save_csv(table: RepTable, path, header_comment: str | None = None) -> None:
     """Write `n,count` rows, atomically; an optional single comment line goes first."""
     with atomic_write(path) as fh:
+        counts = np.asarray(table.counts)
         if header_comment:
             fh.write(f"# {header_comment}\n")
         fh.write("n,count\n")
-        fh.writelines(f"{n},{c}\n" for n, c in enumerate(table.counts))
+        for lo in range(0, counts.size, _CSV_CHUNK):  # Python ints, a chunk at a time
+            chunk = counts[lo : lo + _CSV_CHUNK].tolist()
+            fh.write("".join([f"{n},{c}\n" for n, c in enumerate(chunk, lo)]))
 
 
 def load_csv(path, order: int, builder_tag: str = TAG_FILE) -> RepTable:
     """Read a table written by save_csv. The CSV carries no order, so the
     caller must state it. Malformed content of any kind raises DomainError."""
-    values: list[int] = []
-    with open(path, newline="", errors="replace") as fh:
-        rows = csv.reader(line for line in fh if not line.startswith("#"))
+    # A valid table is ASCII. Decoding every other byte to U+FFFD also keeps
+    # loadtxt from the code points that crash its parser (numpy 2.4.6).
+    with open(path, newline="", encoding="ascii", errors="replace") as fh:
+        lines = (line for line in fh if not line.startswith("#"))
+        header = next(lines, "")
+        if header.rstrip("\r\n") != "n,count":
+            raise DomainError(f"expected header n,count, got {header.strip()!r}")
         try:
-            header = next(rows, None)
-            if header != ["n", "count"]:
-                raise DomainError(f"expected header n,count, got {header}")
-            for i, (n, c) in enumerate(rows):
-                if int(n) != i:
-                    raise DomainError(f"rows out of order at line {i + 2}")
-                values.append(int(c))
-        except (ValueError, csv.Error) as exc:
-            raise DomainError(f"line {len(values) + 2} is not an n,count row: {exc}") from None
-    if not values:
+            with warnings.catch_warnings():  # an empty body is reported below
+                warnings.simplefilter("ignore", UserWarning)
+                rows = np.loadtxt(lines, dtype=np.int64, delimiter=",", comments=None, ndmin=2)
+        except ValueError as exc:
+            cell = re.search(r"string '(.*)' to int64", str(exc))
+            if cell and re.fullmatch(r"\s*[+-]?[0-9]+\s*", cell.group(1)):
+                raise DomainError("a cell lies outside the 64-bit range") from None
+            raise DomainError(f"a row is not an n,count row: {exc}") from None
+    if rows.size == 0:
         raise DomainError("table file has no rows")
-    try:
-        counts = np.array(values, dtype=np.int64)
-    except OverflowError:
-        raise DomainError("a count lies outside the 64-bit range") from None
+    if rows.shape[1] != 2:
+        raise DomainError(f"rows have {rows.shape[1]} cells; not an n,count row")
+    bad = np.flatnonzero(rows[:, 0] != np.arange(len(rows)))
+    if bad.size:
+        raise DomainError(f"rows out of order at line {bad[0] + 2}")
     return RepTable(
-        order=order, limit=len(values) - 1, counts=counts, builder_tag=builder_tag
+        order=order, limit=len(rows) - 1, counts=rows[:, 1].copy(), builder_tag=builder_tag
     )
 
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from squaresums import cli, expsum, repcount, singular, verify
+from squaresums import cli, constants, expsum, repcount, singular, verify
 
 
 def run_cli(args):
@@ -328,6 +328,38 @@ def test_weyl_and_gauss_above_caps_fail_before_any_work(monkeypatch, capsys):
     at_cap = parse(["weyl-sweep", "--n-terms", str(cli.N_TERMS_CAP), "--grid", "1e-6"])
     assert cli._config_from_args(at_cap).n_terms == cli.N_TERMS_CAP
     assert cli._config_from_args(parse(["gauss", "--q", str(cli.GAUSS_Q_CAP)])).q == cli.GAUSS_Q_CAP
+
+
+def test_constants_above_caps_fail_before_any_work(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("constants computed above a cap")
+
+    with monkeypatch.context() as patch:
+        for name in ("constants_report", "constants_extended", "w_constant", "totient_sieve"):
+            patch.setattr(constants, name, refuse)
+        for flags in (
+            ["--w-orders", "400"],
+            ["--w-orders", f"3,{cli.W_ORDER_CAP + 1}"],
+            ["--b1-direct-q", str(cli.B1_Q_CAP + 1)],
+            ["--b1-euler-q", str(cli.B1_Q_CAP + 1)],
+            ["--precision", "extended", "--digits", str(cli.DIGITS_CAP + 1)],
+        ):
+            assert run_cli(["constants", *flags]) == 2, flags
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 5 and all(line.startswith("usage error: ") for line in err), err
+        assert all("exceeds" in line for line in err)
+    # the caps themselves are accepted, and W_N at the order cap is finite
+    at_cap = cli._config_from_args(cli.build_parser().parse_args([
+        "constants", "--b1-direct-q", str(cli.B1_Q_CAP), "--b1-euler-q", str(cli.B1_Q_CAP),
+        "--w-orders", str(cli.W_ORDER_CAP), "--digits", str(cli.DIGITS_CAP),
+    ]))
+    assert (at_cap.b1_direct_q, at_cap.b1_euler_q) == (cli.B1_Q_CAP, cli.B1_Q_CAP)
+    assert (at_cap.w_orders, at_cap.digits) == ([cli.W_ORDER_CAP], cli.DIGITS_CAP)
+    argv = ["constants", "--b1-direct-q", "64", "--b1-euler-q", "64", "--format", "json",
+            "--w-orders", str(cli.W_ORDER_CAP), "--reproducible"]
+    assert run_cli(argv) == 0
+    w = json.loads(capsys.readouterr().out)["w_values"][str(cli.W_ORDER_CAP)]
+    assert 0.0 < w < math.inf
 
 
 def test_runtime_errors_exit_1(tmp_path, capsys):

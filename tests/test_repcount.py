@@ -4,10 +4,12 @@ import itertools
 import math
 import os
 import stat
+import sys
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from squaresums import repcount
 from squaresums.errors import CountOverflowError, DomainError, TableTooShortError
@@ -140,6 +142,20 @@ def test_thread_count_does_not_change_results():
     assert (c1.counts == c4.counts).all()
 
 
+def test_more_threads_than_cores_write_disjoint_tiles(monkeypatch):
+    # eight workers on however many cores, switching as often as possible
+    monkeypatch.setattr(repcount.os, "cpu_count", lambda: 8)
+    x = 9 * repcount._TILE + 5
+    single = repcount.build_r3_fold(x, threads=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        many = repcount.build_r3_fold(x, threads=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert (single.counts == many.counts).all()
+
+
 def test_convolution_argument_order_is_irrelevant():
     r1 = repcount.build_r1(400)
     r2 = repcount.build_rk(400, 2)
@@ -208,18 +224,128 @@ def test_csv_round_trip(tmp_path, t3_fold):
     assert first == "# demo"
 
 
-def test_chunk_ranges_cap_threads_at_cpu_count(monkeypatch):
+def test_tile_plan_caps_threads_at_cpu_count(monkeypatch):
     # only the plan is inspected; no thread is started
-    chunks = repcount._chunk_ranges(10**6, 10**6)
-    assert 1 <= len(chunks) <= (os.cpu_count() or 1)
-    assert chunks[0][0] == 0 and chunks[-1][1] == 10**6
-    assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
+    def plan(entries, threads):
+        return repcount._tile_plan([0], [1], np.zeros(entries, np.int64), entries - 1, threads)
+
+    workers = plan(10**6, 10**6)
+    assert 1 <= len(workers) <= (os.cpu_count() or 1)
+    tiles = sorted(tile for tiles in workers for tile in tiles)
+    assert tiles[0][0] == 0 and tiles[-1][1] == 10**6
+    assert all(a[1] == b[0] for a, b in zip(tiles, tiles[1:]))
     monkeypatch.setattr(repcount.os, "cpu_count", lambda: 4)
-    assert len(repcount._chunk_ranges(10**6, 10**6)) == 4
-    assert len(repcount._chunk_ranges(10**6, 3)) == 3
-    assert repcount._chunk_ranges(2, 10**6) == [(0, 1), (1, 2)]
+    assert len(plan(10**6, 10**6)) == 4
+    assert len(plan(10**6, 3)) == 3
+    tile = repcount._TILE
+    assert plan(tile + 1, 10**6) == [[(0, tile, False)], [(tile, tile + 1, False)]]
     monkeypatch.setattr(repcount.os, "cpu_count", lambda: None)
-    assert repcount._chunk_ranges(10**6, 10**6) == [(0, 10**6)]
+    assert plan(10**6, 10**6) == [tiles]
+
+
+def test_tile_plan_deals_tiles_round_robin(monkeypatch):
+    monkeypatch.setattr(repcount.os, "cpu_count", lambda: 2)
+    tile = repcount._TILE
+    workers = repcount._tile_plan([0], [1], np.zeros(5 * tile), 5 * tile - 1, 2)
+    assert [[lo // tile for lo, _, _ in tiles] for tiles in workers] == [[0, 2, 4], [1, 3]]
+
+
+def test_tile_bound_reads_every_earlier_tile():
+    # the third tile adds src[n - 2T], which reaches back to src[0]
+    tile = repcount._TILE
+    src = np.zeros(3 * tile + 1, np.int64)
+    src[0] = 2**61
+    (tiles,) = repcount._tile_plan([0, 2 * tile], [1, 1], src, 3 * tile, 1)
+    assert [g for _, _, g in tiles] == [False, False, True, True]
+    out = repcount._shift_add([0, 2 * tile], [1, 1], src, 3 * tile, 1)
+    assert out[0] == out[2 * tile] == 2**61 and np.count_nonzero(out) == 2
+
+
+def test_r8_guards_only_its_last_tiles():
+    # the last convolution of build_rk(5 * 10**5, 8) adds shifted copies of
+    # r_7 along r_1; only the plan is inspected, no thread is started
+    x = 500_000
+    r1 = repcount.build_r1(x).counts
+    r7 = repcount.build_rk(x, 7).counts
+    offsets = np.flatnonzero(r1)
+    (tiles,) = repcount._tile_plan(offsets, r1[offsets], r7, x, 1)
+    guarded = [g for _, _, g in tiles]
+    assert guarded == sorted(guarded)  # unguarded tiles first, then guarded ones
+    assert not guarded[0] and guarded[-1]
+    assert guarded.count(False) > guarded.count(True)
+
+
+def _accumulate_shifts(out, offsets, weights, src, lo, hi, guarded):
+    """out[n] += sum_j weights[j] * src[n - offsets[j]] for lo <= n < hi.
+
+    Only out[lo:hi] is touched, so disjoint ranges are safe to run in
+    parallel. In guarded mode every product and every running sum is checked
+    against the int64 ceiling; terms are non-negative, so a wrap is visible
+    as a negative entry immediately after the add that caused it.
+    """
+    for off, w in zip(offsets, weights):
+        off = int(off)
+        if off >= hi:
+            break
+        w = int(w)
+        if w == 0:
+            continue
+        start = max(lo, off)
+        seg = src[start - off : hi - off]
+        if guarded:
+            top = int(seg.max(initial=0))
+            if top and w > repcount._I64_MAX // top:
+                raise CountOverflowError(
+                    f"count product {w}*{top} exceeds 64-bit range"
+                )
+        out[start:hi] += w * seg
+        if guarded and seg.size and int(out[start:hi].min()) < 0:
+            raise CountOverflowError("count accumulator exceeds 64-bit range")
+
+
+def _shift_add_oracle(offsets, weights, src, x):
+    """The untiled kernel: every offset over the whole output, every add checked."""
+    out = np.zeros(x + 1, dtype=np.int64)
+    _accumulate_shifts(out, offsets, weights, src, 0, x + 1, guarded=True)
+    return out
+
+
+_T = repcount._TILE
+
+
+@st.composite
+def _shift_add_case(draw, x):
+    """Ascending offsets with weights in runs, over a non-negative source whose
+    magnitude reaches from unguarded tiles to 64-bit overflow."""
+    offsets = sorted(draw(st.sets(st.integers(0, x + 10), min_size=1, max_size=24)))
+    weight = st.sampled_from([2, 2, 2, 0, 1, 3, 2**20, 2**40])
+    weights = draw(st.lists(weight, min_size=len(offsets), max_size=len(offsets)))
+    bits = draw(st.sampled_from([62, 58, 56, 50, 40, 8]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    src = rng.integers(0, 2**bits, size=x + 1, dtype=np.int64)
+    ramp = draw(st.sampled_from([None, (0.0, 1.0), (1.0, 0.0)]))
+    if ramp:  # growing with n, as counts do, or falling: a tile's bound reads earlier tiles
+        src = (src * np.linspace(*ramp, x + 1)).astype(np.int64)
+    return offsets, weights, src
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("x", [0, 100, _T - 1, _T, _T + 1, 3 * _T + 7])
+def test_tiled_kernel_matches_untiled_oracle(x, threads):
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(case=_shift_add_case(x))
+    def check(case):
+        offsets, weights, src = case
+        args = (np.array(offsets), np.array(weights), src, x, threads)
+        try:
+            expected = _shift_add_oracle(offsets, weights, src, x)
+        except CountOverflowError:
+            with pytest.raises(CountOverflowError):
+                repcount._shift_add(*args)
+            return
+        assert (repcount._shift_add(*args) == expected).all()
+
+    check()
 
 
 class _FailingCounts:
