@@ -3,15 +3,16 @@ k squares of integers (signs and order both count, so r_2(1) = 4).
 
 Tables are built by independent routes so they can be cross-checked entry by
 entry: a direct lattice enumeration for one and two squares, an exact integer
-convolution that stacks tables, and a two-square fold for k = 3. The
-convolution and the fold share one shift-add kernel (_shift_add), but the
-fold's input is the lattice-enumerated r_2, never the r_1 convolution chain,
-so the two routes still check each other. The kernel builds its output in
-cache-sized tiles (_TILE entries), each taking every shifted source segment
-that reaches it. All arithmetic is exact in int64: a tile whose a-priori bound
-stays below SAFE_LIMIT runs unchecked, any other checks every product and sum
-and raises instead of wrapping. Tiles are dealt to threads in turn; threads
-are capped at the CPU count.
+convolution that stacks tables, and a two-square fold for k = 3. Every builder
+is made of passes of one square-shift kernel (_add_squares), which adds copies
+of a table shifted by the squares m^2: weight 1 at m = 0 and 2 at m >= 1 (the
+convolution with r_1), or 1 at the positive squares only. The fold's input is
+the lattice-enumerated r_2, never the r_1 convolution chain, so the two routes
+still check each other. The kernel builds its output in cache-sized tiles
+(_TILE entries). All arithmetic is exact in int64: a tile whose a-priori bound
+stays below SAFE_LIMIT runs unchecked, any other checks each add and the
+doubling and raises instead of wrapping. Tiles are dealt to threads in turn;
+threads are capped at the CPU count.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ import struct
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import groupby
-from operator import itemgetter
 
 import numpy as np
 
@@ -79,106 +78,71 @@ class RepTable:
         object.__setattr__(self, "counts", c)
 
 
-def _tile_plan(offsets, weights, src: np.ndarray, x: int, threads: int):
-    """The output tiles (lo, hi, guarded) of _shift_add, dealt round-robin to
+def _tile_plan(src: np.ndarray, x: int, signed: bool, threads: int):
+    """The output tiles (lo, hi, guarded) of _add_squares, dealt round-robin to
     min(threads, tiles, os.cpu_count()) workers: one list of tiles per worker.
 
-    Work per entry grows with the number of offsets below it, so dealing tiles
-    in turn balances the workers where contiguous halves would not. A tile is
-    unguarded only when (sum of the weights at offsets below hi) *
-    max(src[0:hi]) * 1.01 < SAFE_LIMIT: that bounds every product and every
-    partial sum written into it, since each entry n < hi adds w * src[n - off]
-    over off <= n. The maximum is kept running from tile to tile, so no
-    x-sized array is made.
+    Work per entry grows with the number of squares below it, so dealing tiles
+    in turn balances the workers where contiguous halves would not. An entry
+    n < hi adds [signed] + w * isqrt(hi - 1) weighted copies of src at most
+    (w = 2 if signed, else 1); a tile is unguarded only when that count times
+    max(src[0:hi]) times 1.01 stays below SAFE_LIMIT, which bounds every
+    partial sum written into it. The maximum is kept running from tile to
+    tile, so no x-sized array is made.
     """
-    offsets = np.asarray(offsets)
-    below = np.cumsum(np.asarray(weights, dtype=np.float64))
+    w = 2 if signed else 1
     tiles = []
     top = 0
     for lo in range(0, x + 1, _TILE):
         hi = min(lo + _TILE, x + 1)
         top = max(top, int(src[lo:hi].max()))
-        k = int(np.searchsorted(offsets, hi))  # offsets ascend: these are < hi
-        bound = (float(below[k - 1]) if k else 0.0) * float(top) * 1.01
+        bound = (int(signed) + w * math.isqrt(hi - 1)) * float(top) * 1.01
         tiles.append((lo, hi, not bound < SAFE_LIMIT))
     workers = max(1, min(int(threads), len(tiles), os.cpu_count() or 1))
     return [tiles[i::workers] for i in range(workers)]
 
 
-def _add_tile(tile, lo, runs, src, acc) -> None:
-    """tile[n - lo] += w * src[n - off] for every offset off <= n of every run
-    (w, offsets), over the entries n of the tile, which starts at lo.
+def _add_tile(tile, lo, src, signed: bool, guarded: bool) -> None:
+    """Fill the zeroed tile, which starts at entry lo, with
+    [signed] * src[n] + w * sum over 1 <= m, m^2 <= n of src[n - m^2].
 
-    The segments of a run of several offsets are summed in `acc` (scratch of
-    at least the tile's size) and scaled by w once, so the fold's weight-2 run
-    costs one add per segment, not a multiply and an add. Unchecked: the
-    tile's plan bound covers it.
+    Each shifted segment is summed straight into the tile; if signed, the tile
+    is doubled once and the m = 0 segment added. A guarded tile checks every
+    add and the doubling: terms are non-negative, so a wrap shows as a
+    negative entry right after the add that caused it.
     """
     hi = lo + tile.size
-    for w, offsets in runs:
-        if offsets[0] >= hi:
-            break
-        base = max(lo, offsets[0])  # the run reaches the entries n >= base
-        grouped = w != 1 and len(offsets) > 1
-        sums = acc[: hi - base] if grouped else tile[base - lo :]
-        if grouped:
-            sums.fill(0)
-        for off in offsets:
-            if off >= hi:
-                break
-            start = max(lo, off)
-            seg = src[start - off : hi - off]
-            if w != 1 and not grouped:
-                seg = np.multiply(seg, w, out=acc[: seg.size])
-            sums[start - base :] += seg
-        if grouped:
-            sums *= w
-            tile[base - lo :] += sums
+    for m in range(1, math.isqrt(hi - 1) + 1):
+        sq = m * m
+        start = max(lo, sq)
+        dst = tile[start - lo :]
+        dst += src[start - sq : hi - sq]
+        if guarded and int(dst.min()) < 0:
+            raise CountOverflowError("count accumulator exceeds 64-bit range")
+    if not signed:
+        return
+    if guarded and int(tile.max()) > _I64_MAX // 2:
+        raise CountOverflowError("doubled count exceeds 64-bit range")
+    tile *= 2
+    tile += src[lo:hi]
+    if guarded and int(tile.min()) < 0:
+        raise CountOverflowError("count accumulator exceeds 64-bit range")
 
 
-def _add_tile_checked(tile, lo, runs, src, acc) -> None:
-    """_add_tile one product at a time, for a tile whose bound fails.
+def _add_squares(src: np.ndarray, x: int, signed: bool, threads: int) -> np.ndarray:
+    """Exact out[n] = [signed] * src[n] + w * sum over 1 <= m, m^2 <= n of
+    src[n - m^2] for n <= x, with w = 2 if signed, else 1.
 
-    Every product and every running sum is checked against the int64 ceiling;
-    terms are non-negative, so a wrap is visible as a negative entry
-    immediately after the add that caused it.
-    """
-    hi = lo + tile.size
-    for w, offsets in runs:
-        for off in offsets:
-            if off >= hi:
-                return
-            start = max(lo, off)
-            seg = src[start - off : hi - off]
-            top = int(seg.max())
-            if top and w > _I64_MAX // top:
-                raise CountOverflowError(
-                    f"count product {w}*{top} exceeds 64-bit range"
-                )
-            dst = tile[start - lo :]
-            dst += np.multiply(seg, w, out=acc[: seg.size])
-            if int(dst.min()) < 0:
-                raise CountOverflowError("count accumulator exceeds 64-bit range")
-
-
-def _shift_add(offsets, weights, src: np.ndarray, x: int, threads: int) -> np.ndarray:
-    """Exact out[n] = sum_j weights[j] * src[n - offsets[j]] for n <= x.
-
-    Offsets ascend and weights are non-negative. The output is built one
-    cache-sized tile at a time, each tile taking every offset below its end;
-    only the tiles whose bound (see _tile_plan) reaches SAFE_LIMIT are checked.
+    Signed, it convolves src with r_1; unsigned, with the indicator of the
+    positive squares. Only the tiles whose bound (see _tile_plan) reaches
+    SAFE_LIMIT are checked.
     """
     out = np.zeros(x + 1, dtype=np.int64)
-    plan = _tile_plan(offsets, weights, src, x, threads)
-    # runs (w, offsets) of consecutive offsets sharing one nonzero weight
-    pairs = groupby(zip(map(int, offsets), map(int, weights)), key=itemgetter(1))
-    runs = [(w, [off for off, _ in group]) for w, group in pairs if w]
+    plan = _tile_plan(src, x, signed, threads)
 
     def run(tiles):
-        acc = np.empty(_TILE, dtype=np.int64)
         for lo, hi, guarded in tiles:
-            add = _add_tile_checked if guarded else _add_tile
-            add(out[lo:hi], lo, runs, src, acc)
+            _add_tile(out[lo:hi], lo, src, signed, guarded)
 
     if len(plan) == 1:
         run(plan[0])
@@ -187,20 +151,6 @@ def _shift_add(offsets, weights, src: np.ndarray, x: int, threads: int) -> np.nd
         for fut in [pool.submit(run, tiles) for tiles in plan]:
             fut.result()
     return out
-
-
-def _convolve_counts(c1: np.ndarray, c2: np.ndarray, x: int, threads: int) -> np.ndarray:
-    """Exact out[n] = sum_{m<=n} c1[m]*c2[n-m] for n <= x, overflow-checked."""
-    c1 = c1[: x + 1]
-    c2 = c2[: x + 1]
-    # iterate over the sparser factor; a chain of r_1 convolutions then costs
-    # O(sqrt(x)) vector adds instead of O(x)
-    if np.count_nonzero(c1) > np.count_nonzero(c2):
-        c1, c2 = c2, c1
-    offsets = np.flatnonzero(c1)
-    if offsets.size == 0:
-        return np.zeros(x + 1, dtype=np.int64)
-    return _shift_add(offsets, c1[offsets], c2, x, threads)
 
 
 def build_r1(x: int) -> RepTable:
@@ -212,23 +162,6 @@ def build_r1(x: int) -> RepTable:
     roots = np.arange(1, math.isqrt(x) + 1, dtype=np.int64)
     counts[roots * roots] = 2
     return RepTable(order=1, limit=x, counts=counts, builder_tag=TAG_DIRECT)
-
-
-def convolve(t1: RepTable, t2: RepTable, x: int, threads: int = 1) -> RepTable:
-    """Additive stacking: result counts r_{k1+k2}(n) = sum_m r_k1(m) r_k2(n-m)."""
-    if x < 0:
-        raise DomainError(f"limit must be >= 0, got {x}")
-    if t1.limit < x or t2.limit < x:
-        raise TableTooShortError(
-            f"need tables covering {x}, got limits {t1.limit} and {t2.limit}"
-        )
-    counts = _convolve_counts(t1.counts, t2.counts, x, threads)
-    return RepTable(
-        order=t1.order + t2.order,
-        limit=x,
-        counts=counts,
-        builder_tag=TAG_CONVOLUTION,
-    )
 
 
 def _r2_lattice(x: int) -> np.ndarray:
@@ -269,10 +202,7 @@ def build_r3_fold(x: int, threads: int = 1) -> RepTable:
     """
     if x < 0:
         raise DomainError(f"limit must be >= 0, got {x}")
-    mmax = math.isqrt(x)
-    squares = [m * m for m in range(mmax + 1)]
-    weights = [1] + [2] * mmax
-    counts = _shift_add(squares, weights, _r2_lattice(x), x, threads)
+    counts = _add_squares(_r2_lattice(x), x, True, threads)
     return RepTable(order=3, limit=x, counts=counts, builder_tag=TAG_FOLD)
 
 
@@ -294,14 +224,14 @@ def r3_point(n: int) -> int:
 
 
 def build_rstar(x: int, threads: int = 1) -> RepTable:
-    """Counts of n as a sum of three squares of strictly positive integers."""
+    """Counts of n as a sum of three squares of strictly positive integers:
+    two unsigned square-shift passes over the positive-squares indicator."""
     if x < 0:
         raise DomainError(f"limit must be >= 0, got {x}")
     s1 = np.zeros(x + 1, dtype=np.int64)
     roots = np.arange(1, math.isqrt(x) + 1, dtype=np.int64)
     s1[roots * roots] = 1
-    s2 = _convolve_counts(s1, s1, x, threads)
-    s3 = _convolve_counts(s2, s1, x, threads)
+    s3 = _add_squares(_add_squares(s1, x, False, threads), x, False, threads)
     return RepTable(order=3, limit=x, counts=s3, builder_tag=TAG_POSITIVE)
 
 
@@ -315,16 +245,17 @@ def is_representable(n: int) -> bool:
 
 
 def build_rk(x: int, k: int, threads: int = 1) -> RepTable:
-    """r_k table by iterated convolution against the one-square table."""
+    """r_k table by iterated convolution against the one-square table: k - 1
+    signed passes of the square-shift kernel over r_1."""
     if k < 1:
         raise DomainError(f"order must be >= 1, got {k}")
     r1 = build_r1(x)
     if k == 1:
         return r1
-    table = r1
+    counts = r1.counts
     for _ in range(k - 1):
-        table = convolve(table, r1, x, threads=threads)
-    return table
+        counts = _add_squares(counts, x, True, threads)
+    return RepTable(order=k, limit=x, counts=counts, builder_tag=TAG_CONVOLUTION)
 
 
 def save_csv(table: RepTable, path, header_comment: str | None = None) -> None:
@@ -345,14 +276,15 @@ def load_csv(path, order: int, builder_tag: str = TAG_FILE) -> RepTable:
     # A valid table is ASCII. Decoding every other byte to U+FFFD also keeps
     # loadtxt from the code points that crash its parser (numpy 2.4.6).
     with open(path, newline="", encoding="ascii", errors="replace") as fh:
-        lines = (line for line in fh if not line.startswith("#"))
-        header = next(lines, "")
+        header = fh.readline()
+        while header.startswith("#"):  # comment lines come only before the header
+            header = fh.readline()
         if header.rstrip("\r\n") != "n,count":
             raise DomainError(f"expected header n,count, got {header.strip()!r}")
         try:
             with warnings.catch_warnings():  # an empty body is reported below
                 warnings.simplefilter("ignore", UserWarning)
-                rows = np.loadtxt(lines, dtype=np.int64, delimiter=",", comments=None, ndmin=2)
+                rows = np.loadtxt(fh, dtype=np.int64, delimiter=",", comments=None, ndmin=2)
         except ValueError as exc:
             cell = re.search(r"string '(.*)' to int64", str(exc))
             if cell and re.fullmatch(r"\s*[+-]?[0-9]+\s*", cell.group(1)):

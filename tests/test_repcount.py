@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from squaresums import repcount
+from squaresums._util import SAFE_LIMIT
 from squaresums.errors import CountOverflowError, DomainError, TableTooShortError
 
 
@@ -156,35 +157,21 @@ def test_more_threads_than_cores_write_disjoint_tiles(monkeypatch):
     assert (single.counts == many.counts).all()
 
 
-def test_convolution_argument_order_is_irrelevant():
-    r1 = repcount.build_r1(400)
-    r2 = repcount.build_rk(400, 2)
-    a = repcount.convolve(r1, r2, 400)
-    b = repcount.convolve(r2, r1, 400)
-    assert (a.counts == b.counts).all()
-    assert a.order == b.order == 3
-
-
-def test_table_too_short_raises():
-    r1 = repcount.build_r1(100)
-    with pytest.raises(TableTooShortError):
-        repcount.convolve(r1, r1, 101)
-
-
 def test_accumulator_overflow_is_detected():
-    big = np.full(101, 1 << 31, dtype=np.int64)
-    t = repcount.RepTable(order=1, limit=100, counts=big, builder_tag="file")
-    with pytest.raises(CountOverflowError):
-        repcount.convolve(t, t, 100)
+    # the fourth shifted copy of 2^61 reaches 2^63, signed or not
+    flat = np.full(101, 1 << 61, dtype=np.int64)
+    for signed in (False, True):
+        with pytest.raises(CountOverflowError):
+            repcount._add_squares(flat, 100, signed, 1)
 
 
 def test_product_overflow_is_detected():
-    huge = np.zeros(3, dtype=np.int64)
-    huge[0] = 1 << 40
-    huge[2] = 1 << 40
-    t = repcount.RepTable(order=1, limit=2, counts=huge, builder_tag="file")
-    with pytest.raises(CountOverflowError):
-        repcount.convolve(t, t, 2)
+    # out[1] = 2 * src[0] + src[1]: the sum src[0] fits in int64, its double
+    # does not; in the second source the m = 0 add would lift the wrapped
+    # double back above zero, so only the check before the doubling sees it
+    for src in ([1 << 62, 0], [(1 << 63) - 2, 10]):
+        with pytest.raises(CountOverflowError):
+            repcount._add_squares(np.array(src, dtype=np.int64), 1, True, 1)
 
 
 def test_table_validation():
@@ -227,7 +214,7 @@ def test_csv_round_trip(tmp_path, t3_fold):
 def test_tile_plan_caps_threads_at_cpu_count(monkeypatch):
     # only the plan is inspected; no thread is started
     def plan(entries, threads):
-        return repcount._tile_plan([0], [1], np.zeros(entries, np.int64), entries - 1, threads)
+        return repcount._tile_plan(np.zeros(entries, np.int64), entries - 1, True, threads)
 
     workers = plan(10**6, 10**6)
     assert 1 <= len(workers) <= (os.cpu_count() or 1)
@@ -246,29 +233,32 @@ def test_tile_plan_caps_threads_at_cpu_count(monkeypatch):
 def test_tile_plan_deals_tiles_round_robin(monkeypatch):
     monkeypatch.setattr(repcount.os, "cpu_count", lambda: 2)
     tile = repcount._TILE
-    workers = repcount._tile_plan([0], [1], np.zeros(5 * tile), 5 * tile - 1, 2)
+    workers = repcount._tile_plan(np.zeros(5 * tile), 5 * tile - 1, True, 2)
     assert [[lo // tile for lo, _, _ in tiles] for tiles in workers] == [[0, 2, 4], [1, 3]]
 
 
 def test_tile_bound_reads_every_earlier_tile():
-    # the third tile adds src[n - 2T], which reaches back to src[0]
+    # src[0] alone, scaled so that the first tile's bound (1 + 2 * 181 copies)
+    # stays below SAFE_LIMIT and the second's (1 + 2 * 255) does not: the
+    # later tiles read src[0] back through their squares
     tile = repcount._TILE
+    top = int(SAFE_LIMIT) // 400
     src = np.zeros(3 * tile + 1, np.int64)
-    src[0] = 2**61
-    (tiles,) = repcount._tile_plan([0, 2 * tile], [1, 1], src, 3 * tile, 1)
-    assert [g for _, _, g in tiles] == [False, False, True, True]
-    out = repcount._shift_add([0, 2 * tile], [1, 1], src, 3 * tile, 1)
-    assert out[0] == out[2 * tile] == 2**61 and np.count_nonzero(out) == 2
+    src[0] = top
+    (tiles,) = repcount._tile_plan(src, 3 * tile, True, 1)
+    assert [g for _, _, g in tiles] == [False, True, True, True]
+    out = repcount._add_squares(src, 3 * tile, True, 1)
+    squares = np.arange(1, math.isqrt(3 * tile) + 1) ** 2
+    assert out[0] == top and (out[squares] == 2 * top).all()
+    assert np.count_nonzero(out) == squares.size + 1
 
 
 def test_r8_guards_only_its_last_tiles():
-    # the last convolution of build_rk(5 * 10**5, 8) adds shifted copies of
-    # r_7 along r_1; only the plan is inspected, no thread is started
+    # the last pass of build_rk(5 * 10**5, 8) adds shifted copies of r_7
+    # along the squares; only the plan is inspected, no thread is started
     x = 500_000
-    r1 = repcount.build_r1(x).counts
     r7 = repcount.build_rk(x, 7).counts
-    offsets = np.flatnonzero(r1)
-    (tiles,) = repcount._tile_plan(offsets, r1[offsets], r7, x, 1)
+    (tiles,) = repcount._tile_plan(r7, x, True, 1)
     guarded = [g for _, _, g in tiles]
     assert guarded == sorted(guarded)  # unguarded tiles first, then guarded ones
     assert not guarded[0] and guarded[-1]
@@ -303,10 +293,13 @@ def _accumulate_shifts(out, offsets, weights, src, lo, hi, guarded):
             raise CountOverflowError("count accumulator exceeds 64-bit range")
 
 
-def _shift_add_oracle(offsets, weights, src, x):
-    """The untiled kernel: every offset over the whole output, every add checked."""
+def _add_squares_oracle(src, x, signed):
+    """The untiled kernel over the square offsets, every add checked: weights
+    (1, 2, 2, ...) when signed, (0, 1, 1, ...) when not."""
+    squares = [m * m for m in range(math.isqrt(x) + 1)]
+    weights = [int(signed)] + [2 if signed else 1] * (len(squares) - 1)
     out = np.zeros(x + 1, dtype=np.int64)
-    _accumulate_shifts(out, offsets, weights, src, 0, x + 1, guarded=True)
+    _accumulate_shifts(out, squares, weights, src, 0, x + 1, guarded=True)
     return out
 
 
@@ -314,36 +307,51 @@ _T = repcount._TILE
 
 
 @st.composite
-def _shift_add_case(draw, x):
-    """Ascending offsets with weights in runs, over a non-negative source whose
-    magnitude reaches from unguarded tiles to 64-bit overflow."""
-    offsets = sorted(draw(st.sets(st.integers(0, x + 10), min_size=1, max_size=24)))
-    weight = st.sampled_from([2, 2, 2, 0, 1, 3, 2**20, 2**40])
-    weights = draw(st.lists(weight, min_size=len(offsets), max_size=len(offsets)))
+def _add_squares_case(draw, x):
+    """A signed or unsigned pass over a non-negative source, dense or sparse,
+    whose magnitude reaches from unguarded tiles to 64-bit overflow."""
+    signed = draw(st.booleans())
     bits = draw(st.sampled_from([62, 58, 56, 50, 40, 8]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32)))
     src = rng.integers(0, 2**bits, size=x + 1, dtype=np.int64)
     ramp = draw(st.sampled_from([None, (0.0, 1.0), (1.0, 0.0)]))
     if ramp:  # growing with n, as counts do, or falling: a tile's bound reads earlier tiles
         src = (src * np.linspace(*ramp, x + 1)).astype(np.int64)
-    return offsets, weights, src
+    if draw(st.booleans()):  # sparse: a guarded tile need not overflow
+        src[rng.random(x + 1) > 0.02] = 0
+    return src, signed
 
 
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("x", [0, 100, _T - 1, _T, _T + 1, 3 * _T + 7])
 def test_tiled_kernel_matches_untiled_oracle(x, threads):
     @settings(derandomize=True, max_examples=25, deadline=None)
-    @given(case=_shift_add_case(x))
+    @given(case=_add_squares_case(x))
     def check(case):
-        offsets, weights, src = case
-        args = (np.array(offsets), np.array(weights), src, x, threads)
+        src, signed = case
         try:
-            expected = _shift_add_oracle(offsets, weights, src, x)
+            expected = _add_squares_oracle(src, x, signed)
         except CountOverflowError:
             with pytest.raises(CountOverflowError):
-                repcount._shift_add(*args)
+                repcount._add_squares(src, x, signed, threads)
             return
-        assert (repcount._shift_add(*args) == expected).all()
+        assert (repcount._add_squares(src, x, signed, threads) == expected).all()
+
+    check()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_builders_agree_at_random_limits(threads):
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(x=st.integers(0, 3 * _T + 7))
+    def check(x):
+        r3 = repcount.build_r3_fold(x, threads).counts
+        assert (r3 == repcount.build_rk(x, 3, threads).counts).all()
+        # zero-coordinate classification; at n = 0 the all-zero tuple is dropped
+        rs = repcount.build_rstar(x, threads).counts
+        r2 = repcount.build_rk(x, 2, threads).counts
+        rhs = 8 * rs + 3 * r2 - 3 * repcount.build_r1(x).counts
+        assert (rhs[1:] == r3[1:]).all() and rhs[0] == r3[0] - 1
 
     check()
 
@@ -403,14 +411,36 @@ def test_load_table_detects_the_format(tmp_path, t3_fold):
 
 @pytest.mark.parametrize(
     "body",
-    ["0,1\n1,x\n", "0,1\n1\n", "0,1\n1,2,3\n", "0,1\n1,9223372036854775808\n", "0,-1\n"],
-    ids=["non-integer", "one-cell", "three-cells", "above-2^63", "negative"],
+    [
+        "0,1\n1,x\n",
+        "0,1\n1\n",
+        "0,1\n1,2,3\n",
+        "0,1\n1,9223372036854775808\n",
+        "0,-1\n",
+        "0,1\n# note\n1,2\n",
+        "0,1\n# note,2\n1,2\n",
+    ],
+    ids=[
+        "non-integer",
+        "one-cell",
+        "three-cells",
+        "above-2^63",
+        "negative",
+        "comment-below-header",
+        "two-cell-comment",
+    ],
 )
 def test_csv_rejects_malformed_rows(tmp_path, body):
     path = tmp_path / "bad.csv"
     path.write_text("n,count\n" + body)
     with pytest.raises(DomainError):
         repcount.load_csv(path, order=1)
+
+
+def test_csv_reads_past_leading_comments(tmp_path):
+    path = tmp_path / "r1.csv"
+    path.write_bytes(b"# one\r\n# two\r\nn,count\r\n0,1\r\n1,2\r\n")
+    assert list(repcount.load_csv(path, order=1).counts) == [1, 2]
 
 
 def test_csv_rejects_bad_header(tmp_path):

@@ -96,6 +96,20 @@ def odd_prime_powers(limit: int) -> list[tuple[int, int, int]]:
     return out
 
 
+def i_exact(n: int, x: int) -> float:
+    """The singular integral I(n) at one n, by one pair convolution: the
+    pointwise oracle for singular.i_exact_range."""
+    m_hi = min(x, n - 2)
+    if m_hi < 1:
+        return 0.0
+    w = 1.0 / np.sqrt(np.arange(1, m_hi + 1, dtype=np.float64))
+    pair = np.convolve(w, w)  # pair[j] = sum over m2 + m3 = j + 2
+    m1 = np.arange(1, m_hi + 1)
+    s = n - m1
+    ok = (s >= 2) & (s <= 2 * m_hi)
+    return float(np.sum(w[ok] * pair[s[ok] - 2])) / 8.0
+
+
 def brute_i_exact(n: int, x: int) -> float:
     total = 0.0
     for m1 in range(1, x + 1):
@@ -246,19 +260,19 @@ def test_bateman_converges_to_exact_counts():
 
 
 def test_i_exact_known_values():
-    assert singular.i_exact(3, 10) == pytest.approx(1 / 8, abs=1e-15)
-    assert singular.i_exact(4, 10) == pytest.approx(3 / (8 * math.sqrt(2)), abs=1e-12)
-    assert singular.i_exact(2, 10) == 0.0
-    assert singular.i_exact(0, 5) == 0.0
+    assert i_exact(3, 10) == pytest.approx(1 / 8, abs=1e-15)
+    assert i_exact(4, 10) == pytest.approx(3 / (8 * math.sqrt(2)), abs=1e-12)
+    assert i_exact(2, 10) == 0.0
+    assert i_exact(0, 5) == 0.0
     # budget x caps the summands: n = 3x needs all three at the cap
-    assert singular.i_exact(30, 10) == pytest.approx(1 / (8 * 10**1.5), abs=1e-15)
-    assert singular.i_exact(31, 10) == 0.0
+    assert i_exact(30, 10) == pytest.approx(1 / (8 * 10**1.5), abs=1e-15)
+    assert i_exact(31, 10) == 0.0
 
 
 def test_i_exact_matches_brute_force():
     for n in (3, 7, 20, 45, 60):
         for x in (5, 20, 60):
-            assert singular.i_exact(n, x) == pytest.approx(
+            assert i_exact(n, x) == pytest.approx(
                 brute_i_exact(n, x), rel=1e-12
             ), (n, x)
 
@@ -267,7 +281,7 @@ def test_i_exact_range_matches_pointwise():
     arr = singular.i_exact_range(80, 40)
     assert arr.shape == (81,)
     for n in range(81):
-        assert arr[n] == pytest.approx(singular.i_exact(n, 40), rel=1e-12, abs=1e-15)
+        assert arr[n] == pytest.approx(i_exact(n, 40), rel=1e-12, abs=1e-15)
 
 
 def test_i_exact_tracks_sqrt_growth():
@@ -291,6 +305,6 @@ def test_domain_errors():
     with pytest.raises(DomainError):
         singular.bateman_factor(0)
     with pytest.raises(DomainError):
-        singular.i_exact(5, 0)
+        singular.i_exact_range(5, 0)
     with pytest.raises(DomainError):
-        singular.i_exact(-1, 5)
+        singular.i_exact_range(-1, 5)

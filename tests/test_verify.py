@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from squaresums import repcount, verify
+from squaresums._util import SAFE_LIMIT
 from squaresums.constants import mean_square_constant, w_constant, zeta_real
 from squaresums.errors import (
     DomainError,
@@ -91,6 +93,42 @@ def test_fast_and_exact_paths_agree(t3):
     forced = verify._prefix_at(t3.counts, xs, True)
     assert forced == obj
     assert [c.partial_sum for c in fast] == [obj[x] for x in xs]
+
+
+@st.composite
+def _boundary_case(draw, square):
+    """Counts whose _prefix_at bound lands just below or just above SAFE_LIMIT,
+    with ascending checkpoints."""
+    size = draw(st.integers(2, 200))
+    side = draw(st.sampled_from([-1, 1]))
+    target = SAFE_LIMIT * (1 + side * draw(st.floats(1e-6, 1e-2))) / 1.01
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    if square:  # bound = max^2 * size * 1.01
+        top = math.isqrt(int(target / size))
+        counts = rng.integers(0, top, size=size, endpoint=True)
+        counts[rng.integers(size)] = top
+    else:  # bound = sum * 1.01
+        share = rng.random(size)
+        counts = np.floor(share / share.sum() * target).astype(np.int64)
+    xs = draw(st.lists(st.integers(1, size - 1), min_size=1, max_size=8, unique=True))
+    return counts, sorted(xs)
+
+
+@pytest.mark.parametrize("square", [False, True])
+def test_prefix_paths_agree_at_the_int64_boundary(square):
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(case=_boundary_case(square))
+    def check(case):
+        counts, xs = case
+        power = 2 if square else 1
+        exact = {x: sum(int(c) ** power for c in counts[1 : x + 1]) for x in xs}
+        assert verify._prefix_at(counts, xs, square) == exact
+        for limit in (0.0, math.inf):  # force the Python-int path, then the int64 one
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(verify, "SAFE_LIMIT", limit)
+                assert verify._prefix_at(counts, xs, square) == exact
+
+    check()
 
 
 def test_fit_recovers_synthetic_slope():
