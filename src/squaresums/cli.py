@@ -13,6 +13,7 @@ import argparse
 import contextlib
 import json
 import math
+import os
 import sys
 from collections.abc import Callable, Iterable
 from dataclasses import asdict, astuple, dataclass, field, fields
@@ -31,8 +32,8 @@ N_TERMS_CAP = 10**7  # weyl_sum holds about 40 B per term: about 0.4 GB at the c
 GRID_POINTS_CAP = 10**6  # weyl-sweep evaluates ceil(1 / --grid) points
 GAUSS_Q_CAP = 2**16  # listing S(q, a) for every coprime a costs O(q^2)
 B1_Q_CAP = 10**7  # the B1 totient sieves: 2.6 s and 512 MiB peak RSS at the cap
-W_ORDER_CAP = 198  # the largest N whose pi^N / Gamma(N/2)^2 fits a double
-DIGITS_CAP = 1000  # every W_N up to W_ORDER_CAP to 1000 digits takes about 4 s
+W_ORDER_CAP = 198  # bounds the work of --w-orders; DIGITS_CAP gives its cost at the cap
+DIGITS_CAP = 1000  # every W_N up to W_ORDER_CAP to 1000 digits takes about 5 s
 
 
 class CliUsageError(Exception):
@@ -146,6 +147,11 @@ def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
         over = f"--limit {args.limit} exceeds {LIMIT_CAP}; pass --override-limit to proceed"
         _require(args.limit <= LIMIT_CAP or args.override_limit, over)
         _require(args.threads >= 1, "--threads must be >= 1")
+        if not getattr(args, "table_path", None):  # a build holds about 32 B per entry
+            need = 32 * (args.limit + 1)
+            ram = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+            _require(need <= ram, f"--limit {args.limit} needs about {need >> 20} MiB, "
+                     f"more than the {ram >> 20} MiB of physical memory")
     if getattr(args, "checkpoints", None):
         xs = args.checkpoints = _parse_int_list(args.checkpoints, "--checkpoints")
         _require(xs == sorted(set(xs)), "--checkpoints must be strictly ascending")
@@ -157,9 +163,9 @@ def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
         _require(min(args.b1_direct_q, args.b1_euler_q) >= 1, "B1 truncation levels must be >= 1")
         for flag, q in (("--b1-direct-q", args.b1_direct_q), ("--b1-euler-q", args.b1_euler_q)):
             _require(q <= B1_Q_CAP, f"{flag} {q} exceeds {B1_Q_CAP}")
-        args.w_orders = _parse_int_list(args.w_orders, "--w-orders")
-        _require(min(args.w_orders) >= 3, "--w-orders entries must be >= 3")
-        top = max(args.w_orders)
+        args.w_orders = sorted(set(_parse_int_list(args.w_orders, "--w-orders")))
+        _require(args.w_orders[0] >= 3, "--w-orders entries must be >= 3")
+        top = args.w_orders[-1]
         _require(top <= W_ORDER_CAP, f"--w-orders entry {top} exceeds {W_ORDER_CAP}")
         _require(args.digits >= 1, "--digits must be >= 1")
         _require(args.digits <= DIGITS_CAP, f"--digits {args.digits} exceeds {DIGITS_CAP}")
@@ -185,7 +191,7 @@ def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
         _require(args.n_terms <= N_TERMS_CAP, f"--n-terms {args.n_terms} exceeds {N_TERMS_CAP}")
         _require(0.0 < args.grid <= 1.0, "--grid must be in (0, 1]")
         too_fine = f"--grid {args.grid} gives more than {GRID_POINTS_CAP} points"
-        _require(math.ceil(1.0 / args.grid) <= GRID_POINTS_CAP, too_fine)
+        _require(1.0 / args.grid <= GRID_POINTS_CAP, too_fine)  # 1/grid may be inf
     return args
 
 
@@ -312,18 +318,9 @@ def _flatten(obj: dict, prefix: str = ""):
 
 
 def _handle_constants(args) -> Result:
-    report = constants.constants_report(args.b1_direct_q, args.b1_euler_q, args.w_orders)
-    obj = {
-        "b1_direct_at_Q": {"value": report.b1_direct_at_Q, "Q": report.b1_direct_Q},
-        "b1_euler_at_Q": {"value": report.b1_euler_at_Q, "Q": report.b1_euler_Q},
-        "b1_closed": report.b1_closed,
-        "c3": report.c3,
-        "w_values": {str(n): v for n, v in sorted(report.w_values.items())},
-        "muller_b": report.muller_b,
-        "assembly_components": dict(sorted(report.assembly_components.items())),
-    }
+    obj = constants.constants_report(args.b1_direct_q, args.b1_euler_q, args.w_orders)
     if args.precision == "extended":
-        obj["extended"] = constants.constants_extended(args.digits, tuple(sorted(report.w_values)))
+        obj["extended"] = constants.constants_extended(args.digits, args.w_orders)
     rows = list(_flatten(obj))
     width = max(len(name) for name, _ in rows)
     text = lambda: (f"{name:<{width}}  {_cell(value)}" for name, value in rows)

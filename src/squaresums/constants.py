@@ -7,13 +7,17 @@ form 8 zeta(2)/(7 zeta(3)) (b1_closed). The mean-square constant is
 C3 = 8 pi^4 / (21 zeta(3)) = 2 pi^2 B1, which must also equal both the
 general-order value w_constant(3) and the spectral-route assembly
 muller_assembly() built from Eisenstein scattering entries at s = 3/2.
+
+Each closed form (B1, C3, W_N, phi_{infty,iota}(s) and the spectral assembly)
+is written once, as a private mpmath expression. The double-precision
+functions evaluate it at 53 bits, where every mpmath operation rounds as an
+IEEE double does; constants_extended evaluates the same expressions with
+15 guard digits beyond the digits it prints.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -22,38 +26,19 @@ from .errors import DomainError, NotCoprimeError
 from .expsum import gauss_sum
 from ._util import assemble_multiplicative, factor_sieve
 
-_BERNOULLI_2J = (
-    Fraction(1, 6),
-    Fraction(-1, 30),
-    Fraction(1, 42),
-    Fraction(-1, 30),
-    Fraction(5, 66),
-    Fraction(-691, 2730),
-    Fraction(7, 6),
-    Fraction(-3617, 510),
-)
+
+def _double(form, *args) -> float:
+    """`form(*args)` at 53 bits: each step rounds as the same float operation would."""
+    with mpmath.workprec(53):
+        return float(form(*args))
 
 
-def zeta_real(s: float, precision_terms: int = 64) -> float:
-    """Riemann zeta for real s > 1: direct series plus Euler-Maclaurin tail.
-
-    With the default 64 leading terms and 8 tail corrections the truncation
-    error is far below double rounding for s >= 2.
-    """
+def zeta_real(s: float) -> float:
+    """Riemann zeta for real s > 1, by mpmath at double precision."""
     s = float(s)
     if not s > 1.0:
         raise DomainError(f"zeta_real requires s > 1, got {s}")
-    if precision_terms < 2:
-        raise DomainError("precision_terms must be >= 2")
-    M = precision_terms
-    parts = [k**-s for k in range(1, M + 1)]
-    parts.append(M ** (1.0 - s) / (s - 1.0))
-    parts.append(-0.5 * M**-s)
-    poch = s
-    for j, b in enumerate(_BERNOULLI_2J, start=1):
-        parts.append(float(b) / math.factorial(2 * j) * poch * M ** (-s - 2 * j + 1))
-        poch *= (s + 2 * j - 1) * (s + 2 * j)
-    return math.fsum(parts)
+    return _double(mpmath.zeta, s)
 
 
 def totient_sieve(Q: int) -> np.ndarray:
@@ -98,77 +83,93 @@ def b1_euler(Q: int) -> float:
     return float(np.sum(b1_terms_euler(Q)))
 
 
+# Cusp data used by the spectral assembly: label -> (u, w, width, zero-coefficient).
+# The zero coefficients (1, 0, 1) are the stated values the assembly needs;
+# cusp_zero_coeff reproduces them at 1/4 and 1/2 but yields 8 at the cusp 1,
+# so both numbers are surfaced in the report (see constants_report).
+_CUSPS = {
+    "1": (1, 1, 4, 1.0),
+    "1/2": (1, 2, 1, 0.0),
+    "1/4": (1, 4, 1, 1.0),
+}
+
+
+def _b1():
+    return 8 * mpmath.zeta(2) / (7 * mpmath.zeta(3))
+
+
+def _c3():
+    return 8 * mpmath.pi**4 / (21 * mpmath.zeta(3))
+
+
+def _w(N: int):
+    """W_N with Gamma(N/2)^2 in exact form: (N/2 - 1)!^2 for even N and
+    pi ((2k-1)!!)^2 / 4^k for N = 2k + 1, the integer rounded once before the
+    division, as a double holds it."""
+    lead = 1 / ((N - 1) * (1 - mpmath.mpf(2) ** -N))
+    if N % 2 == 0:
+        ratio = mpmath.pi**N / mpmath.mpf(math.factorial(N // 2 - 1)) ** 2
+    else:
+        k = N // 2
+        odd = math.prod(range(1, 2 * k, 2))
+        ratio = mpmath.pi ** (N - 1) / mpmath.ldexp(mpmath.mpf(odd * odd), -2 * k)
+    return lead * ratio * mpmath.zeta(N - 1) / mpmath.zeta(N)
+
+
+def _phi(iota: str, s):
+    s, two = mpmath.mpf(s), mpmath.mpf(2)
+    shared = (
+        mpmath.sqrt(mpmath.pi)
+        * mpmath.gamma(s - 0.5)
+        * mpmath.zeta(2 * s - 1)
+        / (mpmath.gamma(s) * mpmath.zeta(2 * s))
+    )
+    denom = 1 - two ** (-2 * s)
+    if iota == "1/4":
+        return two ** (1 - 4 * s) / denom * shared
+    return two ** (-2 * s) * (1 - two ** (1 - 2 * s)) / denom * shared
+
+
+def _b_plus():
+    return 1 / mpmath.gamma(2)
+
+
+def _assembly():
+    phi_sum = mpmath.fsum(_phi(iota, 1.5) * coeff for iota, (*_, coeff) in _CUSPS.items())
+    return (4 * mpmath.pi) ** 2 / 2 * _b_plus() * phi_sum
+
+
 def b1_closed() -> float:
     """B1 in closed form: 8 zeta(2) / (7 zeta(3))."""
-    return 8.0 * zeta_real(2.0) / (7.0 * zeta_real(3.0))
+    return _double(_b1)
 
 
 def mean_square_constant() -> float:
     """C3 = 8 pi^4 / (21 zeta(3)), the x^2 coefficient of sum r_3(n)^2."""
-    return 8.0 * math.pi**4 / (21.0 * zeta_real(3.0))
-
-
-def _pi_pow_over_gamma_sq(N: int) -> float:
-    """pi^N / Gamma(N/2)^2 with the Gamma factor exact at (half-)integers."""
-    if N % 2 == 0:
-        return math.pi**N / float(math.factorial(N // 2 - 1)) ** 2
-    k = (N - 1) // 2
-    # Gamma(N/2) = sqrt(pi) * (2k)! / (4^k k!)
-    rat = Fraction(math.factorial(2 * k), 4**k * math.factorial(k))
-    return math.pi ** (N - 1) / float(rat * rat)
+    return _double(_c3)
 
 
 def w_constant(N: int) -> float:
-    """Mean-square constant for sums of N squares:
+    """Mean-square constant W_N for sums of N squares:
     1/((N-1)(1-2^{-N})) * pi^N / Gamma(N/2)^2 * zeta(N-1)/zeta(N)."""
     if N < 3:
         raise DomainError(f"w_constant requires N >= 3, got {N}")
-    lead = 1.0 / ((N - 1) * (1.0 - 2.0**-N))
-    return lead * _pi_pow_over_gamma_sq(N) * zeta_real(N - 1.0) / zeta_real(float(N))
+    return _double(_w, int(N))
 
 
-_CUSP_ALIASES = {
-    "1": "1",
-    "1/2": "1/2",
-    "1/4": "1/4",
-    1: "1",
-    1.0: "1",
-    0.5: "1/2",
-    0.25: "1/4",
-}
+def eisenstein_phi(iota: str, s: float) -> float:
+    """Scattering entry phi_{infty,iota}(s) for the cusp class "1", "1/2" or "1/4".
 
-
-def _cusp_label(iota) -> str:
-    try:
-        return _CUSP_ALIASES[iota]
-    except (KeyError, TypeError):
-        raise DomainError(f"unknown cusp label {iota!r}; use 1, 1/2 or 1/4") from None
-
-
-def eisenstein_phi(iota, s: float) -> float:
-    """Scattering entries phi_{infty,iota}(s) for the three cusp classes.
-
-    General-s closed forms, sharing the factor
-    sqrt(pi) Gamma(s-1/2) zeta(2s-1) / (Gamma(s) zeta(2s)):
-    the 1/4 cusp carries 2^{1-4s}/(1-2^{-2s}), the cusps 1 and 1/2 both carry
-    2^{-2s}(1-2^{1-2s})/(1-2^{-2s}).
+    The 1/4 cusp carries 2^{1-4s}/(1-2^{-2s}), the cusps 1 and 1/2 both carry
+    2^{-2s}(1-2^{1-2s})/(1-2^{-2s}), times the shared factor
+    sqrt(pi) Gamma(s-1/2) zeta(2s-1) / (Gamma(s) zeta(2s)).
     """
     s = float(s)
     if not s > 1.0:
         raise DomainError(f"eisenstein_phi requires s > 1, got {s}")
-    label = _cusp_label(iota)
-    shared = (
-        math.sqrt(math.pi)
-        * math.gamma(s - 0.5)
-        * zeta_real(2.0 * s - 1.0)
-        / (math.gamma(s) * zeta_real(2.0 * s))
-    )
-    denom = 1.0 - 2.0 ** (-2.0 * s)
-    if label == "1/4":
-        factor = 2.0 ** (1.0 - 4.0 * s) / denom
-    else:
-        factor = 2.0 ** (-2.0 * s) * (1.0 - 2.0 ** (1.0 - 2.0 * s)) / denom
-    return factor * shared
+    if not (isinstance(iota, str) and iota in _CUSPS):
+        raise DomainError(f"unknown cusp label {iota!r}; use '1', '1/2' or '1/4'")
+    return _double(_phi, iota, s)
 
 
 def cusp_zero_coeff(u: int, w: int, width: int) -> float:
@@ -183,115 +184,54 @@ def cusp_zero_coeff(u: int, w: int, width: int) -> float:
     return float(width) ** 3 * mag**6 / (8.0 * float(w) ** 3)
 
 
-# Cusp data used by the spectral assembly: (u, w, width, zero-coefficient).
-# The zero coefficients (1, 0, 1) are the stated values the assembly needs;
-# cusp_zero_coeff reproduces them at 1/4 and 1/2 but yields 8 at the cusp 1,
-# so both numbers are surfaced in the report (see assembly_components).
-_CUSPS = {
-    "1": (1, 1, 4, 1.0),
-    "12": (1, 2, 1, 0.0),
-    "14": (1, 4, 1, 1.0),
-}
-
-
 def muller_assembly() -> float:
     """Mean-square constant assembled through the spectral route:
     (4 pi)^2 / 2 * b_plus * sum over cusps of phi_{infty,iota}(3/2) |a_{iota,0}|^2
     with b_plus = 1/Gamma(2) = 1."""
-    b_plus = 1.0 / math.gamma(2.0)
-    labels = {"1": "1", "12": "1/2", "14": "1/4"}
-    phi_sum = math.fsum(
-        eisenstein_phi(labels[key], 1.5) * coeff
-        for key, (_, _, _, coeff) in _CUSPS.items()
-    )
-    return (4.0 * math.pi) ** 2 / 2.0 * b_plus * phi_sum
-
-
-@dataclass(frozen=True)
-class ConstantsReport:
-    """All computed constants with the truncation levels that produced them."""
-
-    b1_direct_at_Q: float
-    b1_direct_Q: int
-    b1_euler_at_Q: float
-    b1_euler_Q: int
-    b1_closed: float
-    c3: float
-    w_values: dict[int, float]
-    muller_b: float
-    assembly_components: dict[str, float]
-
-    def __post_init__(self):
-        if not (self.b1_closed > 0.0 and self.c3 > 0.0):
-            raise DomainError("constants must be positive")
-        if abs(self.c3 - 2.0 * math.pi**2 * self.b1_closed) > 1e-12 * self.c3:
-            raise DomainError("c3 and 2 pi^2 B1 disagree")
-        if abs(self.muller_b - self.c3) > 1e-10:
-            raise DomainError("spectral-route constant disagrees with c3")
+    return _double(_assembly)
 
 
 def constants_report(
     b1_direct_Q: int = 4096,
     b1_euler_Q: int = 10**6,
     w_orders=(3, 4, 5, 6),
-) -> ConstantsReport:
-    components: dict[str, float] = {
-        "phi_1": eisenstein_phi("1", 1.5),
-        "phi_12": eisenstein_phi("1/2", 1.5),
-        "phi_14": eisenstein_phi("1/4", 1.5),
-        "b_plus": 1.0 / math.gamma(2.0),
-    }
-    for key, (u, w, width, stated) in _CUSPS.items():
+) -> dict:
+    """Every double-precision constant, nested as the `constants` subcommand
+    prints it. Raises DomainError unless both constants are positive, C3 agrees
+    with 2 pi^2 B1 to 1e-12 relative and the spectral route agrees with C3 to 1e-10."""
+    b1, c3, spectral = b1_closed(), mean_square_constant(), muller_assembly()
+    if not (b1 > 0.0 and c3 > 0.0):
+        raise DomainError("constants must be positive")
+    if abs(c3 - 2.0 * math.pi**2 * b1) > 1e-12 * c3:
+        raise DomainError("c3 and 2 pi^2 B1 disagree")
+    if abs(spectral - c3) > 1e-10:
+        raise DomainError("spectral-route constant disagrees with c3")
+    components = {"b_plus": _double(_b_plus)}
+    for iota, (u, w, width, stated) in _CUSPS.items():
+        key = iota.replace("/", "")
+        components[f"phi_{key}"] = eisenstein_phi(iota, 1.5)
         components[f"a0_sq_{key}"] = stated
         components[f"a0_sq_{key}_formula"] = cusp_zero_coeff(u, w, width)
         components[f"width_{key}"] = float(width)
-    return ConstantsReport(
-        b1_direct_at_Q=b1_direct(b1_direct_Q),
-        b1_direct_Q=b1_direct_Q,
-        b1_euler_at_Q=b1_euler(b1_euler_Q),
-        b1_euler_Q=b1_euler_Q,
-        b1_closed=b1_closed(),
-        c3=mean_square_constant(),
-        w_values={int(N): w_constant(int(N)) for N in w_orders},
-        muller_b=muller_assembly(),
-        assembly_components=components,
-    )
+    return {
+        "b1_direct_at_Q": {"value": b1_direct(b1_direct_Q), "Q": b1_direct_Q},
+        "b1_euler_at_Q": {"value": b1_euler(b1_euler_Q), "Q": b1_euler_Q},
+        "b1_closed": b1,
+        "c3": c3,
+        "w_values": {str(N): w_constant(N) for N in w_orders},
+        "muller_b": spectral,
+        "assembly_components": dict(sorted(components.items())),
+    }
 
 
 def constants_extended(digits: int = 30, w_orders=(3, 4, 5, 6)) -> dict[str, str]:
-    """Closed-form constants to `digits` significant digits via mpmath.
+    """The closed-form constants to `digits` significant digits.
 
-    Covers only the constants with closed forms; truncated sums stay in the
-    double-precision report.
+    Truncated sums stay in the double-precision report.
     """
     if digits < 1:
         raise DomainError("digits must be >= 1")
-    out: dict[str, str] = {}
     with mpmath.workdps(digits + 15):
-        z2, z3 = mpmath.zeta(2), mpmath.zeta(3)
-        b1 = 8 * z2 / (7 * z3)
-        c3 = 8 * mpmath.pi**4 / (21 * z3)
-        out["b1_closed"] = mpmath.nstr(b1, digits)
-        out["c3"] = mpmath.nstr(c3, digits)
-        shared = (
-            mpmath.sqrt(mpmath.pi)
-            * mpmath.gamma(1)
-            * z2
-            / (mpmath.gamma(mpmath.mpf(3) / 2) * z3)
-        )
-        denom = 1 - mpmath.mpf(2) ** -3
-        phi_1 = 2**-3 * (1 - 2**-2) / denom * shared
-        phi_14 = 2**-5 / denom * shared
-        out["muller_b"] = mpmath.nstr((4 * mpmath.pi) ** 2 / 2 * (phi_1 + phi_14), digits)
-        for N in w_orders:
-            N = int(N)
-            w = (
-                1
-                / ((N - 1) * (1 - mpmath.mpf(2) ** -N))
-                * mpmath.pi**N
-                / mpmath.gamma(mpmath.mpf(N) / 2) ** 2
-                * mpmath.zeta(N - 1)
-                / mpmath.zeta(N)
-            )
-            out[f"w_{N}"] = mpmath.nstr(w, digits)
-    return out
+        values = {"b1_closed": _b1(), "c3": _c3(), "muller_b": _assembly()}
+        values.update((f"w_{N}", _w(int(N))) for N in w_orders)
+        return {key: mpmath.nstr(value, digits) for key, value in values.items()}

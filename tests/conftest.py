@@ -1,10 +1,21 @@
 """Shared pytest hooks: every warning a test of this suite raises is an
-error, and acceptance pass/fail lines are echoed in the summary."""
+error, acceptance pass/fail lines are echoed in the summary, and every
+hypothesis test runs the same examples on each run and stores none."""
 
 import pathlib
 import sys
+import tempfile
 
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
+
+settings.register_profile("squaresums", derandomize=True, deadline=None, database=None)
+settings.load_profile("squaresums")
+# with no example database, hypothesis still caches the constants it reads from
+# the source and its character tables; keep them out of the checkout
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="squaresums-hypothesis-")
+set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 _HERE = pathlib.Path(__file__).resolve().parent
 
@@ -25,3 +36,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in lines:
             terminalreporter.write_line(line)
+
+
+def pytest_unconfigure(config):
+    _HYPOTHESIS_HOME.cleanup()

@@ -318,11 +318,13 @@ def test_weyl_and_gauss_above_caps_fail_before_any_work(monkeypatch, capsys):
     over_terms = str(cli.N_TERMS_CAP + 1)
     fine_grid = repr(1.0 / (cli.GRID_POINTS_CAP + 1))
     assert run_cli(["weyl-sweep", "--n-terms", over_terms, "--grid", "1"]) == 2
-    assert run_cli(["weyl-sweep", "--n-terms", "1", "--grid", fine_grid]) == 2
+    for grid in (fine_grid, "1e-310", "5e-324"):  # 1 / grid is inf for the last two
+        assert run_cli(["weyl-sweep", "--n-terms", "1", "--grid", grid]) == 2
     assert run_cli(["gauss", "--q", str(cli.GAUSS_Q_CAP + 1)]) == 2
     assert run_cli(["gauss", "--q", str(cli.GAUSS_Q_CAP + 1), "--a", "1"]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 4 and all("exceeds" in line or "more than" in line for line in err)
+    assert len(err) == 6 and all(line.startswith("usage error: ") for line in err), err
+    assert all("exceeds" in line or "more than" in line for line in err)
     # the caps themselves are accepted
     parse = cli.build_parser().parse_args
     at_cap = parse(["weyl-sweep", "--n-terms", str(cli.N_TERMS_CAP), "--grid", "1e-6"])
@@ -377,9 +379,11 @@ def test_help_exits_zero(capsys):
     capsys.readouterr()
 
 
-def test_override_limit_flag_is_honored():
+def test_override_limit_flag_is_honored(monkeypatch):
     # the cap rejects, the override accepts; keep the actual size tiny by
-    # pointing at a checkpoint grid that the table must cover anyway
+    # pointing at a checkpoint grid that the table must cover anyway, and
+    # report 4 TiB of physical memory so the memory bound accepts 3*10^8
+    monkeypatch.setattr(os, "sysconf", lambda name: 2**30 if name == "SC_PHYS_PAGES" else 4096)
     assert cli.LIMIT_CAP == 10**8
     cfg = cli._config_from_args(
         cli.build_parser().parse_args(
@@ -390,12 +394,36 @@ def test_override_limit_flag_is_honored():
     assert cfg.override_limit is True
 
 
+def test_memory_bound_rejects_builds_before_any_work(monkeypatch, capsys, tmp_path):
+    def refuse(*args, **kwargs):
+        raise AssertionError("table built beyond physical memory")
+
+    for name in ("build_r1", "build_r3_fold", "build_rk", "build_rstar"):
+        monkeypatch.setattr(repcount, name, refuse)
+    huge = ["--limit", str(10**20), "--override-limit"]
+    assert run_cli(["tables", *huge, "--output", str(tmp_path / "x.csv")]) == 2
+    assert run_cli(["verify-mean", *huge]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("usage error: --limit ") for line in err), err
+    assert all("physical memory" in line for line in err)
+    # a machine with 16 KiB: 32 B per entry admits limit 511, not 512
+    monkeypatch.setattr(os, "sysconf", lambda name: 4 if name == "SC_PHYS_PAGES" else 4096)
+    parse = cli.build_parser().parse_args
+    assert cli._config_from_args(parse(["verify-mean", "--limit", "511"])).limit == 511
+    assert run_cli(["verify-mean", "--limit", "512"]) == 2
+    assert run_cli(["tables", "--limit", "512", "--output", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err.count("physical memory") == 2
+    assert not (tmp_path / "x.csv").exists()
+
+
 # sha256 of the output of each subcommand and format under --reproducible (the
 # table file for `tables`, stdout otherwise), with the exit status. The digests
 # pin the output bytes the CLI wrote before it had a single emitter, except the
 # two `singular --n 7 --q-grid 1,50` csv and json cases: their Q = 50 row moved
 # in the 15th digit once A(8, 7) became exactly -0.5 (the transform gave
-# -0.5000000000000001).
+# -0.5000000000000001). `3..198` stands for every order up to W_ORDER_CAP; those
+# two pins were taken from the float-formula constants, so they hold each W_N
+# to the last bit (odd and even orders alike) and every extended digit.
 PINNED = [
     ("tables --limit 400 --k 3", 0, "1d5b8c82fe7e2c744f96515b600fcf87387069257a10c638778e052317b93e1f"),
     ("tables --limit 400 --k 3 --table-format binary", 0, "d1b03f579ea5047e462db37508aa2433e30c00b415abd4dd4f8a2bc4d3d4fb20"),
@@ -423,6 +451,8 @@ PINNED = [
     ("constants --precision extended --digits 20 --w-orders 3,4 --format csv", 0, "b7bcb97fbd883c7a2f54b649a94012f2689eb1157cfdbe53521af415a6cd8046"),
     ("constants --precision extended --digits 20 --w-orders 3,4 --format json", 0, "da20a5a132e4c1305c7e0d8e095d96aecf09c947a4c24a6a5cc065faed6c1cc7"),
     ("constants --precision extended --digits 20 --w-orders 3,4 --format text", 0, "b47956b0cddb19e705c7203c769553d1c292f94f573e8c506d8fbbd9957accf7"),
+    ("constants --w-orders 3..198 --format json", 0, "7d5b9544623f1f549884e00835422f42341be0e32ae1c7d618596299ffb131f5"),
+    ("constants --precision extended --digits 100 --w-orders 3..198 --format text", 0, "97c091e74fbf17ae8dcb527f1f831e9c5e4050755b9845aa02655d7f53cfe5ab"),
     ("singular --n 1 --format csv", 0, "5edf323d0b3f6def2d42ce6b6eedabb2c8da9d9fbbaf48d72cb7b3779889e443"),
     ("singular --n 1 --format json", 0, "ce0d51558a1a1dc0d7ed224d91516bdca1d9332cee51a293be2383e073ffe656"),
     ("singular --n 1 --format text", 0, "dfcb84e9fc43073bb176f827894ad5dd0dac9e013451a21994a82c9e504e9fd6"),
@@ -453,7 +483,8 @@ PINNED = [
 
 @pytest.mark.parametrize("args,code,digest", PINNED, ids=[case[0] for case in PINNED])
 def test_pinned_output_bytes(args, code, digest, tmp_path, capsys):
-    argv = args.split() + ["--reproducible"]
+    all_orders = ",".join(map(str, range(3, 199)))
+    argv = [all_orders if a == "3..198" else a for a in args.split()] + ["--reproducible"]
     if argv[0] == "fit":  # SERIES is a verify-mean export
         series = tmp_path / "series.csv"
         mean = ["verify-mean", "--limit", "10000", "--checkpoints", "100,300,1000,3000,10000"]
@@ -629,7 +660,7 @@ def _bad_series(draw):
     return "x,partial_sum,main_term,abs_err,rel_err\n" + "\n".join(rows) + "\n"
 
 
-@settings(derandomize=True, max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(table=_bad_table(), series=_bad_series())
 def test_malformed_input_files_end_in_one_error_line(table, series):
     with tempfile.TemporaryDirectory() as tmp:

@@ -149,7 +149,7 @@ def test_weyl_rational_point_is_scaled_gauss_sum():
         assert abs(f - 10 * expsum.gauss_sum(q, a)) < 1e-9, (q, a)
 
 
-@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(
     alpha=st.one_of(
         st.floats(allow_nan=False, allow_infinity=False),

@@ -183,7 +183,7 @@ def test_assembled_terms_match_full_length_transform():
     assert worst <= 1e-12, worst
 
 
-@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(q=st.integers(1, 4096), n=st.integers(1, 10**12))
 def test_a_term_matches_transform_property(q, n):
     profile, _ = _a_profile(q)

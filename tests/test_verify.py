@@ -116,7 +116,7 @@ def _boundary_case(draw, square):
 
 @pytest.mark.parametrize("square", [False, True])
 def test_prefix_paths_agree_at_the_int64_boundary(square):
-    @settings(derandomize=True, max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(case=_boundary_case(square))
     def check(case):
         counts, xs = case
