@@ -9,8 +9,10 @@ of a table shifted by the squares m^2: weight 1 at m = 0 and 2 at m >= 1 (the
 convolution with r_1), or 1 at the positive squares only. The fold's input is
 the lattice-enumerated r_2, never the r_1 convolution chain, so the two routes
 still check each other. The kernel builds its output in cache-sized tiles
-(_TILE entries). All arithmetic is exact in int64: a tile whose a-priori bound
-stays below SAFE_LIMIT runs unchecked, any other checks each add and the
+(_TILE_BYTES each). All arithmetic is exact: each pass runs in the narrowest
+of int16, int32 and int64 that holds its a-priori bound on every partial sum,
+so a narrow pass cannot overflow and runs unchecked. In int64, a tile whose
+bound stays below SAFE_LIMIT runs unchecked, any other checks each add and the
 doubling and raises instead of wrapping. Tiles are dealt to threads in turn;
 threads are capped at the CPU count.
 """
@@ -41,7 +43,7 @@ BUILDER_TAGS = frozenset(
 )
 
 _I64_MAX = (1 << 63) - 1
-_TILE = 2**15  # output entries per shift-add tile: 256 KiB of int64, resident in L2
+_TILE_BYTES = 2**19  # bytes per shift-add output tile, resident in L2
 _CSV_CHUNK = 2**16  # table rows formatted per write
 
 _BINARY_MAGIC = b"RKTB"
@@ -79,27 +81,41 @@ class RepTable:
 
 
 def _tile_plan(src: np.ndarray, x: int, signed: bool, threads: int):
-    """The output tiles (lo, hi, guarded) of _add_squares, dealt round-robin to
-    min(threads, tiles, os.cpu_count()) workers: one list of tiles per worker.
+    """The width and output tiles of one _add_squares pass: (dtype, workers),
+    where workers holds one list of tiles (lo, hi, guarded) for each of
+    min(threads, tiles, os.cpu_count()) workers, dealt round-robin.
 
     Work per entry grows with the number of squares below it, so dealing tiles
     in turn balances the workers where contiguous halves would not. An entry
     n < hi adds [signed] + w * isqrt(hi - 1) weighted copies of src at most
-    (w = 2 if signed, else 1); a tile is unguarded only when that count times
-    max(src[0:hi]) times 1.01 stays below SAFE_LIMIT, which bounds every
-    partial sum written into it. The maximum is kept running from tile to
-    tile, so no x-sized array is made.
+    (w = 2 if signed, else 1), so that count times max(src[0:hi]) times 1.01
+    bounds every partial sum written into the tile. The pass runs in the
+    narrowest of int16, int32 and int64 whose maximum is above both the last
+    tile's bound, the largest, and max(src[0:x + 1]), so casting src to it is
+    exact; a tile holds _TILE_BYTES of that width. A narrow pass cannot
+    overflow and is never guarded; an int64 tile is unguarded only when its
+    bound stays below SAFE_LIMIT. The maxima are kept running over blocks of
+    one int64 tile, so no x-sized array is made.
     """
     w = 2 if signed else 1
+    block = _TILE_BYTES // 8  # an int64 tile; narrower tiles span 2 or 4 blocks
+    tops = np.maximum.accumulate(
+        np.maximum.reduceat(src[: x + 1], np.arange(0, x + 1, block))
+    )
+
+    def bound(hi):
+        top = float(tops[(hi - 1) // block])
+        return (int(signed) + w * math.isqrt(hi - 1)) * top * 1.01
+
+    need = max(bound(x + 1), float(tops[-1]))
+    dtype = next((t for t in (np.int16, np.int32) if need < np.iinfo(t).max), np.int64)
+    size = _TILE_BYTES // np.dtype(dtype).itemsize
     tiles = []
-    top = 0
-    for lo in range(0, x + 1, _TILE):
-        hi = min(lo + _TILE, x + 1)
-        top = max(top, int(src[lo:hi].max()))
-        bound = (int(signed) + w * math.isqrt(hi - 1)) * float(top) * 1.01
-        tiles.append((lo, hi, not bound < SAFE_LIMIT))
+    for lo in range(0, x + 1, size):
+        hi = min(lo + size, x + 1)
+        tiles.append((lo, hi, not bound(hi) < SAFE_LIMIT))
     workers = max(1, min(int(threads), len(tiles), os.cpu_count() or 1))
-    return [tiles[i::workers] for i in range(workers)]
+    return dtype, [tiles[i::workers] for i in range(workers)]
 
 
 def _add_tile(tile, lo, src, signed: bool, guarded: bool) -> None:
@@ -134,11 +150,13 @@ def _add_squares(src: np.ndarray, x: int, signed: bool, threads: int) -> np.ndar
     src[n - m^2] for n <= x, with w = 2 if signed, else 1.
 
     Signed, it convolves src with r_1; unsigned, with the indicator of the
-    positive squares. Only the tiles whose bound (see _tile_plan) reaches
-    SAFE_LIMIT are checked.
+    positive squares. The output has the pass's width (see _tile_plan): the
+    narrowest of int16, int32 and int64 that holds its bound. Only the int64
+    tiles whose bound reaches SAFE_LIMIT are checked.
     """
-    out = np.zeros(x + 1, dtype=np.int64)
-    plan = _tile_plan(src, x, signed, threads)
+    dtype, plan = _tile_plan(src, x, signed, threads)
+    src = src[: x + 1].astype(dtype, copy=False)  # exact: the width holds every entry
+    out = np.zeros(x + 1, dtype=dtype)
 
     def run(tiles):
         for lo, hi, guarded in tiles:
@@ -249,10 +267,9 @@ def build_rk(x: int, k: int, threads: int = 1) -> RepTable:
     signed passes of the square-shift kernel over r_1."""
     if k < 1:
         raise DomainError(f"order must be >= 1, got {k}")
-    r1 = build_r1(x)
     if k == 1:
-        return r1
-    counts = r1.counts
+        return build_r1(x)
+    counts = build_r1(x).counts  # r_1 is not kept: each pass holds only its source
     for _ in range(k - 1):
         counts = _add_squares(counts, x, True, threads)
     return RepTable(order=k, limit=x, counts=counts, builder_tag=TAG_CONVOLUTION)
@@ -266,8 +283,11 @@ def save_csv(table: RepTable, path, header_comment: str | None = None) -> None:
             fh.write(f"# {header_comment}\n")
         fh.write("n,count\n")
         for lo in range(0, counts.size, _CSV_CHUNK):  # Python ints, a chunk at a time
-            chunk = counts[lo : lo + _CSV_CHUNK].tolist()
-            fh.write("".join([f"{n},{c}\n" for n, c in enumerate(chunk, lo)]))
+            chunk = counts[lo : lo + _CSV_CHUNK]
+            pairs = np.empty(2 * chunk.size, dtype=np.int64)
+            pairs[0::2] = np.arange(lo, lo + chunk.size)
+            pairs[1::2] = chunk
+            fh.write(("%d,%d\n" * chunk.size) % tuple(pairs.tolist()))
 
 
 def load_csv(path, order: int, builder_tag: str = TAG_FILE) -> RepTable:
@@ -320,7 +340,9 @@ def save_binary(table: RepTable, path) -> None:
     little-endian 64-bit counts."""
     with atomic_write(path, binary=True) as fh:
         fh.write(_HEADER.pack(_BINARY_MAGIC, table.order, table.limit))
-        fh.write(np.ascontiguousarray(table.counts, dtype="<u8").tobytes())
+        # counts are non-negative, so their int64 bytes are their uint64 bytes;
+        # the buffer is written as it is, without a copy
+        fh.write(np.ascontiguousarray(table.counts, dtype="<i8").data)
 
 
 def load_binary(path, builder_tag: str = TAG_FILE) -> RepTable:
@@ -340,5 +362,5 @@ def load_binary(path, builder_tag: str = TAG_FILE) -> RepTable:
     raw = np.frombuffer(body, dtype="<u8")
     if raw.size and int(raw.max()) > _I64_MAX:
         raise CountOverflowError("stored count exceeds 63-bit range")
-    counts = raw.astype(np.int64)
+    counts = raw.view("<i8")  # every count is below 2^63: the same bytes as int64
     return RepTable(order=order, limit=limit, counts=counts, builder_tag=builder_tag)

@@ -52,6 +52,18 @@ def t3_conv():
     return repcount.build_rk(2000, 3)
 
 
+def _tile(dtype) -> int:
+    """Entries per output tile of a pass at this width."""
+    return repcount._TILE_BYTES // np.dtype(dtype).itemsize
+
+
+@pytest.fixture
+def small_tiles(monkeypatch):
+    """Tiles of 4 KiB (512 int64 entries), so small tables cross tile edges
+    at every width."""
+    monkeypatch.setattr(repcount, "_TILE_BYTES", 2**12)
+
+
 def test_small_values_match_classical_table(t3_fold):
     assert list(t3_fold.counts[:10]) == [1, 6, 12, 8, 6, 24, 24, 0, 12, 30]
     t2 = repcount.build_rk(9, 2)
@@ -143,10 +155,12 @@ def test_thread_count_does_not_change_results():
     assert (c1.counts == c4.counts).all()
 
 
-def test_more_threads_than_cores_write_disjoint_tiles(monkeypatch):
+def test_more_threads_than_cores_write_disjoint_tiles(monkeypatch, small_tiles):
     # eight workers on however many cores, switching as often as possible
     monkeypatch.setattr(repcount.os, "cpu_count", lambda: 8)
-    x = 9 * repcount._TILE + 5
+    x = 9 * _tile(np.int16) + 5
+    _, workers = repcount._tile_plan(repcount._r2_lattice(x), x, True, 8)
+    assert len(workers) == 8
     single = repcount.build_r3_fold(x, threads=1)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -231,38 +245,45 @@ def test_csv_and_binary_round_trip(tmp_path):
 def test_tile_plan_caps_threads_at_cpu_count(monkeypatch):
     # only the plan is inspected; no thread is started
     def plan(entries, threads):
-        return repcount._tile_plan(np.zeros(entries, np.int64), entries - 1, True, threads)
+        dtype, workers = repcount._tile_plan(
+            np.zeros(entries, np.int64), entries - 1, True, threads
+        )
+        assert dtype is np.int16  # a zero source needs the narrowest width
+        return workers
 
-    workers = plan(10**6, 10**6)
+    entries = 8 * _tile(np.int16)
+    workers = plan(entries, 10**6)
     assert 1 <= len(workers) <= (os.cpu_count() or 1)
     tiles = sorted(tile for tiles in workers for tile in tiles)
-    assert tiles[0][0] == 0 and tiles[-1][1] == 10**6
+    assert tiles[0][0] == 0 and tiles[-1][1] == entries
     assert all(a[1] == b[0] for a, b in zip(tiles, tiles[1:]))
     monkeypatch.setattr(repcount.os, "cpu_count", lambda: 4)
-    assert len(plan(10**6, 10**6)) == 4
-    assert len(plan(10**6, 3)) == 3
-    tile = repcount._TILE
+    assert len(plan(entries, 10**6)) == 4
+    assert len(plan(entries, 3)) == 3
+    tile = _tile(np.int16)
     assert plan(tile + 1, 10**6) == [[(0, tile, False)], [(tile, tile + 1, False)]]
     monkeypatch.setattr(repcount.os, "cpu_count", lambda: None)
-    assert plan(10**6, 10**6) == [tiles]
+    assert plan(entries, 10**6) == [tiles]
 
 
 def test_tile_plan_deals_tiles_round_robin(monkeypatch):
     monkeypatch.setattr(repcount.os, "cpu_count", lambda: 2)
-    tile = repcount._TILE
-    workers = repcount._tile_plan(np.zeros(5 * tile), 5 * tile - 1, True, 2)
+    tile = _tile(np.int16)
+    dtype, workers = repcount._tile_plan(np.zeros(5 * tile), 5 * tile - 1, True, 2)
+    assert dtype is np.int16
     assert [[lo // tile for lo, _, _ in tiles] for tiles in workers] == [[0, 2, 4], [1, 3]]
 
 
 def test_tile_bound_reads_every_earlier_tile():
-    # src[0] alone, scaled so that the first tile's bound (1 + 2 * 181 copies)
-    # stays below SAFE_LIMIT and the second's (1 + 2 * 255) does not: the
+    # src[0] alone, scaled so that the first tile's bound (1 + 2 * 255 copies)
+    # stays below SAFE_LIMIT and the second's (1 + 2 * 362) does not: the
     # later tiles read src[0] back through their squares
-    tile = repcount._TILE
-    top = int(SAFE_LIMIT) // 400
+    tile = _tile(np.int64)
+    top = int(SAFE_LIMIT) // 600
     src = np.zeros(3 * tile + 1, np.int64)
     src[0] = top
-    (tiles,) = repcount._tile_plan(src, 3 * tile, True, 1)
+    dtype, (tiles,) = repcount._tile_plan(src, 3 * tile, True, 1)
+    assert dtype is np.int64
     assert [g for _, _, g in tiles] == [False, True, True, True]
     out = repcount._add_squares(src, 3 * tile, True, 1)
     squares = np.arange(1, math.isqrt(3 * tile) + 1) ** 2
@@ -270,16 +291,68 @@ def test_tile_bound_reads_every_earlier_tile():
     assert np.count_nonzero(out) == squares.size + 1
 
 
-def test_r8_guards_only_its_last_tiles():
+@pytest.fixture(scope="module")
+def r8_passes():
+    """build_rk(5 * 10**5, 8) with one thread, and the (dtype, tiles) of each
+    of its seven passes, recorded from _tile_plan."""
+    plan, passes = repcount._tile_plan, []
+
+    def record(*args):
+        passes.append(plan(*args))
+        return passes[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(repcount, "_tile_plan", record)
+        table = repcount.build_rk(500_000, 8)
+    return table, [(dtype, tiles) for dtype, (tiles,) in passes]
+
+
+def test_r8_guards_only_its_last_tiles(r8_passes):
     # the last pass of build_rk(5 * 10**5, 8) adds shifted copies of r_7
-    # along the squares; only the plan is inspected, no thread is started
-    x = 500_000
-    r7 = repcount.build_rk(x, 7).counts
-    (tiles,) = repcount._tile_plan(r7, x, True, 1)
+    # along the squares
+    _, passes = r8_passes
+    dtype, tiles = passes[-1]
+    assert dtype is np.int64
     guarded = [g for _, _, g in tiles]
     assert guarded == sorted(guarded)  # unguarded tiles first, then guarded ones
     assert not guarded[0] and guarded[-1]
     assert guarded.count(False) > guarded.count(True)
+
+
+def test_r8_passes_widen_as_their_bounds_grow(r8_passes):
+    table, passes = r8_passes
+    widths = [dtype for dtype, _ in passes]
+    assert widths == [np.int16, np.int32, np.int32] + [np.int64] * 4
+    guarded = [any(g for _, _, g in tiles) for _, tiles in passes]
+    assert guarded == [False] * 6 + [True]
+    # Jacobi: r_8(n) = 16 * sum over d | n of (-1)^(n + d) d^3
+    for n in (1, 2, 499_999, 500_000):
+        jacobi = 16 * sum((-1) ** (n + d) * d**3 for d in range(1, n + 1) if n % d == 0)
+        assert int(table.counts[n]) == jacobi, n
+    assert table.counts.dtype == np.int64
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        repcount.build_r1,
+        lambda x: repcount.build_rk(x, 2),
+        lambda x: repcount.build_rk(x, 3, threads=2),
+        repcount.build_r3_fold,
+        repcount.build_rstar,
+    ],
+    ids=["r1", "rk2", "rk3", "fold", "rstar"],
+)
+def test_builders_return_int64_counts(build, tmp_path):
+    # every pass of these builds is narrow, yet tables hold int64
+    table = build(2000)
+    assert table.counts.dtype == np.int64
+    repcount.save_csv(table, tmp_path / "t.csv")
+    repcount.save_binary(table, tmp_path / "t.bin")
+    for path in (tmp_path / "t.csv", tmp_path / "t.bin"):
+        loaded = repcount.load_table(path, table.order, table.limit)
+        assert loaded.counts.dtype == np.int64
+        assert (loaded.counts == table.counts).all()
 
 
 def _accumulate_shifts(out, offsets, weights, src, lo, hi, guarded):
@@ -320,15 +393,13 @@ def _add_squares_oracle(src, x, signed):
     return out
 
 
-_T = repcount._TILE
-
-
 @st.composite
 def _add_squares_case(draw, x):
     """A signed or unsigned pass over a non-negative source, dense or sparse,
-    whose magnitude reaches from unguarded tiles to 64-bit overflow."""
+    whose magnitude reaches from int16 and int32 passes through unguarded
+    int64 tiles to 64-bit overflow."""
     signed = draw(st.booleans())
-    bits = draw(st.sampled_from([62, 58, 56, 50, 40, 8]))
+    bits = draw(st.sampled_from([62, 58, 56, 50, 40, 20, 12, 8, 4, 1]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32)))
     src = rng.integers(0, 2**bits, size=x + 1, dtype=np.int64)
     ramp = draw(st.sampled_from([None, (0.0, 1.0), (1.0, 0.0)]))
@@ -339,9 +410,10 @@ def _add_squares_case(draw, x):
     return src, signed
 
 
+# with small_tiles: int64 tiles of 512 entries, int32 of 1024, int16 of 2048
 @pytest.mark.parametrize("threads", [1, 2])
-@pytest.mark.parametrize("x", [0, 100, _T - 1, _T, _T + 1, 3 * _T + 7])
-def test_tiled_kernel_matches_untiled_oracle(x, threads):
+@pytest.mark.parametrize("x", [0, 1, 100, 511, 512, 513, 1025, 2049, 3 * 2048 + 7])
+def test_tiled_kernel_matches_untiled_oracle(x, threads, small_tiles):
     @settings(max_examples=25)
     @given(case=_add_squares_case(x))
     def check(case):
@@ -357,10 +429,62 @@ def test_tiled_kernel_matches_untiled_oracle(x, threads):
     check()
 
 
+def _need(x, signed, top):
+    """What a pass's width must hold (see _tile_plan): its largest bound and
+    the source maximum top."""
+    copies = int(signed) + (2 if signed else 1) * math.isqrt(x)
+    return max(copies * float(top) * 1.01, top)
+
+
+def _edge_top(x, signed, limit):
+    """The largest source maximum whose pass still fits below limit."""
+    lo, hi = 0, limit  # _need(lo) < limit <= _need(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if _need(x, signed, mid) < limit else (lo, mid)
+    return lo
+
+
+_I16, _I32 = 2**15 - 1, 2**31 - 1
+
+
+def test_pass_width_edges_match_untiled_oracle(small_tiles):
+    # a source equal to top everywhere: entry x sums exactly copies * top
+    @settings(max_examples=30)
+    @given(
+        x=st.integers(0, 3 * 2048 + 7),
+        signed=st.booleans(),
+        limit=st.sampled_from([_I16, _I32]),
+        above=st.booleans(),
+    )
+    @example(x=0, signed=False, limit=_I16, above=False)
+    @example(x=0, signed=False, limit=_I32, above=True)
+    @example(x=0, signed=True, limit=_I16, above=True)
+    @example(x=1, signed=False, limit=_I16, above=True)
+    @example(x=1, signed=True, limit=_I32, above=False)
+    @example(x=3 * 2048 + 7, signed=True, limit=_I16, above=False)
+    @example(x=3 * 2048 + 7, signed=True, limit=_I16, above=True)
+    @example(x=3 * 2048 + 7, signed=False, limit=_I32, above=False)
+    @example(x=3 * 2048 + 7, signed=False, limit=_I32, above=True)
+    def check(x, signed, limit, above):
+        top = _edge_top(x, signed, limit) + above
+        assert (_need(x, signed, top) < limit) is not above
+        src = np.full(x + 1, top, dtype=np.int64)
+        narrowest = {_I16: np.int16, _I32: np.int32}[limit]
+        wider = {_I16: np.int32, _I32: np.int64}[limit]
+        dtype, _ = repcount._tile_plan(src, x, signed, 1)
+        assert dtype is (wider if above else narrowest)
+        out = repcount._add_squares(src, x, signed, 1)
+        assert out.dtype == dtype
+        assert (out == _add_squares_oracle(src, x, signed)).all()
+
+    check()
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_builders_agree_at_random_limits(threads):
     @settings(max_examples=20)
-    @given(x=st.integers(0, 3 * _T + 7))
+    @given(x=st.integers(0, 2 * _tile(np.int32) + 7))
     def check(x):
         r3 = repcount.build_r3_fold(x, threads).counts
         assert (r3 == repcount.build_rk(x, 3, threads).counts).all()
