@@ -32,7 +32,7 @@ N_TERMS_CAP = 10**7  # weyl_sum holds about 40 B per term: about 0.4 GB at the c
 GRID_POINTS_CAP = 10**6  # weyl-sweep evaluates ceil(1 / --grid) points
 GAUSS_Q_CAP = 2**16  # listing S(q, a) for every coprime a costs O(q^2)
 B1_Q_CAP = 10**7  # the B1 totient sieves: 2.6 s and 512 MiB peak RSS at the cap
-W_ORDER_CAP = 198  # bounds the work of --w-orders; DIGITS_CAP gives its cost at the cap
+W_ORDER_CAP = 198  # bounds --w-orders, and --k and --n (an order-k build is k - 1 passes)
 DIGITS_CAP = 1000  # every W_N up to W_ORDER_CAP to 1000 digits takes about 5 s
 
 
@@ -90,8 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("tables", help="build a count table and export it")
     sp.add_argument("--limit", type=int, required=True)
     sp.add_argument("--k", type=int, default=3, help="number of squares")
-    builders = ("auto", "convolution", "fold", "positive-only")
-    sp.add_argument("--builder", choices=builders, default="auto")
+    sp.add_argument("--builder", choices=("auto", "convolution", "fold"), default="auto")
     sp.add_argument("--table-format", choices=("csv", "binary"), default="csv")
     sp.add_argument("--output", required=True)
     sp.add_argument("--reproducible", action="store_true")
@@ -142,12 +141,19 @@ def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
     cmd = args.subcommand
     if cmd == "verify-general":
         _require(args.n > 3, "--n must be > 3 for verify-general")
+        _require(args.n <= W_ORDER_CAP, f"--n {args.n} exceeds {W_ORDER_CAP}")
+    if cmd == "tables":
+        _require(args.k >= 1, "--k must be >= 1")
+        _require(args.k <= W_ORDER_CAP, f"--k {args.k} exceeds {W_ORDER_CAP}")
+        _require(args.k == 3 or args.builder != "fold", "--builder fold requires --k 3")
     if cmd in ("tables", "verify-mean", "verify-meansquare", "verify-general"):
         _require(args.limit >= 1, "--limit must be a positive integer")
         over = f"--limit {args.limit} exceeds {LIMIT_CAP}; pass --override-limit to proceed"
         _require(args.limit <= LIMIT_CAP or args.override_limit, over)
         _require(args.threads >= 1, "--threads must be >= 1")
-        if not getattr(args, "table_path", None):  # a build holds about 32 B per entry
+        # 32 B per entry bounds each measured peak RSS above the bare interpreter (34 MiB):
+        # 12 B for the fold's tables and verify-meansquare at 10^6..10^8, 20 B for r_8
+        if not getattr(args, "table_path", None):
             need = 32 * (args.limit + 1)
             ram = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
             _require(need <= ram, f"--limit {args.limit} needs about {need >> 20} MiB, "
@@ -157,8 +163,6 @@ def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
         _require(xs == sorted(set(xs)), "--checkpoints must be strictly ascending")
         _require(xs[0] >= 1, "--checkpoints must be >= 1")
         _require(xs[-1] <= args.limit, f"checkpoint {xs[-1]} exceeds --limit {args.limit}")
-    if cmd == "tables" and args.builder in ("fold", "positive-only"):
-        _require(args.k == 3, f"--builder {args.builder} requires --k 3")
     if cmd == "constants":
         _require(min(args.b1_direct_q, args.b1_euler_q) >= 1, "B1 truncation levels must be >= 1")
         for flag, q in (("--b1-direct-q", args.b1_direct_q), ("--b1-euler-q", args.b1_euler_q)):
@@ -256,8 +260,6 @@ def _build_table(args, k: int, builder: str = "auto") -> repcount.RepTable:
         print(f"building order-{k} table to {args.limit} ({builder})", file=sys.stderr)
     if builder == "fold":
         return repcount.build_r3_fold(args.limit, threads=args.threads)
-    if builder == "positive-only":
-        return repcount.build_rstar(args.limit, threads=args.threads)
     return repcount.build_rk(args.limit, k, threads=args.threads)
 
 

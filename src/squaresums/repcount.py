@@ -183,32 +183,18 @@ def build_r1(x: int) -> RepTable:
 
 
 def _r2_lattice(x: int) -> np.ndarray:
-    """r_2 counts by direct enumeration of the non-negative quadrant.
+    """r_2 counts by direct enumeration, one lattice row at a time, in int32.
 
-    A pair with both coordinates positive stands for 4 signed pairs; a pair
-    on an axis stands for 2; the origin for 1.
+    Every nonzero pair turns by quarter turns into exactly one pair (a, b) with
+    a >= 1 and b >= 0, so row a adds 4 at a^2 + b^2 for each b; the origin
+    counts 1. r_2(n) <= 4 d(n) stays far below 2^31.
     """
-    counts = np.zeros(x + 1, dtype=np.int64)
+    counts = np.zeros(x + 1, dtype=np.int32)
     counts[0] = 1
-    amax = math.isqrt(x)
-    if amax == 0:
-        return counts
-    roots = np.arange(1, amax + 1, dtype=np.int64)
-    counts[roots * roots] += 4
-    batch: list[np.ndarray] = []
-    batched = 0
-    for a in range(1, amax + 1):
-        bmax = math.isqrt(x - a * a)
-        if bmax == 0:
-            continue
-        b = np.arange(1, bmax + 1, dtype=np.int64)
-        batch.append(a * a + b * b)
-        batched += bmax
-        if batched >= 4_000_000:
-            counts += 4 * np.bincount(np.concatenate(batch), minlength=x + 1)
-            batch, batched = [], 0
-    if batch:
-        counts += 4 * np.bincount(np.concatenate(batch), minlength=x + 1)
+    squares = np.arange(math.isqrt(x) + 1, dtype=np.int64) ** 2
+    for a in range(1, squares.size):
+        # the indices of one row are distinct, so the buffered += adds each 4
+        counts[a * a + squares[: math.isqrt(x - a * a) + 1]] += 4
     return counts
 
 

@@ -3,8 +3,9 @@
 Compares exact partial sums of r_k(n) against their main terms at checkpoint
 grids, fits empirical error exponents on log-log scales, and sweeps the
 truncation level of the singular-series count formula against exact counts.
-Partial sums are exact integers throughout; overflow switches accumulation to
-arbitrary precision rather than wrapping.
+Partial sums are exact integers throughout: they are taken block by block, in
+int64 where a block's exact bound allows it and in Python ints otherwise, so
+no sum wraps and no table-sized temporary is made.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ from . import repcount, singular
 from .constants import mean_square_constant, w_constant
 from .errors import DomainError, InsufficientPointsError, TableTooShortError
 from ._util import SAFE_LIMIT
+
+_SUM_BLOCK = 2**16  # entries per block of an exact prefix sum
 
 
 @dataclass(frozen=True)
@@ -116,28 +119,21 @@ def _validate_grid(table: repcount.RepTable, checkpoints, order: int) -> list[in
 def _prefix_at(counts: np.ndarray, xs: list[int], square: bool) -> dict[int, int]:
     """Exact sums of counts[n] (or counts[n]^2) over 1 <= n <= x for each x.
 
-    Fast path: int64 cumulative sums, taken only when a conservative bound
-    shows no partial sum can reach the int64 ceiling. Otherwise Python-int
-    accumulation, exact at any magnitude.
+    The entries between checkpoints are summed in blocks of _SUM_BLOCK. A block
+    whose exact bound, top * size (top * top * size for squares, top its
+    largest entry), stays below SAFE_LIMIT sums in int64; any other block alone
+    is cast to Python ints. The running total is a Python int.
     """
-    top = float(counts.max()) if counts.size else 0.0
-    if square:
-        bound = top * top * len(counts) * 1.01
-    else:
-        bound = float(np.sum(counts, dtype=np.float64)) * 1.01
-    if bound < SAFE_LIMIT:
-        data = counts * counts if square else counts
-        prefix = np.cumsum(data)
-        base = int(data[0])
-        return {x: int(prefix[x]) - base for x in xs}
-    obj = counts.astype(object)
-    if square:
-        obj = obj * obj
     out: dict[int, int] = {}
     total = 0
     prev = 1
     for x in xs:
-        total += int(obj[prev : x + 1].sum())
+        for lo in range(prev, x + 1, _SUM_BLOCK):
+            block = counts[lo : min(lo + _SUM_BLOCK, x + 1)]
+            top = int(block.max())
+            if not (top * top if square else top) * block.size < SAFE_LIMIT:
+                block = block.astype(object)
+            total += int((block * block if square else block).sum())
         out[x] = total
         prev = x + 1
     return out

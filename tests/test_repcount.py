@@ -130,6 +130,24 @@ def test_four_square_divisor_identity():
         assert table.counts[n] == 8 * divisor_sum_not_div_4(n), n
 
 
+def jacobi_r2(x: int) -> np.ndarray:
+    """r_2(n) = 4 (d_1(n) - d_3(n)) for n <= x, from a divisor sieve, where
+    d_i(n) counts the divisors of n congruent to i mod 4."""
+    r2 = np.zeros(x + 1, dtype=np.int64)
+    r2[0] = 1
+    for d in range(1, x + 1, 2):
+        r2[d::d] += 4 if d % 4 == 1 else -4
+    return r2
+
+
+@pytest.mark.parametrize("x", [0, 1, 2, 4, 5, 25, 10001])
+def test_r2_lattice_matches_jacobi(x):
+    r2 = repcount._r2_lattice(x)
+    assert r2.dtype == np.int32
+    assert r2.shape == (x + 1,)
+    assert (r2 == jacobi_r2(x)).all()
+
+
 def test_monotone_mass_equals_ball_count():
     x = 200
     table = repcount.build_r3_fold(x)

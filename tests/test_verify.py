@@ -1,6 +1,7 @@
 """Verification harness: exact partial sums, fits, and truncation sweeps."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -95,23 +96,31 @@ def test_fast_and_exact_paths_agree(t3):
     assert [c.partial_sum for c in fast] == [obj[x] for x in xs]
 
 
+def _edge_top(size, square, above):
+    """The largest entry that keeps a block of `size` entries under SAFE_LIMIT
+    (top * size, or top * top * size for squares), or the next one if `above`."""
+    room = (int(SAFE_LIMIT) - 1) // size
+    return (math.isqrt(room) if square else room) + int(above)
+
+
 @st.composite
 def _boundary_case(draw, square):
-    """Counts whose _prefix_at bound lands just below or just above SAFE_LIMIT,
-    with ascending checkpoints."""
+    """Counts whose every block between checkpoints has an exact bound just
+    below or just above SAFE_LIMIT, each side drawn per block, with ascending
+    checkpoints."""
     size = draw(st.integers(2, 200))
-    side = draw(st.sampled_from([-1, 1]))
-    target = SAFE_LIMIT * (1 + side * draw(st.floats(1e-6, 1e-2))) / 1.01
+    xs = sorted(draw(st.lists(st.integers(1, size - 1), min_size=1, max_size=8, unique=True)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32)))
-    if square:  # bound = max^2 * size * 1.01
-        top = math.isqrt(int(target / size))
-        counts = rng.integers(0, top, size=size, endpoint=True)
-        counts[rng.integers(size)] = top
-    else:  # bound = sum * 1.01
-        share = rng.random(size)
-        counts = np.floor(share / share.sum() * target).astype(np.int64)
-    xs = draw(st.lists(st.integers(1, size - 1), min_size=1, max_size=8, unique=True))
-    return counts, sorted(xs)
+    counts = rng.integers(0, 100, size=size)
+    prev = 1
+    for x in xs:
+        above = draw(st.booleans())
+        step = draw(st.integers(0, 2))
+        top = _edge_top(x + 1 - prev, square, above) + (step if above else -step)
+        counts[prev : x + 1] = rng.integers(0, top, size=x + 1 - prev, endpoint=True)
+        counts[rng.integers(prev, x + 1)] = top
+        prev = x + 1
+    return counts, xs
 
 
 @pytest.mark.parametrize("square", [False, True])
@@ -129,6 +138,54 @@ def test_prefix_paths_agree_at_the_int64_boundary(square):
                 assert verify._prefix_at(counts, xs, square) == exact
 
     check()
+
+
+_BIG = st.sampled_from([2**31 - 1, 2**31, 2**61, 2**62 - 1, 2**62, 2**63 - 1])
+
+
+@st.composite
+def _block_case(draw, block):
+    """Small counts with runs of entries near 2^31 or 2^62, whose sums or sums of
+    squares can pass 2^63, so int64 and Python-int blocks alternate; checkpoints
+    at k*block - 1, k*block and k*block + 1."""
+    size = draw(st.integers(2, 8 * block + 2))
+    counts = draw(st.lists(st.integers(0, 1000), min_size=size, max_size=size))
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, size - 1))
+        run = draw(st.lists(_BIG, min_size=1, max_size=4))[: size - at]
+        counts[at : at + len(run)] = run
+    edges = [k * block + d for k in range(1, 9) for d in (-1, 0, 1)]
+    xs = draw(st.sets(st.sampled_from([e for e in edges if 1 <= e < size] or [size - 1])))
+    return np.array(counts, dtype=np.int64), sorted(xs) or [size - 1]
+
+
+@pytest.mark.parametrize("block", [1, 2, 8])
+@pytest.mark.parametrize("square", [False, True])
+def test_prefix_blocks_match_the_exact_sum(block, square, monkeypatch):
+    monkeypatch.setattr(verify, "_SUM_BLOCK", block)
+
+    @settings(max_examples=60)
+    @given(case=_block_case(block))
+    def check(case):
+        counts, xs = case
+        power = 2 if square else 1
+        exact = {x: sum(int(c) ** power for c in counts[1 : x + 1]) for x in xs}
+        assert verify._prefix_at(counts, xs, square) == exact
+
+    check()
+
+
+def test_prefix_sums_make_no_table_sized_temporary():
+    counts = np.arange(2 * 10**6, dtype=np.int64) % 1000
+    counts[-1] = 2**62  # its block, and only its block, sums in Python ints
+    tracemalloc.start()
+    try:
+        sums = verify._prefix_at(counts, [10**6, counts.size - 1], True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sums[counts.size - 1] == int((counts[1:-1] ** 2).sum()) + 2**124
+    assert peak < counts.nbytes // 8
 
 
 def test_fit_recovers_synthetic_slope():
