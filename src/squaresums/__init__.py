@@ -7,9 +7,13 @@ Submodules:
     constants  zeta values, B1 routes, C3, W_N, and the spectral assembly
     verify     partial-sum checkpoints, error fits, and truncation sweeps
     cli        command-line frontend (entry point: squaresums)
+
+Submodules are imported on use (`from squaresums import repcount`), not by
+this package, so a process loads only what it runs: mpmath, for one, loads
+only with `constants`. Nothing here imports numpy, so `cli` can set up the
+environment numpy reads at import.
 """
 
-from . import constants, expsum, repcount, singular, verify
 from .errors import (
     CountOverflowError,
     DomainError,

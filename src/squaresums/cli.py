@@ -20,10 +20,15 @@ from dataclasses import asdict, astuple, dataclass, field, fields
 from datetime import datetime, timezone
 from itertools import islice
 
+# No subcommand calls BLAS (expsum.v_sum, its one user, is library-only), so
+# OpenBLAS's worker threads would only spin. Set before numpy loads; a value
+# the user set wins, and library imports that skip this module keep the default.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
-from . import constants, expsum, repcount, singular, verify
-from .errors import InsufficientPointsError, SquaresumsError
+from . import expsum, repcount, singular, verify
+from .errors import DomainError, InsufficientPointsError, SquaresumsError
 from ._util import atomic_write
 
 LIMIT_CAP = 10**8
@@ -151,8 +156,9 @@ def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
         over = f"--limit {args.limit} exceeds {LIMIT_CAP}; pass --override-limit to proceed"
         _require(args.limit <= LIMIT_CAP or args.override_limit, over)
         _require(args.threads >= 1, "--threads must be >= 1")
-        # 32 B per entry bounds each measured peak RSS above the bare interpreter (34 MiB):
-        # 12 B for the fold's tables and verify-meansquare at 10^6..10^8, 20 B for r_8
+        # 32 B per entry bounds each measured peak RSS above a CLI process before any
+        # work (29 MiB): 12 B for the fold's tables and verify-meansquare at 10^6..10^8,
+        # 21 B for r_8
         if not getattr(args, "table_path", None):
             need = 32 * (args.limit + 1)
             ram = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -285,6 +291,11 @@ def _handle_verify(args) -> Result:
     xs = args.checkpoints or verify.geometric_checkpoints(args.limit)
     path = args.table_path
     table = repcount.load_table(path, k, args.limit) if path else _build_table(args, k)
+    if path:  # a CSV carries no order, but r_k(0) = 1 and r_k(1) = 2k tell it
+        r0, r1 = table.counts[:2].tolist()
+        if (r0, r1) != (1, 2 * k):
+            raise DomainError(f"table {path} has r(0) = {r0}, r(1) = {r1}; "
+                              f"an order-{k} table has r(0) = 1, r(1) = {2 * k}")
     if args.subcommand == "verify-mean":
         cps = verify.mean_value_series(table, xs)
     elif args.subcommand == "verify-meansquare":
@@ -320,6 +331,8 @@ def _flatten(obj: dict, prefix: str = ""):
 
 
 def _handle_constants(args) -> Result:
+    from . import constants  # local: mpmath loads only where a constant is evaluated
+
     obj = constants.constants_report(args.b1_direct_q, args.b1_euler_q, args.w_orders)
     if args.precision == "extended":
         obj["extended"] = constants.constants_extended(args.digits, args.w_orders)

@@ -24,7 +24,6 @@ import os
 import re
 import struct
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,6 +164,8 @@ def _add_squares(src: np.ndarray, x: int, signed: bool, threads: int) -> np.ndar
     if len(plan) == 1:
         run(plan[0])
         return out
+    from concurrent.futures import ThreadPoolExecutor  # local: only a multi-worker pass uses it
+
     with ThreadPoolExecutor(max_workers=len(plan)) as pool:
         for fut in [pool.submit(run, tiles) for tiles in plan]:
             fut.result()

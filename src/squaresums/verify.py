@@ -17,7 +17,6 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import repcount, singular
-from .constants import mean_square_constant, w_constant
 from .errors import DomainError, InsufficientPointsError, TableTooShortError
 from ._util import SAFE_LIMIT
 
@@ -166,6 +165,8 @@ def mean_value_series(table: repcount.RepTable, checkpoints) -> list[Checkpoint]
 
 def mean_square_series(table: repcount.RepTable, checkpoints) -> list[Checkpoint]:
     """Sum of r_3(n)^2 over 1 <= n <= x against C3 x^2."""
+    from .constants import mean_square_constant  # local: mpmath loads only where C3 is used
+
     xs = _validate_grid(table, checkpoints, order=3)
     c3 = mean_square_constant()
     return _series(table, xs, lambda x: c3 * float(x) ** 2, square=True)
@@ -175,6 +176,8 @@ def mean_square_general(N: int, table: repcount.RepTable, checkpoints) -> list[C
     """Sum of r_N(n)^2 over 1 <= n <= x against W_N x^{N-1}, for N > 3."""
     if N <= 3:
         raise DomainError(f"mean_square_general requires N > 3, got {N}")
+    from .constants import w_constant  # local: mpmath loads only where W_N is used
+
     xs = _validate_grid(table, checkpoints, order=N)
     wn = w_constant(N)
     return _series(table, xs, lambda x: wn * float(x) ** (N - 1), square=True)

@@ -38,6 +38,31 @@ def truncations_10k():
     return singular.singular_series_many([1, 2, 3, 5, 6, 7, 15], 10**4)
 
 
+def r3_class_number_oracle(x: int) -> np.ndarray:
+    """r_3(n) for 0 <= n <= x by Gauss's r_3(n) = 12 H(4n) - 24 H(n), sharing
+    no code with repcount.
+
+    12 H(N), for the Hurwitz class number H, counts 12 per reduced form (a, b, c)
+    of discriminant -N = b^2 - 4ac: |b| <= a <= c, with b >= 0 when |b| = a or
+    a = c. A form at c = a weighs 6 if b = 0 (a(x^2 + y^2)) and 4 if b = a
+    (a(x^2 + xy + y^2)); 12 H(0) = -1. Each (a, b) is one strided add along
+    N = 4ac - b^2, step 4a in c. (Cohen, GTM 138, ch. 5.)
+    """
+    top = 4 * x
+    h12 = np.zeros(top + 1, dtype=np.int64)
+    h12[0] = -1
+    a = 1
+    while 3 * a * a <= top:
+        for b in range(a + 1):
+            at_c_eq_a = 4 * a * a - b * b
+            if at_c_eq_a > top:
+                continue
+            h12[at_c_eq_a] += 6 if b == 0 else 4 if b == a else 12
+            h12[at_c_eq_a + 4 * a :: 4 * a] += 12 if b in (0, a) else 24  # c > a; +-b
+        a += 1
+    return h12[::4] - 2 * h12[: x + 1]
+
+
 def test_01_cross_builder_exactness(r3_10k_fold):
     x = 10**4
     conv = repcount.build_rk(x, 3)
@@ -46,12 +71,21 @@ def test_01_cross_builder_exactness(r3_10k_fold):
     point_mismatch = sum(
         1 for n in samples if repcount.r3_point(n) != r3_10k_fold.counts[n]
     )
-    ok = table_mismatch == 0 and point_mismatch == 0
+    # the builders share _add_squares; the class-number oracle shares nothing
+    big = 10**5
+    oracle = r3_class_number_oracle(big)
+    oracle_mismatch = sum(
+        int(np.count_nonzero(build(big).counts != oracle))
+        for build in (repcount.build_r3_fold, lambda y: repcount.build_rk(y, 3))
+    )
+    ok = table_mismatch == 0 and point_mismatch == 0 and oracle_mismatch == 0
     record(
         1,
         ok,
         f"cross-builder exactness at x={x}: table mismatches {table_mismatch}, "
-        f"point-sample mismatches {point_mismatch} of {len(samples)}",
+        f"point-sample mismatches {point_mismatch} of {len(samples)}; "
+        f"fold and convolution against 12H(4n) - 24H(n) at x={big}: "
+        f"{oracle_mismatch} mismatches of {2 * (big + 1)}",
     )
 
 

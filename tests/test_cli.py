@@ -171,6 +171,22 @@ def test_tables_round_trip(tmp_path, capsys):
     assert built == from_csv == from_bin
 
 
+@pytest.mark.parametrize(
+    "verify,order",
+    [(["verify-mean"], 8), (["verify-general", "--n", "4"], 3), (["verify-meansquare"], 4)],
+    ids=["r8-as-r3", "r3-as-r4", "r4-as-r3"],
+)
+def test_csv_table_of_another_order_is_refused_before_any_sum(verify, order, tmp_path, capsys):
+    path = tmp_path / f"r{order}.csv"
+    argv = ["tables", "--k", str(order), "--limit", "1000", "--output", str(path), "--reproducible"]
+    assert run_cli(argv) == 0
+    capsys.readouterr()
+    assert run_cli([*verify, "--limit", "1000", "--table", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1, err
+    assert err.startswith("error: DomainError: ") and f"r(1) = {2 * order};" in err, err
+
+
 def test_reproducible_outputs_are_byte_identical(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
@@ -825,12 +841,87 @@ def _run_stubbed(argv):
         assert len(lines) == 1 and lines[0].startswith(("usage error: ", "error: ")), (argv, err)
 
 
+def _child_env():
+    """This process's environment with the package's source directory first on
+    PYTHONPATH, for a fresh interpreter: pytest has already loaded everything."""
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def _child(code, *args, env=None):
+    """Stdout of `python -c code args...` in a fresh interpreter."""
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env or _child_env(),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_imports_load_no_constants_thread_pool_or_numpy():
+    loaded = "import sys, {}; print(sorted(set({!r}) & set(sys.modules)))".format
+    lazy = ["concurrent.futures", "mpmath", "squaresums.constants"]
+    assert _child(loaded("squaresums.cli", lazy)) == "[]\n"
+    assert _child(loaded("squaresums", ["numpy"])) == "[]\n"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or (os.cpu_count() or 1) < 2,
+                    reason="reads /proc/self/task; OpenBLAS starts no worker on one CPU")
+def test_cli_runs_openblas_on_one_thread_unless_told_otherwise():
+    probe = ("import os, {}; print(len(os.listdir('/proc/self/task')), "
+             "os.environ.get('OPENBLAS_NUM_THREADS'))").format
+    env = {k: v for k, v in _child_env().items() if k != "OPENBLAS_NUM_THREADS"}
+    assert _child(probe("squaresums.cli"), env=env).split() == ["1", "1"]
+    assert _child(probe("squaresums.cli"), env=dict(env, OPENBLAS_NUM_THREADS="2")).split() == ["2", "2"]
+    assert _child(probe("squaresums.expsum"), env=env).split()[1] == "None"  # library: untouched
+
+
+_RUN_IN_CHILD = """
+import contextlib, hashlib, io, json, sys
+from squaresums import cli
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv + ["--reproducible"])
+    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    print(json.dumps([code, "mpmath" in sys.modules, digest]))
+"""
+
+
+@pytest.mark.parametrize("last", [
+    "verify-meansquare --limit 30000 --format csv",
+    "verify-general --n 4 --limit 2000 --checkpoints 100,300,1000,2000 --format csv",
+    "constants --w-orders 3,4 --format csv",
+    "constants --precision extended --digits 20 --w-orders 3,4 --format text",
+])
+def test_only_a_constant_loads_mpmath(last, tmp_path):
+    """In one fresh process, every subcommand that evaluates no constant runs
+    without mpmath; then `last` loads it on demand. Stdout keeps its pins."""
+    runs = [
+        "tables --limit 400 --k 3 --output TABLE",
+        "verify-mean --limit 400 --checkpoints 100,400 --format csv --table TABLE",
+        "verify-mean --limit 10000 --checkpoints 100,300,1000,3000,10000 --output SERIES",
+        "fit --input SERIES --format csv",
+        "singular --n 1 --format csv",
+        "gauss --q 12 --format csv",
+        "weyl-sweep --n-terms 40 --grid 0.25 --format csv",
+        last,
+    ]
+    files = {"TABLE": str(tmp_path / "t.csv"), "SERIES": str(tmp_path / "series.csv")}
+    argvs = [[files.get(arg, arg) for arg in run.split()] for run in runs]
+    report = [json.loads(line) for line in _child(_RUN_IN_CHILD, json.dumps(argvs)).splitlines()]
+    assert [code for code, _, _ in report] == [0] * len(runs)
+    assert [loaded for _, loaded, _ in report] == [False] * (len(runs) - 1) + [True]
+    pins = {args: digest for args, _, digest in PINNED}
+    keys = [run.replace(" --table TABLE", "") for run in runs]
+    pinned = [(key, digest) for key, (_, _, digest) in zip(keys, report) if key in pins]
+    assert len(pinned) == len(runs) - 2  # all but the two that write files
+    assert all(digest == pins[key] for key, digest in pinned), pinned
+
+
 @pytest.mark.slow
 def test_mean_square_pins_at_the_limit_cap(tmp_path):
     """verify-meansquare to 10^8 in a child process: the three exact sums, and a
     peak RSS under 16 B per entry. About 80 s and 1.2 GiB on a 2-CPU Xeon."""
-    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = _child_env()
     argv = [sys.executable, "-m", "squaresums.cli", "verify-meansquare", "--limit", str(cli.LIMIT_CAP),
             "--checkpoints", "10000000,30000000,100000000", "--threads", "2", "--reproducible"]
     out, err = tmp_path / "out.csv", tmp_path / "err.txt"
