@@ -259,25 +259,26 @@ def _emit(args, result: Result) -> int:
     return 1 if result.failure else 0
 
 
-def _build_table(args, k: int, builder: str = "auto") -> repcount.RepTable:
+def _build_table(args, k: int, builder: str = "auto") -> tuple[repcount.RepTable, str]:
+    """The order-k table to --limit, and the route that built it."""
     if builder == "auto":
         builder = "fold" if k == 3 else "convolution"
     if args.limit >= 10**6:
         print(f"building order-{k} table to {args.limit} ({builder})", file=sys.stderr)
     if builder == "fold":
-        return repcount.build_r3_fold(args.limit, threads=args.threads)
-    return repcount.build_rk(args.limit, k, threads=args.threads)
+        return repcount.build_r3_fold(args.limit, threads=args.threads), builder
+    return repcount.build_rk(args.limit, k, threads=args.threads), builder
 
 
 def _handle_tables(args) -> None:
     """The table file is the output, in repcount's own CSV or binary format."""
-    table = _build_table(args, args.k, args.builder)
+    table, builder = _build_table(args, args.k, args.builder)
     if args.table_format == "binary":
         repcount.save_binary(table, args.output)
     else:
         comment = None if args.reproducible else f"generated {_timestamp()}"
         repcount.save_csv(table, args.output, header_comment=comment)
-    note = f"order-{table.order} table (limit {table.limit}, {table.builder_tag})"
+    note = f"order-{table.order} table (limit {table.limit}, {builder})"
     print(f"wrote {note} to {args.output}", file=sys.stderr)
 
 
@@ -290,7 +291,7 @@ def _handle_verify(args) -> Result:
     k = args.n if args.subcommand == "verify-general" else 3
     xs = args.checkpoints or verify.geometric_checkpoints(args.limit)
     path = args.table_path
-    table = repcount.load_table(path, k, args.limit) if path else _build_table(args, k)
+    table = repcount.load_table(path, k, args.limit) if path else _build_table(args, k)[0]
     if path:  # a CSV carries no order, but r_k(0) = 1 and r_k(1) = 2k tell it
         r0, r1 = table.counts[:2].tolist()
         if (r0, r1) != (1, 2 * k):

@@ -24,8 +24,6 @@ import numpy as np
 
 from .errors import DomainError, NotCoprimeError
 
-ComplexValue = complex
-
 # Python-int phases are formed this many at a time, so the fallback for large
 # denominators holds no more than a fixed number of int objects at once.
 _OBJECT_CHUNK = 1 << 16

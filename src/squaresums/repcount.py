@@ -4,17 +4,17 @@ k squares of integers (signs and order both count, so r_2(1) = 4).
 Tables are built by independent routes so they can be cross-checked entry by
 entry: a direct lattice enumeration for one and two squares, an exact integer
 convolution that stacks tables, and a two-square fold for k = 3. Every builder
-is made of passes of one square-shift kernel (_add_squares), which adds copies
-of a table shifted by the squares m^2: weight 1 at m = 0 and 2 at m >= 1 (the
-convolution with r_1), or 1 at the positive squares only. The fold's input is
-the lattice-enumerated r_2, never the r_1 convolution chain, so the two routes
-still check each other. The kernel builds its output in cache-sized tiles
-(_TILE_BYTES each). All arithmetic is exact: each pass runs in the narrowest
-of int16, int32 and int64 that holds its a-priori bound on every partial sum,
-so a narrow pass cannot overflow and runs unchecked. In int64, a tile whose
-bound stays below SAFE_LIMIT runs unchecked, any other checks each add and the
-doubling and raises instead of wrapping. Tiles are dealt to threads in turn;
-threads are capped at the CPU count.
+is made of passes of one square-shift kernel (_add_squares), the convolution
+with r_1: it adds copies of a table shifted by the squares m^2, with weight 1
+at m = 0 and 2 at m >= 1. The fold's input is the lattice-enumerated r_2,
+never the r_1 convolution chain, so the two routes still check each other.
+The kernel builds its output in cache-sized tiles (_TILE_BYTES each). All
+arithmetic is exact: each pass runs in the narrowest of int16, int32 and
+int64 that holds its a-priori bound on every partial sum, so a narrow pass
+cannot overflow and runs unchecked. In int64, a tile whose bound stays below
+SAFE_LIMIT runs unchecked, any other checks each add and the doubling and
+raises instead of wrapping. Tiles are dealt to threads in turn; threads are
+capped at the CPU count.
 """
 
 from __future__ import annotations
@@ -31,16 +31,6 @@ import numpy as np
 from .errors import CountOverflowError, DomainError, TableTooShortError
 from ._util import SAFE_LIMIT, atomic_write
 
-TAG_DIRECT = "direct-lattice"
-TAG_CONVOLUTION = "convolution"
-TAG_FOLD = "two-square-fold"
-TAG_POSITIVE = "positive-only"
-TAG_FILE = "file"
-
-BUILDER_TAGS = frozenset(
-    {TAG_DIRECT, TAG_CONVOLUTION, TAG_FOLD, TAG_POSITIVE, TAG_FILE}
-)
-
 _I64_MAX = (1 << 63) - 1
 _TILE_BYTES = 2**19  # bytes per shift-add output tile, resident in L2
 _CSV_CHUNK = 2**16  # table rows formatted per write
@@ -51,20 +41,17 @@ _HEADER = struct.Struct("<4sIQ")
 
 @dataclass(frozen=True, eq=False)
 class RepTable:
-    """Immutable counts r_k(n) for 0 <= n <= limit, with builder provenance."""
+    """Immutable counts r_k(n) for 0 <= n <= limit."""
 
     order: int
     limit: int
     counts: np.ndarray
-    builder_tag: str
 
     def __post_init__(self):
         if self.order < 1:
             raise DomainError(f"order must be >= 1, got {self.order}")
         if self.limit < 0:
             raise DomainError(f"limit must be >= 0, got {self.limit}")
-        if self.builder_tag not in BUILDER_TAGS:
-            raise DomainError(f"unknown builder_tag {self.builder_tag!r}")
         c = np.asarray(self.counts)
         if c.dtype != np.int64:
             c = c.astype(np.int64)
@@ -79,24 +66,23 @@ class RepTable:
         object.__setattr__(self, "counts", c)
 
 
-def _tile_plan(src: np.ndarray, x: int, signed: bool, threads: int):
+def _tile_plan(src: np.ndarray, x: int, threads: int):
     """The width and output tiles of one _add_squares pass: (dtype, workers),
     where workers holds one list of tiles (lo, hi, guarded) for each of
     min(threads, tiles, os.cpu_count()) workers, dealt round-robin.
 
     Work per entry grows with the number of squares below it, so dealing tiles
     in turn balances the workers where contiguous halves would not. An entry
-    n < hi adds [signed] + w * isqrt(hi - 1) weighted copies of src at most
-    (w = 2 if signed, else 1), so that count times max(src[0:hi]) times 1.01
-    bounds every partial sum written into the tile. The pass runs in the
-    narrowest of int16, int32 and int64 whose maximum is above both the last
-    tile's bound, the largest, and max(src[0:x + 1]), so casting src to it is
-    exact; a tile holds _TILE_BYTES of that width. A narrow pass cannot
-    overflow and is never guarded; an int64 tile is unguarded only when its
-    bound stays below SAFE_LIMIT. The maxima are kept running over blocks of
-    one int64 tile, so no x-sized array is made.
+    n < hi adds 1 + 2 * isqrt(hi - 1) weighted copies of src at most, so that
+    count times max(src[0:hi]) times 1.01 bounds every partial sum written
+    into the tile. The pass runs in the narrowest of int16, int32 and int64
+    whose maximum is above both the last tile's bound, the largest, and
+    max(src[0:x + 1]), so casting src to it is exact; a tile holds
+    _TILE_BYTES of that width. A narrow pass cannot overflow and is never
+    guarded; an int64 tile is unguarded only when its bound stays below
+    SAFE_LIMIT. The maxima are kept running over blocks of one int64 tile, so
+    no x-sized array is made.
     """
-    w = 2 if signed else 1
     block = _TILE_BYTES // 8  # an int64 tile; narrower tiles span 2 or 4 blocks
     tops = np.maximum.accumulate(
         np.maximum.reduceat(src[: x + 1], np.arange(0, x + 1, block))
@@ -104,7 +90,7 @@ def _tile_plan(src: np.ndarray, x: int, signed: bool, threads: int):
 
     def bound(hi):
         top = float(tops[(hi - 1) // block])
-        return (int(signed) + w * math.isqrt(hi - 1)) * top * 1.01
+        return (1 + 2 * math.isqrt(hi - 1)) * top * 1.01
 
     need = max(bound(x + 1), float(tops[-1]))
     dtype = next((t for t in (np.int16, np.int32) if need < np.iinfo(t).max), np.int64)
@@ -117,14 +103,14 @@ def _tile_plan(src: np.ndarray, x: int, signed: bool, threads: int):
     return dtype, [tiles[i::workers] for i in range(workers)]
 
 
-def _add_tile(tile, lo, src, signed: bool, guarded: bool) -> None:
+def _add_tile(tile, lo, src, guarded: bool) -> None:
     """Fill the zeroed tile, which starts at entry lo, with
-    [signed] * src[n] + w * sum over 1 <= m, m^2 <= n of src[n - m^2].
+    src[n] + 2 * sum over 1 <= m, m^2 <= n of src[n - m^2].
 
-    Each shifted segment is summed straight into the tile; if signed, the tile
-    is doubled once and the m = 0 segment added. A guarded tile checks every
-    add and the doubling: terms are non-negative, so a wrap shows as a
-    negative entry right after the add that caused it.
+    Each shifted segment is summed straight into the tile, which is then
+    doubled once and the m = 0 segment added. A guarded tile checks every add
+    and the doubling: terms are non-negative, so a wrap shows as a negative
+    entry right after the add that caused it.
     """
     hi = lo + tile.size
     for m in range(1, math.isqrt(hi - 1) + 1):
@@ -134,8 +120,6 @@ def _add_tile(tile, lo, src, signed: bool, guarded: bool) -> None:
         dst += src[start - sq : hi - sq]
         if guarded and int(dst.min()) < 0:
             raise CountOverflowError("count accumulator exceeds 64-bit range")
-    if not signed:
-        return
     if guarded and int(tile.max()) > _I64_MAX // 2:
         raise CountOverflowError("doubled count exceeds 64-bit range")
     tile *= 2
@@ -144,22 +128,21 @@ def _add_tile(tile, lo, src, signed: bool, guarded: bool) -> None:
         raise CountOverflowError("count accumulator exceeds 64-bit range")
 
 
-def _add_squares(src: np.ndarray, x: int, signed: bool, threads: int) -> np.ndarray:
-    """Exact out[n] = [signed] * src[n] + w * sum over 1 <= m, m^2 <= n of
-    src[n - m^2] for n <= x, with w = 2 if signed, else 1.
+def _add_squares(src: np.ndarray, x: int, threads: int) -> np.ndarray:
+    """Exact out[n] = src[n] + 2 * sum over 1 <= m, m^2 <= n of src[n - m^2]
+    for n <= x: src convolved with r_1.
 
-    Signed, it convolves src with r_1; unsigned, with the indicator of the
-    positive squares. The output has the pass's width (see _tile_plan): the
-    narrowest of int16, int32 and int64 that holds its bound. Only the int64
-    tiles whose bound reaches SAFE_LIMIT are checked.
+    The output has the pass's width (see _tile_plan): the narrowest of int16,
+    int32 and int64 that holds its bound. Only the int64 tiles whose bound
+    reaches SAFE_LIMIT are checked.
     """
-    dtype, plan = _tile_plan(src, x, signed, threads)
+    dtype, plan = _tile_plan(src, x, threads)
     src = src[: x + 1].astype(dtype, copy=False)  # exact: the width holds every entry
     out = np.zeros(x + 1, dtype=dtype)
 
     def run(tiles):
         for lo, hi, guarded in tiles:
-            _add_tile(out[lo:hi], lo, src, signed, guarded)
+            _add_tile(out[lo:hi], lo, src, guarded)
 
     if len(plan) == 1:
         run(plan[0])
@@ -180,7 +163,7 @@ def build_r1(x: int) -> RepTable:
     counts[0] = 1
     roots = np.arange(1, math.isqrt(x) + 1, dtype=np.int64)
     counts[roots * roots] = 2
-    return RepTable(order=1, limit=x, counts=counts, builder_tag=TAG_DIRECT)
+    return RepTable(order=1, limit=x, counts=counts)
 
 
 def _r2_lattice(x: int) -> np.ndarray:
@@ -207,8 +190,8 @@ def build_r3_fold(x: int, threads: int = 1) -> RepTable:
     """
     if x < 0:
         raise DomainError(f"limit must be >= 0, got {x}")
-    counts = _add_squares(_r2_lattice(x), x, True, threads)
-    return RepTable(order=3, limit=x, counts=counts, builder_tag=TAG_FOLD)
+    counts = _add_squares(_r2_lattice(x), x, threads)
+    return RepTable(order=3, limit=x, counts=counts)
 
 
 def r3_point(n: int) -> int:
@@ -228,38 +211,17 @@ def r3_point(n: int) -> int:
     return total
 
 
-def build_rstar(x: int, threads: int = 1) -> RepTable:
-    """Counts of n as a sum of three squares of strictly positive integers:
-    two unsigned square-shift passes over the positive-squares indicator."""
-    if x < 0:
-        raise DomainError(f"limit must be >= 0, got {x}")
-    s1 = np.zeros(x + 1, dtype=np.int64)
-    roots = np.arange(1, math.isqrt(x) + 1, dtype=np.int64)
-    s1[roots * roots] = 1
-    s3 = _add_squares(_add_squares(s1, x, False, threads), x, False, threads)
-    return RepTable(order=3, limit=x, counts=s3, builder_tag=TAG_POSITIVE)
-
-
-def is_representable(n: int) -> bool:
-    """Three-square criterion: false exactly for n = 4^a (8k + 7)."""
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n}")
-    while n and n % 4 == 0:
-        n //= 4
-    return n % 8 != 7
-
-
 def build_rk(x: int, k: int, threads: int = 1) -> RepTable:
     """r_k table by iterated convolution against the one-square table: k - 1
-    signed passes of the square-shift kernel over r_1."""
+    passes of the square-shift kernel over r_1."""
     if k < 1:
         raise DomainError(f"order must be >= 1, got {k}")
     if k == 1:
         return build_r1(x)
     counts = build_r1(x).counts  # r_1 is not kept: each pass holds only its source
     for _ in range(k - 1):
-        counts = _add_squares(counts, x, True, threads)
-    return RepTable(order=k, limit=x, counts=counts, builder_tag=TAG_CONVOLUTION)
+        counts = _add_squares(counts, x, threads)
+    return RepTable(order=k, limit=x, counts=counts)
 
 
 def save_csv(table: RepTable, path, header_comment: str | None = None) -> None:
@@ -277,7 +239,7 @@ def save_csv(table: RepTable, path, header_comment: str | None = None) -> None:
             fh.write(("%d,%d\n" * chunk.size) % tuple(pairs.tolist()))
 
 
-def load_csv(path, order: int, builder_tag: str = TAG_FILE) -> RepTable:
+def load_csv(path, order: int) -> RepTable:
     """Read a table written by save_csv. The CSV carries no order, so the
     caller must state it. Malformed content of any kind raises DomainError."""
     # A valid table is ASCII. Decoding every other byte to U+FFFD also keeps
@@ -304,9 +266,7 @@ def load_csv(path, order: int, builder_tag: str = TAG_FILE) -> RepTable:
     bad = np.flatnonzero(rows[:, 0] != np.arange(len(rows)))
     if bad.size:
         raise DomainError(f"rows out of order at line {bad[0] + 2}")
-    return RepTable(
-        order=order, limit=len(rows) - 1, counts=rows[:, 1].copy(), builder_tag=builder_tag
-    )
+    return RepTable(order=order, limit=len(rows) - 1, counts=rows[:, 1].copy())
 
 
 def load_table(path, order: int, limit: int) -> RepTable:
@@ -332,7 +292,7 @@ def save_binary(table: RepTable, path) -> None:
         fh.write(np.ascontiguousarray(table.counts, dtype="<i8").data)
 
 
-def load_binary(path, builder_tag: str = TAG_FILE) -> RepTable:
+def load_binary(path) -> RepTable:
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
         if len(head) != _HEADER.size:
@@ -350,4 +310,4 @@ def load_binary(path, builder_tag: str = TAG_FILE) -> RepTable:
     if raw.size and int(raw.max()) > _I64_MAX:
         raise CountOverflowError("stored count exceeds 63-bit range")
     counts = raw.view("<i8")  # every count is below 2^63: the same bytes as int64
-    return RepTable(order=order, limit=limit, counts=counts, builder_tag=builder_tag)
+    return RepTable(order=order, limit=limit, counts=counts)

@@ -10,9 +10,9 @@ the product of the local factors A(p^k, n) over the prime powers p^k exactly
 dividing q (Vaughan, The Hardy-Littlewood Method, 2nd ed., ch. 4). Every local
 factor has a closed form (_local_factor): for odd p in the Legendre symbol and
 the Ramanujan sum, for p = 2 an exact dyadic value, a sign read off
-8n / 2^k mod 8 times 2^{-floor(k/2)}. singular_series_many finds the
-prime-power split of every q <= Q with one smallest-prime-factor sieve and
-assembles all Q terms in one vectorised pass.
+8n / 2^k mod 8 times 2^{-floor(k/2)}. singular_series finds the prime-power
+split of every q <= Q with one smallest-prime-factor sieve and assembles all
+Q terms in one vectorised pass.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ def a_term(q: int, n: int) -> float:
     """A(q, n) as the product of its local factors A(p^k, n), p^k || q.
 
     The product runs from the largest prime down, the order in which
-    singular_series_many assembles its terms, so both give the same float.
+    singular_series assembles its terms, so both give the same float.
     """
     if q < 1:
         raise DomainError(f"q must be >= 1, got {q}")
@@ -117,41 +117,29 @@ class SingularTruncation:
 
 
 def singular_series(n: int, Q: int) -> SingularTruncation:
-    """Partial sum S3(n, Q) with all Q terms retained."""
-    return singular_series_many([n], Q)[n]
-
-
-def singular_series_many(ns, Q: int) -> dict[int, SingularTruncation]:
-    """S3(n, Q) for several n from one sieve and one pass over q = 1..Q.
+    """Partial sum S3(n, Q) with all Q terms retained, from one sieve and one
+    pass over q = 1..Q.
 
     The local factors A(p^k, n) are placed at q = p^k and spread to every q by
     assemble_multiplicative.
     """
     if Q < 1:
         raise DomainError(f"Q must be >= 1, got {Q}")
-    ns = list(dict.fromkeys(int(n) for n in ns))
-    if not ns:
-        return {}
-    if min(ns) < 1:
-        raise DomainError("all n must be >= 1")
-    local = np.zeros((len(ns), Q + 1), dtype=np.float64)
-    local[:, 1] = 1.0
+    if n < 1:
+        raise DomainError(f"n must be >= 1, got {n}")
+    local = np.zeros(Q + 1, dtype=np.float64)
+    local[1] = 1.0
     p, rest = factor_sieve(Q)
     q = np.arange(Q + 1, dtype=np.int32)
-    primes = q[(p == q) & (q > 1)].tolist()
-    for row, n in zip(local, ns):
-        for prime in primes:
-            power, k = prime, 1
-            while power <= Q:
-                row[power] = _local_factor(prime, k, n)
-                power, k = power * prime, k + 1
+    for prime in q[(p == q) & (q > 1)].tolist():
+        power, k = prime, 1
+        while power <= Q:
+            local[power] = _local_factor(prime, k, n)
+            power, k = power * prime, k + 1
     pk = q.copy()
     pk[1:] //= rest[1:]
-    terms = assemble_multiplicative(local[:, pk], rest)
-    return {
-        n: SingularTruncation(n=n, Q=Q, value=float(np.sum(t)), terms=t)
-        for n, t in zip(ns, terms[:, 1:])
-    }
+    terms = assemble_multiplicative(local[pk], rest)[1:]
+    return SingularTruncation(n=n, Q=Q, value=float(np.sum(terms)), terms=terms)
 
 
 def bateman_factor(n: int) -> float:

@@ -77,8 +77,8 @@ class TruncationSweep:
     points: tuple[TruncationPoint, ...]
 
 
-def geometric_checkpoints(limit: int, start: int = 100) -> list[int]:
-    """Default grid: 1 and 3 times powers of ten from `start` up to `limit`."""
+def geometric_checkpoints(limit: int) -> list[int]:
+    """Default grid: 1 and 3 times powers of ten from 100 up to `limit`."""
     if limit < 1:
         raise DomainError(f"limit must be >= 1, got {limit}")
     xs = []
@@ -86,7 +86,7 @@ def geometric_checkpoints(limit: int, start: int = 100) -> list[int]:
     while base <= limit:
         for mult in (1, 3):
             v = base * mult
-            if start <= v <= limit:
+            if 100 <= v <= limit:
                 xs.append(v)
         base *= 10
     if not xs:

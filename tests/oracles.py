@@ -1,0 +1,115 @@
+"""Test-side references for the count tables. None of them calls repcount, so
+a defect in its kernel cannot hide in a comparison with one of these."""
+
+import itertools
+import math
+
+import numpy as np
+
+from squaresums.errors import CountOverflowError
+
+_I64_MAX = (1 << 63) - 1
+
+
+def brute_counts(k: int, x: int) -> list[int]:
+    """r_k(0..x) by enumerating every signed integer k-tuple, no shortcuts."""
+    counts = [0] * (x + 1)
+    s = math.isqrt(x)
+    for tup in itertools.product(range(-s, s + 1), repeat=k):
+        total = sum(m * m for m in tup)
+        if total <= x:
+            counts[total] += 1
+    return counts
+
+
+def brute_positive_counts(x: int) -> list[int]:
+    """Positive-coordinate triples only."""
+    counts = [0] * (x + 1)
+    s = math.isqrt(x)
+    for tup in itertools.product(range(1, s + 1), repeat=3):
+        total = sum(m * m for m in tup)
+        if total <= x:
+            counts[total] += 1
+    return counts
+
+
+def rstar_counts(x: int) -> np.ndarray:
+    """r*(0..x), the triples of positive integers with a^2 + b^2 + c^2 = n: a
+    bincount of the positive pairs a^2 + b^2, then one shifted copy of it for
+    each positive c^2."""
+    squares = np.arange(1, math.isqrt(x) + 1, dtype=np.int64) ** 2
+    pairs = (squares[:, None] + squares).ravel()
+    two = np.bincount(pairs[pairs <= x], minlength=x + 1)
+    out = np.zeros(x + 1, dtype=np.int64)
+    for c2 in squares.tolist():
+        out[c2:] += two[: x + 1 - c2]
+    return out
+
+
+def is_representable(n: int) -> bool:
+    """Three-square criterion: false exactly for n = 4^a (8k + 7)."""
+    while n and n % 4 == 0:
+        n //= 4
+    return n % 8 != 7
+
+
+def _accumulate_shifts(out, offsets, weights, src, lo, hi, guarded):
+    """out[n] += sum_j weights[j] * src[n - offsets[j]] for lo <= n < hi.
+
+    Only out[lo:hi] is touched, so disjoint ranges are safe to run in
+    parallel. In guarded mode every product and every running sum is checked
+    against the int64 ceiling; terms are non-negative, so a wrap is visible
+    as a negative entry immediately after the add that caused it.
+    """
+    for off, w in zip(offsets, weights):
+        off = int(off)
+        if off >= hi:
+            break
+        w = int(w)
+        if w == 0:
+            continue
+        start = max(lo, off)
+        seg = src[start - off : hi - off]
+        if guarded:
+            top = int(seg.max(initial=0))
+            if top and w > _I64_MAX // top:
+                raise CountOverflowError(
+                    f"count product {w}*{top} exceeds 64-bit range"
+                )
+        out[start:hi] += w * seg
+        if guarded and seg.size and int(out[start:hi].min()) < 0:
+            raise CountOverflowError("count accumulator exceeds 64-bit range")
+
+
+def add_squares_oracle(src, x):
+    """The square-shift kernel untiled over the square offsets with weights
+    (1, 2, 2, ...), every add checked: src convolved with r_1 up to x."""
+    squares = [m * m for m in range(math.isqrt(x) + 1)]
+    weights = [1] + [2] * (len(squares) - 1)
+    out = np.zeros(x + 1, dtype=np.int64)
+    _accumulate_shifts(out, squares, weights, src, 0, x + 1, guarded=True)
+    return out
+
+
+def r3_class_number_oracle(x: int) -> np.ndarray:
+    """r_3(n) for 0 <= n <= x by Gauss's r_3(n) = 12 H(4n) - 24 H(n).
+
+    12 H(N), for the Hurwitz class number H, counts 12 per reduced form (a, b, c)
+    of discriminant -N = b^2 - 4ac: |b| <= a <= c, with b >= 0 when |b| = a or
+    a = c. A form at c = a weighs 6 if b = 0 (a(x^2 + y^2)) and 4 if b = a
+    (a(x^2 + xy + y^2)); 12 H(0) = -1. Each (a, b) is one strided add along
+    N = 4ac - b^2, step 4a in c. (Cohen, GTM 138, ch. 5.)
+    """
+    top = 4 * x
+    h12 = np.zeros(top + 1, dtype=np.int64)
+    h12[0] = -1
+    a = 1
+    while 3 * a * a <= top:
+        for b in range(a + 1):
+            at_c_eq_a = 4 * a * a - b * b
+            if at_c_eq_a > top:
+                continue
+            h12[at_c_eq_a] += 6 if b == 0 else 4 if b == a else 12
+            h12[at_c_eq_a + 4 * a :: 4 * a] += 12 if b in (0, a) else 24  # c > a; +-b
+        a += 1
+    return h12[::4] - 2 * h12[: x + 1]

@@ -13,6 +13,8 @@ import pytest
 
 from squaresums import cli, constants, expsum, repcount, singular, verify
 
+from oracles import is_representable, r3_class_number_oracle, rstar_counts
+
 REPORT_LINES = []
 
 
@@ -35,32 +37,7 @@ def r3_10k_fold():
 
 @pytest.fixture(scope="module")
 def truncations_10k():
-    return singular.singular_series_many([1, 2, 3, 5, 6, 7, 15], 10**4)
-
-
-def r3_class_number_oracle(x: int) -> np.ndarray:
-    """r_3(n) for 0 <= n <= x by Gauss's r_3(n) = 12 H(4n) - 24 H(n), sharing
-    no code with repcount.
-
-    12 H(N), for the Hurwitz class number H, counts 12 per reduced form (a, b, c)
-    of discriminant -N = b^2 - 4ac: |b| <= a <= c, with b >= 0 when |b| = a or
-    a = c. A form at c = a weighs 6 if b = 0 (a(x^2 + y^2)) and 4 if b = a
-    (a(x^2 + xy + y^2)); 12 H(0) = -1. Each (a, b) is one strided add along
-    N = 4ac - b^2, step 4a in c. (Cohen, GTM 138, ch. 5.)
-    """
-    top = 4 * x
-    h12 = np.zeros(top + 1, dtype=np.int64)
-    h12[0] = -1
-    a = 1
-    while 3 * a * a <= top:
-        for b in range(a + 1):
-            at_c_eq_a = 4 * a * a - b * b
-            if at_c_eq_a > top:
-                continue
-            h12[at_c_eq_a] += 6 if b == 0 else 4 if b == a else 12
-            h12[at_c_eq_a + 4 * a :: 4 * a] += 12 if b in (0, a) else 24  # c > a; +-b
-        a += 1
-    return h12[::4] - 2 * h12[: x + 1]
+    return {n: singular.singular_series(n, 10**4) for n in (1, 2, 3, 5, 6, 7, 15)}
 
 
 def test_01_cross_builder_exactness(r3_10k_fold):
@@ -95,14 +72,14 @@ def test_02_gauss_criterion(r3_million):
     mism = sum(
         1
         for n in range(1, x + 1)
-        if (counts[n] > 0) != repcount.is_representable(n)
+        if (counts[n] > 0) != is_representable(n)
     )
     record(2, mism == 0, f"three-square criterion for n <= {x}: {mism} mismatches")
 
 
 def test_03_zero_classification_identity(r3_10k_fold):
     x = 10**4
-    rs = repcount.build_rstar(x).counts
+    rs = rstar_counts(x)
     r2 = repcount.build_rk(x, 2).counts
     r1 = repcount.build_r1(x).counts
     rhs = 8 * rs + 3 * r2 - 3 * r1

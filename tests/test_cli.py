@@ -290,7 +290,6 @@ def test_singular_q_above_cap_fails_before_any_work(monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("singular series started above the cap")
 
-    monkeypatch.setattr(singular, "singular_series_many", refuse)
     monkeypatch.setattr(singular, "singular_series", refuse)
     over = str(cli.Q_CAP + 1)
     assert run_cli(["singular", "--n", "1", "--q-max", over, "--dump-terms"]) == 2
@@ -327,7 +326,7 @@ def test_verify_subcommands_have_no_builder_flag(monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("table built despite an unknown flag")
 
-    for name in ("build_r3_fold", "build_rk", "build_rstar"):
+    for name in ("build_r3_fold", "build_rk"):
         monkeypatch.setattr(repcount, name, refuse)
     for cmd in (["verify-mean"], ["verify-meansquare"], ["verify-general", "--n", "4"]):
         assert run_cli(cmd + ["--limit", "500", "--builder", "fold"]) == 2
@@ -339,7 +338,7 @@ def test_positive_only_is_not_a_table_builder(monkeypatch, capsys, tmp_path):
     def refuse(*args, **kwargs):
         raise AssertionError("table built for a builder that is not offered")
 
-    for name in ("build_r1", "build_r3_fold", "build_rk", "build_rstar"):
+    for name in ("build_r1", "build_r3_fold", "build_rk"):
         monkeypatch.setattr(repcount, name, refuse)
     out = tmp_path / "rs.bin"
     argv = ["tables", "--limit", "1000", "--builder", "positive-only", "--output", str(out)]
@@ -437,7 +436,7 @@ def test_memory_bound_rejects_builds_before_any_work(monkeypatch, capsys, tmp_pa
     def refuse(*args, **kwargs):
         raise AssertionError("table built beyond physical memory")
 
-    for name in ("build_r1", "build_r3_fold", "build_rk", "build_rstar"):
+    for name in ("build_r1", "build_r3_fold", "build_rk"):
         monkeypatch.setattr(repcount, name, refuse)
     huge = ["--limit", str(10**20), "--override-limit"]
     assert run_cli(["tables", *huge, "--output", str(tmp_path / "x.csv")]) == 2
@@ -777,7 +776,7 @@ def _argv(draw, name):
 
 
 def _stub_table(x, k=3, threads=1):
-    return repcount.RepTable(order=k, limit=1, counts=np.array([1, 0]), builder_tag="file")
+    return repcount.RepTable(order=k, limit=1, counts=np.array([1, 0]))
 
 
 def _stub_series(*args):
@@ -790,7 +789,7 @@ def _stub_sweep(n, qs):
 
 
 _STUBS = [
-    *((repcount, name, _stub_table) for name in ("build_r1", "build_r3_fold", "build_rk", "build_rstar")),
+    *((repcount, name, _stub_table) for name in ("build_r1", "build_r3_fold", "build_rk")),
     *((verify, name, _stub_series) for name in ("mean_value_series", "mean_square_series", "mean_square_general")),
     (verify, "singular_truncation_sweep", _stub_sweep),
     (singular, "singular_series", lambda n, Q: SimpleNamespace(n=n, Q=Q, value=1.0, terms=np.ones(1))),

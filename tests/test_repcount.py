@@ -1,6 +1,5 @@
 """Exact count tables against literal tuple enumeration and classical identities."""
 
-import itertools
 import math
 import os
 import stat
@@ -15,27 +14,13 @@ from squaresums import repcount
 from squaresums._util import SAFE_LIMIT
 from squaresums.errors import CountOverflowError, DomainError, TableTooShortError
 
-
-def brute_counts(k: int, x: int) -> list[int]:
-    """r_k(0..x) by enumerating every signed integer k-tuple, no shortcuts."""
-    counts = [0] * (x + 1)
-    s = math.isqrt(x)
-    for tup in itertools.product(range(-s, s + 1), repeat=k):
-        total = sum(m * m for m in tup)
-        if total <= x:
-            counts[total] += 1
-    return counts
-
-
-def brute_positive_counts(x: int) -> list[int]:
-    """Positive-coordinate triples only."""
-    counts = [0] * (x + 1)
-    s = math.isqrt(x)
-    for tup in itertools.product(range(1, s + 1), repeat=3):
-        total = sum(m * m for m in tup)
-        if total <= x:
-            counts[total] += 1
-    return counts
+from oracles import (
+    add_squares_oracle,
+    brute_counts,
+    brute_positive_counts,
+    is_representable,
+    rstar_counts,
+)
 
 
 def divisor_sum_not_div_4(n: int) -> int:
@@ -85,21 +70,18 @@ def test_fold_matches_brute():
 
 def test_fold_matches_convolution(t3_fold, t3_conv):
     assert (t3_fold.counts == t3_conv.counts).all()
-    assert t3_fold.builder_tag == repcount.TAG_FOLD
-    assert t3_conv.builder_tag == repcount.TAG_CONVOLUTION
 
 
 def test_positive_only_matches_brute():
-    table = repcount.build_rstar(60)
-    assert list(table.counts) == brute_positive_counts(60)
-    assert table.counts[0] == 0
-    assert table.builder_tag == repcount.TAG_POSITIVE
+    rs = rstar_counts(60)
+    assert list(rs) == brute_positive_counts(60)
+    assert rs[0] == 0
 
 
 def test_zero_coordinate_classification_identity(t3_fold):
     x = t3_fold.limit
     r3 = t3_fold.counts
-    rs = repcount.build_rstar(x).counts
+    rs = rstar_counts(x)
     r2 = repcount.build_rk(x, 2).counts
     r1 = repcount.build_r1(x).counts
     rhs = 8 * rs + 3 * r2 - 3 * r1
@@ -110,13 +92,13 @@ def test_zero_coordinate_classification_identity(t3_fold):
 
 def test_three_square_criterion(t3_fold):
     for n in range(t3_fold.limit + 1):
-        assert (t3_fold.counts[n] > 0) == repcount.is_representable(n), n
-    assert not repcount.is_representable(7)
-    assert not repcount.is_representable(28)
-    assert not repcount.is_representable(112)
-    assert not repcount.is_representable(15)
-    assert repcount.is_representable(0)
-    assert repcount.is_representable(3)
+        assert (t3_fold.counts[n] > 0) == is_representable(n), n
+    assert not is_representable(7)
+    assert not is_representable(28)
+    assert not is_representable(112)
+    assert not is_representable(15)
+    assert is_representable(0)
+    assert is_representable(3)
 
 
 def test_r3_point_matches_table(t3_fold):
@@ -177,7 +159,7 @@ def test_more_threads_than_cores_write_disjoint_tiles(monkeypatch, small_tiles):
     # eight workers on however many cores, switching as often as possible
     monkeypatch.setattr(repcount.os, "cpu_count", lambda: 8)
     x = 9 * _tile(np.int16) + 5
-    _, workers = repcount._tile_plan(repcount._r2_lattice(x), x, True, 8)
+    _, workers = repcount._tile_plan(repcount._r2_lattice(x), x, 8)
     assert len(workers) == 8
     single = repcount.build_r3_fold(x, threads=1)
     interval = sys.getswitchinterval()
@@ -190,11 +172,10 @@ def test_more_threads_than_cores_write_disjoint_tiles(monkeypatch, small_tiles):
 
 
 def test_accumulator_overflow_is_detected():
-    # the fourth shifted copy of 2^61 reaches 2^63, signed or not
+    # the fourth shifted copy of 2^61 reaches 2^63
     flat = np.full(101, 1 << 61, dtype=np.int64)
-    for signed in (False, True):
-        with pytest.raises(CountOverflowError):
-            repcount._add_squares(flat, 100, signed, 1)
+    with pytest.raises(CountOverflowError):
+        repcount._add_squares(flat, 100, 1)
 
 
 def test_product_overflow_is_detected():
@@ -203,21 +184,17 @@ def test_product_overflow_is_detected():
     # double back above zero, so only the check before the doubling sees it
     for src in ([1 << 62, 0], [(1 << 63) - 2, 10]):
         with pytest.raises(CountOverflowError):
-            repcount._add_squares(np.array(src, dtype=np.int64), 1, True, 1)
+            repcount._add_squares(np.array(src, dtype=np.int64), 1, 1)
 
 
 def test_table_validation():
     good = np.array([1, 2], dtype=np.int64)
     with pytest.raises(DomainError):
-        repcount.RepTable(order=0, limit=1, counts=good, builder_tag="file")
+        repcount.RepTable(order=0, limit=1, counts=good)
     with pytest.raises(DomainError):
-        repcount.RepTable(order=1, limit=2, counts=good, builder_tag="file")
+        repcount.RepTable(order=1, limit=2, counts=good)
     with pytest.raises(DomainError):
-        repcount.RepTable(order=1, limit=1, counts=good, builder_tag="nonsense")
-    with pytest.raises(DomainError):
-        repcount.RepTable(
-            order=1, limit=1, counts=np.array([1, -2]), builder_tag="file"
-        )
+        repcount.RepTable(order=1, limit=1, counts=np.array([1, -2]))
     with pytest.raises(DomainError):
         repcount.build_r1(-1)
     with pytest.raises(DomainError):
@@ -245,7 +222,7 @@ def test_csv_and_binary_round_trip(tmp_path):
     @example(order=1, limit=0, values=[2**63 - 1], comment=None)
     def check(order, limit, values, comment):
         counts = np.resize(np.array(values, dtype=np.int64), limit + 1)
-        table = repcount.RepTable(order, limit, counts, repcount.TAG_FOLD)
+        table = repcount.RepTable(order, limit, counts)
         csv_path, bin_path = tmp_path / "table.csv", tmp_path / "table.bin"
         repcount.save_csv(table, csv_path, header_comment=comment)
         repcount.save_binary(table, bin_path)
@@ -254,7 +231,6 @@ def test_csv_and_binary_round_trip(tmp_path):
         for path in (csv_path, bin_path):
             loaded = repcount.load_table(path, order, limit)
             assert (loaded.order, loaded.limit) == (order, limit)
-            assert loaded.builder_tag == repcount.TAG_FILE
             assert loaded.counts.tolist() == counts.tolist()
 
     check()
@@ -263,9 +239,7 @@ def test_csv_and_binary_round_trip(tmp_path):
 def test_tile_plan_caps_threads_at_cpu_count(monkeypatch):
     # only the plan is inspected; no thread is started
     def plan(entries, threads):
-        dtype, workers = repcount._tile_plan(
-            np.zeros(entries, np.int64), entries - 1, True, threads
-        )
+        dtype, workers = repcount._tile_plan(np.zeros(entries, np.int64), entries - 1, threads)
         assert dtype is np.int16  # a zero source needs the narrowest width
         return workers
 
@@ -287,7 +261,7 @@ def test_tile_plan_caps_threads_at_cpu_count(monkeypatch):
 def test_tile_plan_deals_tiles_round_robin(monkeypatch):
     monkeypatch.setattr(repcount.os, "cpu_count", lambda: 2)
     tile = _tile(np.int16)
-    dtype, workers = repcount._tile_plan(np.zeros(5 * tile), 5 * tile - 1, True, 2)
+    dtype, workers = repcount._tile_plan(np.zeros(5 * tile), 5 * tile - 1, 2)
     assert dtype is np.int16
     assert [[lo // tile for lo, _, _ in tiles] for tiles in workers] == [[0, 2, 4], [1, 3]]
 
@@ -300,10 +274,10 @@ def test_tile_bound_reads_every_earlier_tile():
     top = int(SAFE_LIMIT) // 600
     src = np.zeros(3 * tile + 1, np.int64)
     src[0] = top
-    dtype, (tiles,) = repcount._tile_plan(src, 3 * tile, True, 1)
+    dtype, (tiles,) = repcount._tile_plan(src, 3 * tile, 1)
     assert dtype is np.int64
     assert [g for _, _, g in tiles] == [False, True, True, True]
-    out = repcount._add_squares(src, 3 * tile, True, 1)
+    out = repcount._add_squares(src, 3 * tile, 1)
     squares = np.arange(1, math.isqrt(3 * tile) + 1) ** 2
     assert out[0] == top and (out[squares] == 2 * top).all()
     assert np.count_nonzero(out) == squares.size + 1
@@ -357,9 +331,8 @@ def test_r8_passes_widen_as_their_bounds_grow(r8_passes):
         lambda x: repcount.build_rk(x, 2),
         lambda x: repcount.build_rk(x, 3, threads=2),
         repcount.build_r3_fold,
-        repcount.build_rstar,
     ],
-    ids=["r1", "rk2", "rk3", "fold", "rstar"],
+    ids=["r1", "rk2", "rk3", "fold"],
 )
 def test_builders_return_int64_counts(build, tmp_path):
     # every pass of these builds is narrow, yet tables hold int64
@@ -373,50 +346,10 @@ def test_builders_return_int64_counts(build, tmp_path):
         assert (loaded.counts == table.counts).all()
 
 
-def _accumulate_shifts(out, offsets, weights, src, lo, hi, guarded):
-    """out[n] += sum_j weights[j] * src[n - offsets[j]] for lo <= n < hi.
-
-    Only out[lo:hi] is touched, so disjoint ranges are safe to run in
-    parallel. In guarded mode every product and every running sum is checked
-    against the int64 ceiling; terms are non-negative, so a wrap is visible
-    as a negative entry immediately after the add that caused it.
-    """
-    for off, w in zip(offsets, weights):
-        off = int(off)
-        if off >= hi:
-            break
-        w = int(w)
-        if w == 0:
-            continue
-        start = max(lo, off)
-        seg = src[start - off : hi - off]
-        if guarded:
-            top = int(seg.max(initial=0))
-            if top and w > repcount._I64_MAX // top:
-                raise CountOverflowError(
-                    f"count product {w}*{top} exceeds 64-bit range"
-                )
-        out[start:hi] += w * seg
-        if guarded and seg.size and int(out[start:hi].min()) < 0:
-            raise CountOverflowError("count accumulator exceeds 64-bit range")
-
-
-def _add_squares_oracle(src, x, signed):
-    """The untiled kernel over the square offsets, every add checked: weights
-    (1, 2, 2, ...) when signed, (0, 1, 1, ...) when not."""
-    squares = [m * m for m in range(math.isqrt(x) + 1)]
-    weights = [int(signed)] + [2 if signed else 1] * (len(squares) - 1)
-    out = np.zeros(x + 1, dtype=np.int64)
-    _accumulate_shifts(out, squares, weights, src, 0, x + 1, guarded=True)
-    return out
-
-
 @st.composite
 def _add_squares_case(draw, x):
-    """A signed or unsigned pass over a non-negative source, dense or sparse,
-    whose magnitude reaches from int16 and int32 passes through unguarded
-    int64 tiles to 64-bit overflow."""
-    signed = draw(st.booleans())
+    """A non-negative source, dense or sparse, whose magnitude reaches from
+    int16 and int32 passes through unguarded int64 tiles to 64-bit overflow."""
     bits = draw(st.sampled_from([62, 58, 56, 50, 40, 20, 12, 8, 4, 1]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32)))
     src = rng.integers(0, 2**bits, size=x + 1, dtype=np.int64)
@@ -425,7 +358,7 @@ def _add_squares_case(draw, x):
         src = (src * np.linspace(*ramp, x + 1)).astype(np.int64)
     if draw(st.booleans()):  # sparse: a guarded tile need not overflow
         src[rng.random(x + 1) > 0.02] = 0
-    return src, signed
+    return src
 
 
 # with small_tiles: int64 tiles of 512 entries, int32 of 1024, int16 of 2048
@@ -433,33 +366,31 @@ def _add_squares_case(draw, x):
 @pytest.mark.parametrize("x", [0, 1, 100, 511, 512, 513, 1025, 2049, 3 * 2048 + 7])
 def test_tiled_kernel_matches_untiled_oracle(x, threads, small_tiles):
     @settings(max_examples=25)
-    @given(case=_add_squares_case(x))
-    def check(case):
-        src, signed = case
+    @given(src=_add_squares_case(x))
+    def check(src):
         try:
-            expected = _add_squares_oracle(src, x, signed)
+            expected = add_squares_oracle(src, x)
         except CountOverflowError:
             with pytest.raises(CountOverflowError):
-                repcount._add_squares(src, x, signed, threads)
+                repcount._add_squares(src, x, threads)
             return
-        assert (repcount._add_squares(src, x, signed, threads) == expected).all()
+        assert (repcount._add_squares(src, x, threads) == expected).all()
 
     check()
 
 
-def _need(x, signed, top):
+def _need(x, top):
     """What a pass's width must hold (see _tile_plan): its largest bound and
     the source maximum top."""
-    copies = int(signed) + (2 if signed else 1) * math.isqrt(x)
-    return max(copies * float(top) * 1.01, top)
+    return max((1 + 2 * math.isqrt(x)) * float(top) * 1.01, top)
 
 
-def _edge_top(x, signed, limit):
+def _edge_top(x, limit):
     """The largest source maximum whose pass still fits below limit."""
     lo, hi = 0, limit  # _need(lo) < limit <= _need(hi)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if _need(x, signed, mid) < limit else (lo, mid)
+        lo, hi = (mid, hi) if _need(x, mid) < limit else (lo, mid)
     return lo
 
 
@@ -471,30 +402,29 @@ def test_pass_width_edges_match_untiled_oracle(small_tiles):
     @settings(max_examples=30)
     @given(
         x=st.integers(0, 3 * 2048 + 7),
-        signed=st.booleans(),
         limit=st.sampled_from([_I16, _I32]),
         above=st.booleans(),
     )
-    @example(x=0, signed=False, limit=_I16, above=False)
-    @example(x=0, signed=False, limit=_I32, above=True)
-    @example(x=0, signed=True, limit=_I16, above=True)
-    @example(x=1, signed=False, limit=_I16, above=True)
-    @example(x=1, signed=True, limit=_I32, above=False)
-    @example(x=3 * 2048 + 7, signed=True, limit=_I16, above=False)
-    @example(x=3 * 2048 + 7, signed=True, limit=_I16, above=True)
-    @example(x=3 * 2048 + 7, signed=False, limit=_I32, above=False)
-    @example(x=3 * 2048 + 7, signed=False, limit=_I32, above=True)
-    def check(x, signed, limit, above):
-        top = _edge_top(x, signed, limit) + above
-        assert (_need(x, signed, top) < limit) is not above
+    @example(x=0, limit=_I16, above=False)
+    @example(x=0, limit=_I16, above=True)
+    @example(x=0, limit=_I32, above=True)
+    @example(x=1, limit=_I16, above=True)
+    @example(x=1, limit=_I32, above=False)
+    @example(x=3 * 2048 + 7, limit=_I16, above=False)
+    @example(x=3 * 2048 + 7, limit=_I16, above=True)
+    @example(x=3 * 2048 + 7, limit=_I32, above=False)
+    @example(x=3 * 2048 + 7, limit=_I32, above=True)
+    def check(x, limit, above):
+        top = _edge_top(x, limit) + above
+        assert (_need(x, top) < limit) is not above
         src = np.full(x + 1, top, dtype=np.int64)
         narrowest = {_I16: np.int16, _I32: np.int32}[limit]
         wider = {_I16: np.int32, _I32: np.int64}[limit]
-        dtype, _ = repcount._tile_plan(src, x, signed, 1)
+        dtype, _ = repcount._tile_plan(src, x, 1)
         assert dtype is (wider if above else narrowest)
-        out = repcount._add_squares(src, x, signed, 1)
+        out = repcount._add_squares(src, x, 1)
         assert out.dtype == dtype
-        assert (out == _add_squares_oracle(src, x, signed)).all()
+        assert (out == add_squares_oracle(src, x)).all()
 
     check()
 
@@ -506,10 +436,11 @@ def test_builders_agree_at_random_limits(threads):
     def check(x):
         r3 = repcount.build_r3_fold(x, threads).counts
         assert (r3 == repcount.build_rk(x, 3, threads).counts).all()
-        # zero-coordinate classification; at n = 0 the all-zero tuple is dropped
-        rs = repcount.build_rstar(x, threads).counts
         r2 = repcount.build_rk(x, 2, threads).counts
-        rhs = 8 * rs + 3 * r2 - 3 * repcount.build_r1(x).counts
+        assert (r2 == repcount._r2_lattice(x)).all()
+        # zero-coordinate classification, against an r* that shares no code
+        # with repcount; at n = 0 the all-zero tuple is dropped
+        rhs = 8 * rstar_counts(x) + 3 * r2 - 3 * repcount.build_r1(x).counts
         assert (rhs[1:] == r3[1:]).all() and rhs[0] == r3[0] - 1
 
     check()
@@ -638,4 +569,3 @@ def test_origin_count(t3_fold, t3_conv):
     assert t3_fold.counts[0] == 1
     assert t3_conv.counts[0] == 1
     assert repcount.build_r1(10).counts[0] == 1
-    assert repcount.build_rstar(10).counts[0] == 0

@@ -174,12 +174,12 @@ def test_two_adic_local_factors_are_the_rounded_transform():
 
 def test_assembled_terms_match_full_length_transform():
     ns = range(1, 51)
-    many = singular.singular_series_many(ns, 2000)
+    truncs = {n: singular.singular_series(n, 2000) for n in ns}
     worst = 0.0
     for q in range(1, 2001):
         profile, _ = _a_profile(q)
         for n in ns:
-            worst = max(worst, abs(many[n].terms[q - 1] - profile[n % q]))
+            worst = max(worst, abs(truncs[n].terms[q - 1] - profile[n % q]))
     assert worst <= 1e-12, worst
 
 
@@ -230,15 +230,6 @@ def test_truncation_terms_match_a_term():
     trunc = singular.singular_series(5, 60)
     for i, t in enumerate(trunc.terms):
         assert t == singular.a_term(i + 1, 5), i + 1
-
-
-def test_many_matches_single():
-    many = singular.singular_series_many([3, 11, 3], 50)
-    assert set(many) == {3, 11}
-    for n, trunc in many.items():
-        alone = singular.singular_series(n, 50)
-        assert (trunc.terms == alone.terms).all()
-        assert trunc.value == alone.value
 
 
 def test_bateman_factor_and_first_truncation():
