@@ -347,6 +347,21 @@ def test_positive_only_is_not_a_table_builder(monkeypatch, capsys, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "k, builder, route",
+    [(3, "auto", "fold"), (2, "auto", "convolution"), (3, "convolution", "convolution")],
+)
+def test_tables_note_names_the_route_that_built_it(capsys, tmp_path, k, builder, route):
+    out = tmp_path / "t.bin"
+    argv = ["tables", "--k", str(k), "--limit", "300", "--builder", builder,
+            "--table-format", "binary", "--output", str(out)]
+    assert run_cli(argv) == 0
+    err = capsys.readouterr().err
+    assert err == f"wrote order-{k} table (limit 300, {route}) to {out}\n", err
+    expected = repcount.build_rk(300, k).counts
+    assert (repcount.load_table(out, k, 300).counts == expected).all()
+
+
 def test_weyl_and_gauss_above_caps_fail_before_any_work(monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("exponential sum started above the cap")
