@@ -15,15 +15,19 @@ cannot overflow and runs unchecked. In int64, a tile whose bound stays below
 SAFE_LIMIT runs unchecked, any other checks each add and the doubling and
 raises instead of wrapping. Tiles are dealt to threads in turn; threads are
 capped at the CPU count.
+
+Table files: a CSV is any `#` lines, the header `n,count`, then one row per n
+from 0 up, both cells unsigned decimal without leading zeros, each line ended
+by LF or CRLF (the last may lack it); a binary file is a 16-byte header, then
+little-endian int64 counts. Reading either holds the counts (8 B per entry)
+and one block of the file.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import re
 import struct
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +38,7 @@ from ._util import SAFE_LIMIT, atomic_write
 _I64_MAX = (1 << 63) - 1
 _TILE_BYTES = 2**19  # bytes per shift-add output tile, resident in L2
 _CSV_CHUNK = 2**16  # table rows formatted per write
+_CSV_BLOCK = 2**16  # bytes of a CSV table parsed at a time
 
 _BINARY_MAGIC = b"RKTB"
 _HEADER = struct.Struct("<4sIQ")
@@ -225,48 +230,95 @@ def build_rk(x: int, k: int, threads: int = 1) -> RepTable:
 
 
 def save_csv(table: RepTable, path, header_comment: str | None = None) -> None:
-    """Write `n,count` rows, atomically; an optional single comment line goes first."""
-    with atomic_write(path) as fh:
+    """Write `n,count` rows, atomically; an optional single comment line goes first.
+    A chunk's rows are uint8 rows of right-aligned digits, less their zero padding."""
+    if header_comment and ("\r" in header_comment or "\n" in header_comment):
+        raise DomainError("a header comment must be one line, without CR or LF")
+    with atomic_write(path, binary=True) as fh:
         counts = np.asarray(table.counts)
         if header_comment:
-            fh.write(f"# {header_comment}\n")
-        fh.write("n,count\n")
-        for lo in range(0, counts.size, _CSV_CHUNK):  # Python ints, a chunk at a time
+            fh.write(f"# {header_comment}\n".encode())
+        fh.write(b"n,count\n")
+        for lo in range(0, counts.size, _CSV_CHUNK):
             chunk = counts[lo : lo + _CSV_CHUNK]
-            pairs = np.empty(2 * chunk.size, dtype=np.int64)
-            pairs[0::2] = np.arange(lo, lo + chunk.size)
-            pairs[1::2] = chunk
-            fh.write(("%d,%d\n" * chunk.size) % tuple(pairs.tolist()))
+            wn, wc = len(str(lo + chunk.size - 1)), len(str(int(chunk.max())))
+            rows = np.zeros((chunk.size, wn + wc + 2), dtype=np.uint8)
+            rows[:, wn], rows[:, -1] = ord(","), ord("\n")
+            for q, end, width in ((np.arange(lo, lo + chunk.size), wn, wn), (chunk, wn + wc + 1, wc)):
+                for j in range(1, width + 1):  # left of a leading digit, q is 0: padding
+                    rows[:, end - j] = np.where((q > 0) | (j == 1), q % 10 + ord("0"), 0)
+                    q = q // 10
+            fh.write(rows[rows != 0])
+
+
+def _parse_rows(seg: bytes, counts: np.ndarray, row: int, line: int) -> int:
+    """Parse whole `n,count` LF-ended lines into counts[row:], checking each n;
+    return the next row. `line` is the file line number of the first one."""
+    b = np.frombuffer(seg, dtype=np.uint8)
+    digits = b - np.uint8(ord("0"))  # every other byte wraps to 10 or more
+    ends = np.flatnonzero(digits > 9)  # a comma, then an LF, in every row
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    sizes = ends - starts  # no cell is written empty or with a leading zero
+    if (ends.size % 2 or (b[ends[0::2]] != ord(",")).any() or (b[ends[1::2]] != ord("\n")).any()
+            or sizes.min() < 1 or ((digits[starts] == 0) & (sizes > 1)).any()):
+        raise DomainError("a row is not an n,count row")
+    if sizes.max() > 19:
+        raise DomainError("a cell lies outside the 64-bit range")
+    n, count = np.zeros((2, ends.size // 2), dtype=np.uint64)  # 19 digits stay below 2^64
+    for k, cells in enumerate((n, count)):
+        last, size = ends[k::2] - 1, sizes[k::2]
+        for j in range(int(size.max())):  # the j-th digit from the right, or 0
+            cells += digits[last - j] * (size > j) * np.uint64(10**j)
+    if max(int(n.max()), int(count.max())) > _I64_MAX:
+        raise DomainError("a cell lies outside the 64-bit range")
+    n, count = n.view(np.int64), count.view(np.int64)
+    if row + n.size > counts.size:  # more rows than counted
+        raise DomainError("table file changed while it was read")
+    bad = np.flatnonzero(n != np.arange(row, row + n.size))
+    if bad.size:
+        raise DomainError(f"rows out of order at line {line + bad[0]}")
+    counts[row : row + n.size] = count
+    return row + n.size
 
 
 def load_csv(path, order: int) -> RepTable:
     """Read a table written by save_csv. The CSV carries no order, so the
-    caller must state it. Malformed content of any kind raises DomainError."""
-    # A valid table is ASCII. Decoding every other byte to U+FFFD also keeps
-    # loadtxt from the code points that crash its parser (numpy 2.4.6).
-    with open(path, newline="", encoding="ascii", errors="replace") as fh:
-        header = fh.readline()
-        while header.startswith("#"):  # comment lines come only before the header
-            header = fh.readline()
-        if header.rstrip("\r\n") != "n,count":
-            raise DomainError(f"expected header n,count, got {header.strip()!r}")
-        try:
-            with warnings.catch_warnings():  # an empty body is reported below
-                warnings.simplefilter("ignore", UserWarning)
-                rows = np.loadtxt(fh, dtype=np.int64, delimiter=",", comments=None, ndmin=2)
-        except ValueError as exc:
-            cell = re.search(r"string '(.*)' to int64", str(exc))
-            if cell and re.fullmatch(r"\s*[+-]?[0-9]+\s*", cell.group(1)):
-                raise DomainError("a cell lies outside the 64-bit range") from None
-            raise DomainError(f"a row is not an n,count row: {exc}") from None
-    if rows.size == 0:
-        raise DomainError("table file has no rows")
-    if rows.shape[1] != 2:
-        raise DomainError(f"rows have {rows.shape[1]} cells; not an n,count row")
-    bad = np.flatnonzero(rows[:, 0] != np.arange(len(rows)))
-    if bad.size:
-        raise DomainError(f"rows out of order at line {bad[0] + 2}")
-    return RepTable(order=order, limit=len(rows) - 1, counts=rows[:, 1].copy())
+    caller must state it. Malformed content of any kind raises DomainError.
+    The rows are counted first, so the counts are allocated once; then the
+    body is parsed in blocks of _CSV_BLOCK bytes, each cut after its last LF."""
+    with open(path, "rb") as fh:
+        line = 1
+        while (header := fh.readline(9)).startswith(b"#"):  # comments come only before the header
+            while header and not header.endswith(b"\n"):  # the rest of a long comment
+                header = fh.readline(_CSV_BLOCK)
+            line += 1
+        if header not in (b"n,count\n", b"n,count\r\n", b"n,count"):
+            got = header[:40].decode("ascii", "replace").strip()
+            raise DomainError(f"expected header n,count, got {got!r}")
+        body = fh.tell()
+        rows, last = 0, b"\n"
+        while block := fh.read(_CSV_BLOCK):
+            rows, last = rows + block.count(b"\n"), block[-1:]
+        rows += last != b"\n"
+        if not 0 < 4 * rows <= fh.tell() - body + 1:  # a row takes 4 bytes or more, the last 3
+            raise DomainError("a row is not an n,count row" if rows else "table file has no rows")
+        counts = np.empty(rows, dtype=np.int64)
+        fh.seek(body)
+        row, tail = 0, b""
+        while block := fh.read(_CSV_BLOCK):
+            # a CR left at a block's end waits in the tail for its LF; a lone CR stays
+            seg = (tail + block).replace(b"\r\n", b"\n")
+            cut = seg.rfind(b"\n") + 1
+            if cut:
+                row = _parse_rows(seg[:cut], counts, row, line + 1 + row)
+            tail = seg[cut:]
+            if len(tail) > 40:  # longer than any row: 19 digits, a comma, 19, a CR
+                raise DomainError("a row is not an n,count row")
+        if tail:
+            row = _parse_rows(tail + b"\n", counts, row, line + 1 + row)
+    if row != rows:  # fewer rows than counted: the file changed between the passes
+        raise DomainError("table file changed while it was read")
+    return RepTable(order=order, limit=rows - 1, counts=counts)
 
 
 def load_table(path, order: int, limit: int) -> RepTable:
@@ -293,6 +345,8 @@ def save_binary(table: RepTable, path) -> None:
 
 
 def load_binary(path) -> RepTable:
+    """Read a table written by save_binary into one preallocated array; the
+    body's size is checked against the file's before anything is allocated."""
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
         if len(head) != _HEADER.size:
@@ -300,14 +354,13 @@ def load_binary(path) -> RepTable:
         magic, order, limit = _HEADER.unpack(head)
         if magic != _BINARY_MAGIC:
             raise DomainError(f"bad magic {magic!r}")
-        body = fh.read()
-    expected = (limit + 1) * 8
-    if len(body) != expected:
-        raise DomainError(
-            f"table body has {len(body)} bytes, expected {expected}"
-        )
-    raw = np.frombuffer(body, dtype="<u8")
-    if raw.size and int(raw.max()) > _I64_MAX:
+        size, expected = os.fstat(fh.fileno()).st_size - _HEADER.size, (limit + 1) * 8
+        if size != expected:
+            raise DomainError(f"table body has {size} bytes, expected {expected}")
+        counts = np.empty(limit + 1, dtype="<i8")
+        if fh.readinto(counts) != expected:
+            raise DomainError("table file changed while it was read")
+    # a stored count of 2^63 or more reads as a negative int64
+    if counts.size and int(counts.min()) < 0:
         raise CountOverflowError("stored count exceeds 63-bit range")
-    counts = raw.view("<i8")  # every count is below 2^63: the same bytes as int64
     return RepTable(order=order, limit=limit, counts=counts)

@@ -21,6 +21,7 @@ from .errors import DomainError, InsufficientPointsError, TableTooShortError
 from ._util import SAFE_LIMIT
 
 _SUM_BLOCK = 2**16  # entries per block of an exact prefix sum
+_OBJECT_BLOCK = 2**12  # entries per Python-int sub-block
 
 
 @dataclass(frozen=True)
@@ -121,7 +122,8 @@ def _prefix_at(counts: np.ndarray, xs: list[int], square: bool) -> dict[int, int
     The entries between checkpoints are summed in blocks of _SUM_BLOCK. A block
     whose exact bound, top * size (top * top * size for squares, top its
     largest entry), stays below SAFE_LIMIT sums in int64; any other block alone
-    is cast to Python ints. The running total is a Python int.
+    is cast to Python ints, _OBJECT_BLOCK entries at a time. The running total
+    is a Python int.
     """
     out: dict[int, int] = {}
     total = 0
@@ -130,9 +132,12 @@ def _prefix_at(counts: np.ndarray, xs: list[int], square: bool) -> dict[int, int
         for lo in range(prev, x + 1, _SUM_BLOCK):
             block = counts[lo : min(lo + _SUM_BLOCK, x + 1)]
             top = int(block.max())
-            if not (top * top if square else top) * block.size < SAFE_LIMIT:
-                block = block.astype(object)
-            total += int((block * block if square else block).sum())
+            if (top * top if square else top) * block.size < SAFE_LIMIT:
+                total += int((block * block if square else block).sum())
+                continue
+            for i in range(0, block.size, _OBJECT_BLOCK):
+                part = block[i : i + _OBJECT_BLOCK].astype(object)
+                total += int((part * part if square else part).sum())
         out[x] = total
         prev = x + 1
     return out

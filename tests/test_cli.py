@@ -13,7 +13,6 @@ import stat
 import subprocess
 import sys
 import tempfile
-import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -738,12 +737,20 @@ def test_malformed_input_files_end_in_one_error_line(table, series):
         ("n,count\n0,1\n1,abc\n", "not an n,count row"),
         ("n,count\n0,1\n1,99999999999999999999\n", "64-bit range"),
         ("n,count\n0,1\n1\n", "not an n,count row"),
+        ("n,count\n0,1\n\n1,2\n", "not an n,count row"),
+        ("n,count\n0,1\n1, 6\n", "not an n,count row"),
+        ("n,count\n0,1\n1,+6\n", "not an n,count row"),
+        ("n,count\n0,1\n1,-0\n", "not an n,count row"),
+        ("n,count\n0,1\n1,10000000000000000000\n", "64-bit range"),
+        ("n,count\n0,1\r1,6\n", "not an n,count row"),
+        ("n,count\n", "no rows"),
     ],
-    ids=["non-integer", "above-2^63", "one-cell"],
+    ids=["non-integer", "above-2^63", "one-cell", "blank-line", "space-in-cell", "plus-sign",
+         "minus-zero", "twenty-digits", "lone-cr", "empty-body"],
 )
 def test_malformed_table_cases(tmp_path, content, expected):
     path = tmp_path / "table.csv"
-    path.write_text(content)
+    path.write_bytes(content.encode())
     code, err = _run_captured(["verify-mean", "--limit", "1", "--table", str(path)])
     assert code == 1
     assert err.startswith("error: DomainError: ") and expected in err and err.count("\n") == 1
@@ -862,10 +869,10 @@ def _child_env():
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
-def _child(code, *args, env=None):
+def _child(code, *args, env=None, timeout=300):
     """Stdout of `python -c code args...` in a fresh interpreter."""
     proc = subprocess.run([sys.executable, "-c", code, *args], env=env or _child_env(),
-                          capture_output=True, text=True, timeout=300)
+                          capture_output=True, text=True, timeout=timeout)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -931,28 +938,63 @@ def test_only_a_constant_loads_mpmath(last, tmp_path):
     assert all(digest == pins[key] for key, digest in pinned), pinned
 
 
+# Runs argv[4:] with stdout and stderr to the files argv[2] and argv[3], kills
+# it after argv[1] seconds, and prints its exit status and peak RSS in bytes.
+# A child started by vfork is charged the resident set of the process that
+# started it, so the command starts from this small interpreter, not from pytest.
+_PEAK_SPAWNER = """
+import os, subprocess, sys, time
+deadline = time.monotonic() + float(sys.argv[1])
+with open(sys.argv[2], "wb") as out, open(sys.argv[3], "wb") as err:
+    proc = subprocess.Popen(sys.argv[4:], stdout=out, stderr=err)
+while not (waited := os.wait4(proc.pid, os.WNOHANG))[0]:  # the child's own rusage
+    if time.monotonic() > deadline:
+        proc.kill()
+    time.sleep(0.05)
+print(os.waitstatus_to_exitcode(waited[1]), waited[2].ru_maxrss * 1024)  # ru_maxrss is in KiB
+"""
+
+
+def _cli_peak(args, tmp_path, timeout=300):
+    """Exit status, stdout, stderr and peak RSS in bytes of one
+    `python -m squaresums.cli args` child process (wait4)."""
+    out, err = tmp_path / "peak-out.txt", tmp_path / "peak-err.txt"
+    argv = [sys.executable, "-m", "squaresums.cli", *args]
+    code, peak = map(int, _child(_PEAK_SPAWNER, str(timeout), str(out), str(err), *argv,
+                                 timeout=timeout + 60).split())
+    return code, out.read_text(), err.read_text(), peak
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
+def test_reading_a_table_holds_the_table_and_one_block(tmp_path):
+    """verify-mean --table at 2*10^6 entries, from CSV and from binary, peaks
+    under 12 B per entry above a bare --help: the int64 counts take 8."""
+    limit = 2 * 10**6
+    table = repcount.build_r3_fold(limit)
+    repcount.save_csv(table, tmp_path / "r3.csv")
+    repcount.save_binary(table, tmp_path / "r3.bin")
+    del table
+    code, _, err, bare = _cli_peak(["--help"], tmp_path)
+    assert code == 0, err
+    for name in ("r3.csv", "r3.bin"):
+        args = ["verify-mean", "--limit", str(limit), "--table", str(tmp_path / name), "--reproducible"]
+        code, _, err, peak = _cli_peak(args, tmp_path)
+        assert code == 0, err
+        assert peak - bare < 12 * (limit + 1), (name, (peak - bare) / (limit + 1))
+
+
 @pytest.mark.slow
 def test_mean_square_pins_at_the_limit_cap(tmp_path):
     """verify-meansquare to 10^8 in a child process: the three exact sums, and a
     peak RSS under 16 B per entry. About 80 s and 1.2 GiB on a 2-CPU Xeon."""
-    env = _child_env()
-    argv = [sys.executable, "-m", "squaresums.cli", "verify-meansquare", "--limit", str(cli.LIMIT_CAP),
+    args = ["verify-meansquare", "--limit", str(cli.LIMIT_CAP),
             "--checkpoints", "10000000,30000000,100000000", "--threads", "2", "--reproducible"]
-    out, err = tmp_path / "out.csv", tmp_path / "err.txt"
-    with open(out, "wb") as fh_out, open(err, "wb") as fh_err:
-        proc = subprocess.Popen(argv, stdout=fh_out, stderr=fh_err, env=env)
-    deadline = time.monotonic() + 1800
-    while not (waited := os.wait4(proc.pid, os.WNOHANG))[0]:  # the child's own rusage
-        if time.monotonic() > deadline:
-            proc.kill()
-        time.sleep(1)
-    _, status, usage = waited
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    assert proc.returncode == 0, err.read_text()
-    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    code, out, err, peak = _cli_peak(args, tmp_path, timeout=1800)
+    assert code == 0, err
+    rows = [line.split(",") for line in out.splitlines()[1:]]
     assert {int(row[0]): int(row[1]) for row in rows} == {
         10**7: 3086621138233288,
         3 * 10**7: 27781252986786420,
         10**8: 308691920648216368,
     }
-    assert usage.ru_maxrss * 1024 < 16 * (cli.LIMIT_CAP + 1)  # ru_maxrss is in KiB
+    assert peak < 16 * (cli.LIMIT_CAP + 1)

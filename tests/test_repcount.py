@@ -4,6 +4,7 @@ import math
 import os
 import stat
 import sys
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -234,6 +235,36 @@ def test_csv_and_binary_round_trip(tmp_path):
             assert loaded.counts.tolist() == counts.tolist()
 
     check()
+
+
+def test_csv_round_trip_in_blocks_of_a_few_bytes(tmp_path, monkeypatch):
+    """The round trip again, with the reader's block cut to a few bytes, so
+    rows, cells and CRLF pairs straddle block seams."""
+    seams = []
+
+    @settings(max_examples=30)
+    @given(
+        block=st.integers(1, 9),
+        limit=st.integers(0, 40),
+        values=st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=8),
+        comment=st.none() | st.text(st.characters(min_codepoint=32, max_codepoint=126)),
+        crlf=st.booleans(),
+    )
+    @example(block=4, limit=1, values=[1], comment=None, crlf=True)  # body b"0,1\r|\n1,1\r\n"
+    @example(block=1, limit=2, values=[2**63 - 1, 0], comment="c", crlf=False)
+    def check(block, limit, values, comment, crlf):
+        monkeypatch.setattr(repcount, "_CSV_BLOCK", block)
+        counts = np.resize(np.array(values, dtype=np.int64), limit + 1)
+        path = tmp_path / "table.csv"
+        repcount.save_csv(repcount.RepTable(3, limit, counts), path, header_comment=comment)
+        if crlf:
+            path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        body = path.read_bytes().split(b"n,count\r\n" if crlf else b"n,count\n", 1)[1]
+        seams.append(b"\r" in body[block - 1 :: block])  # a CR ends a block, its LF starts the next
+        assert repcount.load_csv(path, order=3).counts.tolist() == counts.tolist()
+
+    check()
+    assert any(seams)
 
 
 def test_tile_plan_caps_threads_at_cpu_count(monkeypatch):
@@ -509,6 +540,11 @@ def test_load_table_detects_the_format(tmp_path, t3_fold):
         "0,-1\n",
         "0,1\n# note\n1,2\n",
         "0,1\n# note,2\n1,2\n",
+        "0,1\n1,02\n",
+        "0,1\n1,2\r",
+        "0,1\r\r\n1,2\n",
+        "0,1\n1,2\n\n",
+        ",1\n",
     ],
     ids=[
         "non-integer",
@@ -518,11 +554,16 @@ def test_load_table_detects_the_format(tmp_path, t3_fold):
         "negative",
         "comment-below-header",
         "two-cell-comment",
+        "leading-zero",
+        "lone-cr-at-the-end",
+        "cr-cr-lf",
+        "trailing-blank-line",
+        "empty-cell",
     ],
 )
 def test_csv_rejects_malformed_rows(tmp_path, body):
     path = tmp_path / "bad.csv"
-    path.write_text("n,count\n" + body)
+    path.write_bytes(b"n,count\n" + body.encode())
     with pytest.raises(DomainError):
         repcount.load_csv(path, order=1)
 
@@ -531,6 +572,49 @@ def test_csv_reads_past_leading_comments(tmp_path):
     path = tmp_path / "r1.csv"
     path.write_bytes(b"# one\r\n# two\r\nn,count\r\n0,1\r\n1,2\r\n")
     assert list(repcount.load_csv(path, order=1).counts) == [1, 2]
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        b"n,count\n0,1\n1,2",
+        b"n,count\r\n0,1\r\n1,2",
+        b"# one\n#\n# two,2\r\n# a comment longer than one read of the header\nn,count\n0,1\n1,2\n",
+    ],
+    ids=["no-final-newline", "crlf-no-final-newline", "long-and-mixed-comments"],
+)
+def test_csv_accepts_a_missing_final_newline_and_any_leading_comments(tmp_path, raw):
+    path = tmp_path / "r1.csv"
+    path.write_bytes(raw)
+    assert repcount.load_csv(path, order=1).counts.tolist() == [1, 2]
+
+
+@pytest.mark.parametrize("comment", ["two\nlines", "a\rcarriage return", "crlf\r\n"])
+def test_csv_comment_of_more_than_one_line_is_refused_before_writing(tmp_path, comment):
+    # a comment with a line end would give a table that the reader refuses
+    with pytest.raises(DomainError):
+        repcount.save_csv(repcount.build_r1(4), tmp_path / "t.csv", header_comment=comment)
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("grow", [True, False], ids=["grows", "shrinks"])
+def test_csv_that_changes_between_its_two_passes_is_refused(tmp_path, monkeypatch, grow):
+    path = tmp_path / "r1.csv"
+    rows = b"".join(b"%d,0\n" % n for n in range(5000))
+    path.write_bytes(b"n,count\n" + rows)
+    cut = rows.index(b"\n3000,") + 1  # a row end past what one buffered read holds
+    parse = repcount._parse_rows
+
+    def parse_after_a_change(*args):  # the first call comes after the rows were counted
+        with open(path, "r+b") as fh:
+            fh.seek(0, os.SEEK_END) if grow else fh.truncate(len(b"n,count\n") + cut)
+            fh.write(b"5000,0\n" if grow else b"")
+        return parse(*args)
+
+    monkeypatch.setattr(repcount, "_CSV_BLOCK", 1024)
+    monkeypatch.setattr(repcount, "_parse_rows", parse_after_a_change)
+    with pytest.raises(DomainError, match="changed while it was read"):
+        repcount.load_csv(path, order=1)
 
 
 def test_csv_rejects_bad_header(tmp_path):
@@ -543,7 +627,10 @@ def test_csv_rejects_bad_header(tmp_path):
 def test_csv_rejects_out_of_order_rows(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("n,count\n0,1\n2,4\n")
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="at line 3$"):
+        repcount.load_csv(path, order=1)
+    path.write_text("# a comment\n#\nn,count\n0,1\n1,2\n3,4\n")
+    with pytest.raises(DomainError, match="at line 6$"):
         repcount.load_csv(path, order=1)
 
 
@@ -563,6 +650,19 @@ def test_binary_rejects_corruption(tmp_path, t3_fold):
     overflow.write_bytes(raw[:16] + b"\xff" * 8 + raw[24:])
     with pytest.raises(CountOverflowError):
         repcount.load_binary(overflow)
+
+
+def test_binary_header_claiming_2_40_entries_allocates_nothing(tmp_path):
+    path = tmp_path / "claims.bin"
+    path.write_bytes(repcount._HEADER.pack(repcount._BINARY_MAGIC, 3, 2**40 - 1) + bytes(8))
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="expected 8796093022208"):
+            repcount.load_binary(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # numpy reports its buffers to tracemalloc
 
 
 def test_origin_count(t3_fold, t3_conv):
