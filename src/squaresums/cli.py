@@ -36,7 +36,7 @@ Q_CAP = 10**7  # singular series memory grows linearly in Q: 414 MiB peak RSS at
 N_TERMS_CAP = 10**7  # weyl_sum holds about 40 B per term: about 0.4 GB at the cap
 GRID_POINTS_CAP = 10**6  # weyl-sweep evaluates ceil(1 / --grid) points
 GAUSS_Q_CAP = 2**16  # listing S(q, a) for every coprime a costs O(q^2)
-B1_Q_CAP = 10**7  # the B1 totient sieves: 2.6 s and 512 MiB peak RSS at the cap
+B1_Q_CAP = 10**7  # the B1 totient sieves: 1.3 s and 281 MiB peak RSS at the cap
 W_ORDER_CAP = 198  # bounds --w-orders, and --k and --n (an order-k build is k - 1 passes)
 DIGITS_CAP = 1000  # every W_N up to W_ORDER_CAP to 1000 digits takes about 5 s
 
@@ -157,8 +157,8 @@ def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
         _require(args.limit <= LIMIT_CAP or args.override_limit, over)
         _require(args.threads >= 1, "--threads must be >= 1")
         # 32 B per entry bounds each measured peak RSS above a CLI process before any
-        # work (29 MiB): 12 B for the fold's tables and verify-meansquare at 10^6..10^8,
-        # 21 B for r_8
+        # work (29 MiB): 8 B for the fold's tables and verify-meansquare at 10^6..10^8
+        # (the int32 lattice and fold output), 10 B for r_4, about 20 B for r_8
         if not getattr(args, "table_path", None):
             need = 32 * (args.limit + 1)
             ram = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")

@@ -50,6 +50,14 @@ def totient_sieve(Q: int) -> np.ndarray:
     return assemble_multiplicative(phi, rest)
 
 
+def _over_cubes(terms: np.ndarray) -> np.ndarray:
+    """terms[q - 1] / q^3 for q = 1..Q, in place, with one Q-sized temporary."""
+    q3 = np.arange(1, terms.size + 1, dtype=np.float64)
+    q3 **= 3
+    terms /= q3
+    return terms
+
+
 def b1_terms_direct(Q: int) -> np.ndarray:
     """Per-q contributions phi(q) |S(q,.)|^6 / q^6 via the magnitude law.
 
@@ -57,10 +65,10 @@ def b1_terms_direct(Q: int) -> np.ndarray:
     """
     if Q < 1:
         raise DomainError(f"Q must be >= 1, got {Q}")
-    phi = totient_sieve(Q)[1:].astype(np.float64)
-    q = np.arange(1, Q + 1)
-    weight = np.where(q % 2 == 1, 1.0, np.where(q % 4 == 0, 8.0, 0.0))
-    return phi * weight / q.astype(np.float64) ** 3
+    terms = totient_sieve(Q)[1:].astype(np.float64)  # index q - 1
+    terms[1::4] = 0.0  # q = 2 mod 4
+    terms[3::4] *= 8.0  # q = 0 mod 4
+    return _over_cubes(terms)
 
 
 def b1_direct(Q: int) -> float:
@@ -72,10 +80,10 @@ def b1_terms_euler(Q: int) -> np.ndarray:
     """Per-q contributions of the odd-q Euler form (4/3) phi(q)/q^3."""
     if Q < 1:
         raise DomainError(f"Q must be >= 1, got {Q}")
-    phi = totient_sieve(Q)[1:].astype(np.float64)
-    q = np.arange(1, Q + 1)
-    weight = np.where(q % 2 == 1, 4.0 / 3.0, 0.0)
-    return phi * weight / q.astype(np.float64) ** 3
+    terms = totient_sieve(Q)[1:].astype(np.float64)  # index q - 1
+    terms *= 4.0 / 3.0
+    terms[1::2] = 0.0  # even q
+    return _over_cubes(terms)
 
 
 def b1_euler(Q: int) -> float:

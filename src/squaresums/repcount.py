@@ -19,8 +19,11 @@ capped at the CPU count.
 Table files: a CSV is any `#` lines, the header `n,count`, then one row per n
 from 0 up, both cells unsigned decimal without leading zeros, each line ended
 by LF or CRLF (the last may lack it); a binary file is a 16-byte header, then
-little-endian int64 counts. Reading either holds the counts (8 B per entry)
-and one block of the file.
+little-endian int64 counts. A built table keeps the width of its last pass
+(a fold table to 10^8 is int32, 4 B per entry): save_binary widens it to
+int64 one chunk at a time, and save_csv formats each chunk at its own width.
+Reading either format returns int64 counts (8 B per entry) and holds one
+block of the file besides; given a limit, it reads only the rows 0..limit.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from ._util import SAFE_LIMIT, atomic_write
 _I64_MAX = (1 << 63) - 1
 _TILE_BYTES = 2**19  # bytes per shift-add output tile, resident in L2
 _CSV_CHUNK = 2**16  # table rows formatted per write
+_BIN_CHUNK = 2**16  # counts widened to int64 per binary write
 _CSV_BLOCK = 2**16  # bytes of a CSV table parsed at a time
 
 _BINARY_MAGIC = b"RKTB"
@@ -46,7 +50,13 @@ _HEADER = struct.Struct("<4sIQ")
 
 @dataclass(frozen=True, eq=False)
 class RepTable:
-    """Immutable counts r_k(n) for 0 <= n <= limit."""
+    """Immutable counts r_k(n) for 0 <= n <= limit.
+
+    Counts of int16, int32 or int64 keep their width: a built table holds the
+    output of its last _add_squares pass, with no int64 copy. Any other dtype
+    is converted to int64. A reader that squares or sums the counts must widen
+    them first (verify._prefix_at widens one block at a time).
+    """
 
     order: int
     limit: int
@@ -58,7 +68,7 @@ class RepTable:
         if self.limit < 0:
             raise DomainError(f"limit must be >= 0, got {self.limit}")
         c = np.asarray(self.counts)
-        if c.dtype != np.int64:
+        if c.dtype not in (np.int16, np.int32, np.int64):
             c = c.astype(np.int64)
         if c.shape != (self.limit + 1,):
             raise DomainError(
@@ -161,10 +171,10 @@ def _add_squares(src: np.ndarray, x: int, threads: int) -> np.ndarray:
 
 
 def build_r1(x: int) -> RepTable:
-    """Counts for one square: 2 at positive perfect squares, 1 at 0."""
+    """Counts for one square: 2 at positive perfect squares, 1 at 0, in int16."""
     if x < 0:
         raise DomainError(f"limit must be >= 0, got {x}")
-    counts = np.zeros(x + 1, dtype=np.int64)
+    counts = np.zeros(x + 1, dtype=np.int16)
     counts[0] = 1
     roots = np.arange(1, math.isqrt(x) + 1, dtype=np.int64)
     counts[roots * roots] = 2
@@ -281,11 +291,13 @@ def _parse_rows(seg: bytes, counts: np.ndarray, row: int, line: int) -> int:
     return row + n.size
 
 
-def load_csv(path, order: int) -> RepTable:
+def load_csv(path, order: int, limit: int | None = None) -> RepTable:
     """Read a table written by save_csv. The CSV carries no order, so the
     caller must state it. Malformed content of any kind raises DomainError.
     The rows are counted first, so the counts are allocated once; then the
-    body is parsed in blocks of _CSV_BLOCK bytes, each cut after its last LF."""
+    body is parsed in blocks of _CSV_BLOCK bytes, each cut after its last LF.
+    Given a limit, both passes stop at the LF of row limit, so the rest of the
+    file is neither read nor checked."""
     with open(path, "rb") as fh:
         line = 1
         while (header := fh.readline(9)).startswith(b"#"):  # comments come only before the header
@@ -295,17 +307,22 @@ def load_csv(path, order: int) -> RepTable:
         if header not in (b"n,count\n", b"n,count\r\n", b"n,count"):
             got = header[:40].decode("ascii", "replace").strip()
             raise DomainError(f"expected header n,count, got {got!r}")
-        body = fh.tell()
+        body, end = fh.tell(), None
         rows, last = 0, b"\n"
         while block := fh.read(_CSV_BLOCK):
             rows, last = rows + block.count(b"\n"), block[-1:]
-        rows += last != b"\n"
-        if not 0 < 4 * rows <= fh.tell() - body + 1:  # a row takes 4 bytes or more, the last 3
+            if limit is not None and rows > limit:  # row limit ends in this block
+                lfs = np.flatnonzero(np.frombuffer(block, dtype=np.uint8) == ord("\n"))
+                end, rows = fh.tell() - len(block) + int(lfs[limit - rows]) + 1, limit + 1
+                break
+        else:  # the whole body is counted; its last row may lack the LF
+            rows += last != b"\n"
+        if not 0 < 4 * rows <= (end or fh.tell()) - body + 1:  # a row takes 4 bytes or more, the last 3
             raise DomainError("a row is not an n,count row" if rows else "table file has no rows")
         counts = np.empty(rows, dtype=np.int64)
         fh.seek(body)
         row, tail = 0, b""
-        while block := fh.read(_CSV_BLOCK):
+        while block := fh.read(_CSV_BLOCK if end is None else min(_CSV_BLOCK, end - fh.tell())):
             # a CR left at a block's end waits in the tail for its LF; a lone CR stays
             seg = (tail + block).replace(b"\r\n", b"\n")
             cut = seg.rfind(b"\n") + 1
@@ -314,7 +331,7 @@ def load_csv(path, order: int) -> RepTable:
             tail = seg[cut:]
             if len(tail) > 40:  # longer than any row: 19 digits, a comma, 19, a CR
                 raise DomainError("a row is not an n,count row")
-        if tail:
+        if tail and end is None:  # with an end, the last row read ends in its LF
             row = _parse_rows(tail + b"\n", counts, row, line + 1 + row)
     if row != rows:  # fewer rows than counted: the file changed between the passes
         raise DomainError("table file changed while it was read")
@@ -322,11 +339,11 @@ def load_csv(path, order: int) -> RepTable:
 
 
 def load_table(path, order: int, limit: int) -> RepTable:
-    """Read a table of the given order covering at least `limit`, in either
-    format; the binary magic tells them apart."""
+    """Read the counts 0..limit of a table of the given order, in either
+    format; the binary magic tells them apart. The rest of the file is not read."""
     with open(path, "rb") as fh:
         binary = fh.read(len(_BINARY_MAGIC)) == _BINARY_MAGIC
-    table = load_binary(path) if binary else load_csv(path, order=order)
+    table = load_binary(path, limit) if binary else load_csv(path, order, limit)
     if table.order != order:
         raise DomainError(f"table {path} has order {table.order}, expected {order}")
     if table.limit < limit:
@@ -336,31 +353,36 @@ def load_table(path, order: int, limit: int) -> RepTable:
 
 def save_binary(table: RepTable, path) -> None:
     """Compact dump, written atomically: 16-byte header (magic, k, x), then
-    little-endian 64-bit counts."""
+    little-endian 64-bit counts, widened _BIN_CHUNK counts at a time."""
     with atomic_write(path, binary=True) as fh:
+        counts = np.asarray(table.counts)
         fh.write(_HEADER.pack(_BINARY_MAGIC, table.order, table.limit))
         # counts are non-negative, so their int64 bytes are their uint64 bytes;
-        # the buffer is written as it is, without a copy
-        fh.write(np.ascontiguousarray(table.counts, dtype="<i8").data)
+        # a chunk already in <i8 is written as it is, without a copy
+        for lo in range(0, counts.size, _BIN_CHUNK):
+            fh.write(np.ascontiguousarray(counts[lo : lo + _BIN_CHUNK], dtype="<i8").data)
 
 
-def load_binary(path) -> RepTable:
+def load_binary(path, limit: int | None = None) -> RepTable:
     """Read a table written by save_binary into one preallocated array; the
-    body's size is checked against the file's before anything is allocated."""
+    body's size is checked against the file's before anything is allocated.
+    Given a limit, only the counts 0..min(limit, stored limit) are read."""
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
         if len(head) != _HEADER.size:
             raise DomainError("truncated table file")
-        magic, order, limit = _HEADER.unpack(head)
+        magic, order, stored = _HEADER.unpack(head)
         if magic != _BINARY_MAGIC:
             raise DomainError(f"bad magic {magic!r}")
-        size, expected = os.fstat(fh.fileno()).st_size - _HEADER.size, (limit + 1) * 8
+        size, expected = os.fstat(fh.fileno()).st_size - _HEADER.size, (stored + 1) * 8
         if size != expected:
             raise DomainError(f"table body has {size} bytes, expected {expected}")
-        counts = np.empty(limit + 1, dtype="<i8")
-        if fh.readinto(counts) != expected:
+        if limit is not None:
+            stored = min(stored, limit)
+        counts = np.empty(stored + 1, dtype="<i8")
+        if fh.readinto(counts) != counts.nbytes:
             raise DomainError("table file changed while it was read")
     # a stored count of 2^63 or more reads as a negative int64
     if counts.size and int(counts.min()) < 0:
         raise CountOverflowError("stored count exceeds 63-bit range")
-    return RepTable(order=order, limit=limit, counts=counts)
+    return RepTable(order=order, limit=stored, counts=counts)

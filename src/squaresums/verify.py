@@ -119,18 +119,19 @@ def _validate_grid(table: repcount.RepTable, checkpoints, order: int) -> list[in
 def _prefix_at(counts: np.ndarray, xs: list[int], square: bool) -> dict[int, int]:
     """Exact sums of counts[n] (or counts[n]^2) over 1 <= n <= x for each x.
 
-    The entries between checkpoints are summed in blocks of _SUM_BLOCK. A block
-    whose exact bound, top * size (top * top * size for squares, top its
-    largest entry), stays below SAFE_LIMIT sums in int64; any other block alone
-    is cast to Python ints, _OBJECT_BLOCK entries at a time. The running total
-    is a Python int.
+    The entries between checkpoints are summed in blocks of _SUM_BLOCK, each
+    widened to int64 first: narrow counts (int16, int32) squared in their own
+    width would wrap. A block whose exact bound, top * size (top * top * size
+    for squares, top its largest entry), stays below SAFE_LIMIT sums in int64;
+    any other block alone is cast to Python ints, _OBJECT_BLOCK entries at a
+    time. The running total is a Python int.
     """
     out: dict[int, int] = {}
     total = 0
     prev = 1
     for x in xs:
         for lo in range(prev, x + 1, _SUM_BLOCK):
-            block = counts[lo : min(lo + _SUM_BLOCK, x + 1)]
+            block = counts[lo : min(lo + _SUM_BLOCK, x + 1)].astype(np.int64, copy=False)
             top = int(block.max())
             if (top * top if square else top) * block.size < SAFE_LIMIT:
                 total += int((block * block if square else block).sum())

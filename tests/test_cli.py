@@ -965,28 +965,76 @@ def _cli_peak(args, tmp_path, timeout=300):
     return code, out.read_text(), err.read_text(), peak
 
 
+_PEAK_LIMIT = 2 * 10**6
+
+
+@pytest.fixture(scope="module")
+def peak_tables(tmp_path_factory):
+    """An r_3 table to 2*10^6 in both formats, and the peak RSS in bytes of a
+    bare --help."""
+    folder = tmp_path_factory.mktemp("peak")
+    table = repcount.build_r3_fold(_PEAK_LIMIT)
+    repcount.save_csv(table, folder / "r3.csv")
+    repcount.save_binary(table, folder / "r3.bin")
+    del table
+    code, _, err, bare = _cli_peak(["--help"], folder)
+    assert code == 0, err
+    return folder, bare
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
-def test_reading_a_table_holds_the_table_and_one_block(tmp_path):
+def test_reading_a_table_holds_the_table_and_one_block(peak_tables):
     """verify-mean --table at 2*10^6 entries, from CSV and from binary, peaks
     under 12 B per entry above a bare --help: the int64 counts take 8."""
-    limit = 2 * 10**6
-    table = repcount.build_r3_fold(limit)
-    repcount.save_csv(table, tmp_path / "r3.csv")
-    repcount.save_binary(table, tmp_path / "r3.bin")
-    del table
-    code, _, err, bare = _cli_peak(["--help"], tmp_path)
+    folder, bare = peak_tables
+    for name in ("r3.csv", "r3.bin"):
+        args = ["verify-mean", "--limit", str(_PEAK_LIMIT), "--table", str(folder / name), "--reproducible"]
+        code, _, err, peak = _cli_peak(args, folder)
+        assert code == 0, err
+        assert peak - bare < 12 * (_PEAK_LIMIT + 1), (name, (peak - bare) / (_PEAK_LIMIT + 1))
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
+def test_a_short_limit_reads_only_its_rows(peak_tables):
+    """verify-mean --limit 1000 on the 2*10^6 table, from CSV and from binary:
+    the output of a build to 1000, at a peak under 2 MiB above a bare --help."""
+    folder, bare = peak_tables
+    args = ["verify-mean", "--limit", "1000", "--reproducible"]
+    code, built, err, _ = _cli_peak(args, folder)
     assert code == 0, err
     for name in ("r3.csv", "r3.bin"):
-        args = ["verify-mean", "--limit", str(limit), "--table", str(tmp_path / name), "--reproducible"]
-        code, _, err, peak = _cli_peak(args, tmp_path)
+        code, out, err, peak = _cli_peak([*args, "--table", str(folder / name)], folder)
         assert code == 0, err
-        assert peak - bare < 12 * (limit + 1), (name, (peak - bare) / (limit + 1))
+        assert out == built
+        assert peak - bare < 2 << 20, (name, (peak - bare) / 2**20)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
+@pytest.mark.parametrize(
+    "command, extra, output",
+    [
+        ("tables", ["--table-format", "binary"], "out.bin"),
+        ("tables", [], "out.csv"),
+        ("verify-meansquare", [], None),
+    ],
+    ids=["tables-binary", "tables-csv", "verify-meansquare"],
+)
+def test_a_fold_build_holds_8_bytes_per_entry(peak_tables, command, extra, output):
+    """At 2*10^6 entries each peaks under 9 B per entry above a bare --help:
+    the int32 lattice and the int32 fold output, with no int64 copy."""
+    folder, bare = peak_tables
+    args = [command, "--limit", str(_PEAK_LIMIT), "--reproducible", *extra]
+    if output:
+        args += ["--output", str(folder / output)]
+    code, _, err, peak = _cli_peak(args, folder)
+    assert code == 0, err
+    assert peak - bare < 9 * (_PEAK_LIMIT + 1), (peak - bare) / (_PEAK_LIMIT + 1)
 
 
 @pytest.mark.slow
 def test_mean_square_pins_at_the_limit_cap(tmp_path):
     """verify-meansquare to 10^8 in a child process: the three exact sums, and a
-    peak RSS under 16 B per entry. About 80 s and 1.2 GiB on a 2-CPU Xeon."""
+    peak RSS under 10 B per entry. About 80 s and 0.8 GiB on a 2-CPU Xeon."""
     args = ["verify-meansquare", "--limit", str(cli.LIMIT_CAP),
             "--checkpoints", "10000000,30000000,100000000", "--threads", "2", "--reproducible"]
     code, out, err, peak = _cli_peak(args, tmp_path, timeout=1800)
@@ -997,4 +1045,4 @@ def test_mean_square_pins_at_the_limit_cap(tmp_path):
         3 * 10**7: 27781252986786420,
         10**8: 308691920648216368,
     }
-    assert peak < 16 * (cli.LIMIT_CAP + 1)
+    assert peak < 10 * (cli.LIMIT_CAP + 1)

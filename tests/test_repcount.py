@@ -355,26 +355,47 @@ def test_r8_passes_widen_as_their_bounds_grow(r8_passes):
     assert table.counts.dtype == np.int64
 
 
+@pytest.mark.parametrize("x", [2000, 100_000])
 @pytest.mark.parametrize(
-    "build",
+    "build, width",
     [
-        repcount.build_r1,
-        lambda x: repcount.build_rk(x, 2),
-        lambda x: repcount.build_rk(x, 3, threads=2),
-        repcount.build_r3_fold,
+        (repcount.build_r1, np.int16),
+        (lambda x: repcount.build_rk(x, 2), np.int16),
+        (lambda x: repcount.build_rk(x, 3, threads=2), np.int32),
+        (repcount.build_r3_fold, np.int32),
     ],
     ids=["r1", "rk2", "rk3", "fold"],
 )
-def test_builders_return_int64_counts(build, tmp_path):
-    # every pass of these builds is narrow, yet tables hold int64
-    table = build(2000)
-    assert table.counts.dtype == np.int64
+def test_tables_keep_their_last_pass_width(build, width, x, tmp_path, monkeypatch):
+    # a built table holds the output of its last pass itself, not an int64
+    # copy; r_1, which no pass makes, is int16. Every table is int16 at 2000;
+    # at 10^5 r_3 has outgrown int16 passes (int32 holds it to 10^8). The
+    # files hold int64, and so do the tables read from them.
+    outputs, add = [], repcount._add_squares
+
+    def record(*args):
+        outputs.append(add(*args))
+        return outputs[-1]
+
+    monkeypatch.setattr(repcount, "_add_squares", record)
+    table = build(x)
+    assert table.counts.dtype == (np.int16 if x == 2000 else width)
+    if outputs:
+        assert table.counts.dtype == outputs[-1].dtype
+        assert np.shares_memory(table.counts, outputs[-1])
     repcount.save_csv(table, tmp_path / "t.csv")
     repcount.save_binary(table, tmp_path / "t.bin")
     for path in (tmp_path / "t.csv", tmp_path / "t.bin"):
         loaded = repcount.load_table(path, table.order, table.limit)
         assert loaded.counts.dtype == np.int64
         assert (loaded.counts == table.counts).all()
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.uint16, np.uint32, np.uint64, np.float64])
+def test_rep_table_holds_other_dtypes_as_int64(dtype):
+    table = repcount.RepTable(1, 2, np.array([1, 2, 0], dtype=dtype))
+    assert table.counts.dtype == np.int64
+    assert table.counts.tolist() == [1, 2, 0]
 
 
 @st.composite
@@ -528,6 +549,49 @@ def test_load_table_detects_the_format(tmp_path, t3_fold):
         repcount.load_table(bin_path, 4, 1)
     with pytest.raises(TableTooShortError):
         repcount.load_table(csv_path, 3, t3_fold.limit + 1)
+
+
+def test_loaders_read_only_the_rows_a_limit_asks_for(tmp_path, monkeypatch):
+    """load_table with every limit from 0 past the table's end, the CSV read
+    in blocks of a few bytes, with LF or CRLF line ends: the counts 0..limit,
+    or TableTooShortError. A malformed row after row limit is never read."""
+
+    @settings(max_examples=60)
+    @given(
+        block=st.integers(1, 9),
+        rows=st.integers(1, 40),
+        limit=st.integers(0, 45),
+        crlf=st.booleans(),
+        comment=st.none() | st.just("c"),
+    )
+    @example(block=4, rows=3, limit=0, crlf=True, comment=None)  # row 0 ends b"0,0\r|\n"
+    @example(block=9, rows=40, limit=39, crlf=False, comment="c")
+    def check(block, rows, limit, crlf, comment):
+        monkeypatch.setattr(repcount, "_CSV_BLOCK", block)
+        counts = np.arange(rows, dtype=np.int64) * 7 % 11
+        table = repcount.RepTable(3, rows - 1, counts)
+        csv_path, bin_path = tmp_path / "t.csv", tmp_path / "t.bin"
+        repcount.save_csv(table, csv_path, header_comment=comment)
+        repcount.save_binary(table, bin_path)
+        if crlf:
+            csv_path.write_bytes(csv_path.read_bytes().replace(b"\n", b"\r\n"))
+        for path in (csv_path, bin_path):
+            if limit >= rows:
+                with pytest.raises(TableTooShortError):
+                    repcount.load_table(path, 3, limit)
+                continue
+            loaded = repcount.load_table(path, 3, limit)
+            assert loaded.limit == limit and loaded.counts.dtype == np.int64
+            assert loaded.counts.tolist() == counts[: limit + 1].tolist()
+        if limit < rows - 1:  # a bad row, and a count of 2^63, past the prefix
+            csv_path.write_bytes(csv_path.read_bytes() + b"x,y\n")
+            raw = bytearray(bin_path.read_bytes())
+            raw[-8:] = b"\xff" * 8
+            bin_path.write_bytes(bytes(raw))
+            for path in (csv_path, bin_path):
+                assert repcount.load_table(path, 3, limit).counts.tolist() == counts[: limit + 1].tolist()
+
+    check()
 
 
 @pytest.mark.parametrize(

@@ -172,6 +172,28 @@ def test_prefix_blocks_match_the_exact_sum(block, square, monkeypatch):
     check()
 
 
+@pytest.mark.parametrize("dtype", [np.int16, np.int32, np.int64])
+@pytest.mark.parametrize("square", [False, True])
+def test_prefix_sums_of_narrow_counts_do_not_wrap(dtype, square, monkeypatch):
+    # built tables keep their pass's width; a block squared (or summed) in
+    # int16 or int32 would wrap, so each is widened before it is summed
+    monkeypatch.setattr(verify, "_SUM_BLOCK", 8)
+    top = int(np.iinfo(dtype).max)
+
+    @settings(max_examples=40)
+    @given(
+        counts=st.lists(st.integers(0, top) | st.sampled_from([top, top - 1]), min_size=2, max_size=100),
+        data=st.data(),
+    )
+    def check(counts, data):
+        xs = sorted(data.draw(st.sets(st.integers(1, len(counts) - 1), min_size=1)))
+        power = 2 if square else 1
+        exact = {x: sum(c**power for c in counts[1 : x + 1]) for x in xs}
+        assert verify._prefix_at(np.array(counts, dtype=dtype), xs, square) == exact
+
+    check()
+
+
 def test_prefix_sums_make_no_table_sized_temporary():
     counts = np.arange(2 * 10**6, dtype=np.int64) % 1000
     counts[-1] = 2**62  # its block, and only its block, sums in Python ints
