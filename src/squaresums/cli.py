@@ -164,7 +164,7 @@ def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
             ram = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
             _require(need <= ram, f"--limit {args.limit} needs about {need >> 20} MiB, "
                      f"more than the {ram >> 20} MiB of physical memory")
-    if getattr(args, "checkpoints", None):
+    if getattr(args, "checkpoints", None) is not None:
         xs = args.checkpoints = _parse_int_list(args.checkpoints, "--checkpoints")
         _require(xs == sorted(set(xs)), "--checkpoints must be strictly ascending")
         _require(xs[0] >= 1, "--checkpoints must be >= 1")
@@ -182,7 +182,7 @@ def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
     if cmd == "singular":
         _require(args.n >= 1, "--n must be >= 1")
         _require(args.n <= LIMIT_CAP, f"--n {args.n} exceeds {LIMIT_CAP}")
-        if args.q_grid:
+        if args.q_grid is not None:
             args.q_grid = _parse_int_list(args.q_grid, "--q-grid")
             _require(min(args.q_grid) >= 1, "--q-grid entries must be >= 1")
         _require(args.q_max is not None or not args.dump_terms, "--dump-terms requires --q-max")

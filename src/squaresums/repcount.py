@@ -22,8 +22,9 @@ by LF or CRLF (the last may lack it); a binary file is a 16-byte header, then
 little-endian int64 counts. A built table keeps the width of its last pass
 (a fold table to 10^8 is int32, 4 B per entry): save_binary widens it to
 int64 one chunk at a time, and save_csv formats each chunk at its own width.
-Reading either format returns int64 counts (8 B per entry) and holds one
-block of the file besides; given a limit, it reads only the rows 0..limit.
+A reader takes a limit and reads the rows 0..limit once, into int64 counts
+(8 B per entry) sized by the limit and, for a CSV, by the body's bytes; it
+holds one block of the file besides.
 """
 
 from __future__ import annotations
@@ -53,9 +54,10 @@ class RepTable:
     """Immutable counts r_k(n) for 0 <= n <= limit.
 
     Counts of int16, int32 or int64 keep their width: a built table holds the
-    output of its last _add_squares pass, with no int64 copy. Any other dtype
-    is converted to int64. A reader that squares or sums the counts must widen
-    them first (verify._prefix_at widens one block at a time).
+    output of its last _add_squares pass, with no int64 copy, and a caller's
+    array is shared through a read-only view (the caller's stays writable).
+    Any other dtype is converted to int64. A reader that squares or sums the
+    counts must widen them first (verify._prefix_at widens one block at a time).
     """
 
     order: int
@@ -76,8 +78,8 @@ class RepTable:
             )
         if c.size and int(c.min()) < 0:
             raise DomainError("counts must be non-negative")
-        if c.flags.writeable:
-            c.setflags(write=False)
+        c = c.view()
+        c.setflags(write=False)
         object.__setattr__(self, "counts", c)
 
 
@@ -282,8 +284,6 @@ def _parse_rows(seg: bytes, counts: np.ndarray, row: int, line: int) -> int:
     if max(int(n.max()), int(count.max())) > _I64_MAX:
         raise DomainError("a cell lies outside the 64-bit range")
     n, count = n.view(np.int64), count.view(np.int64)
-    if row + n.size > counts.size:  # more rows than counted
-        raise DomainError("table file changed while it was read")
     bad = np.flatnonzero(n != np.arange(row, row + n.size))
     if bad.size:
         raise DomainError(f"rows out of order at line {line + bad[0]}")
@@ -291,13 +291,12 @@ def _parse_rows(seg: bytes, counts: np.ndarray, row: int, line: int) -> int:
     return row + n.size
 
 
-def load_csv(path, order: int, limit: int | None = None) -> RepTable:
-    """Read a table written by save_csv. The CSV carries no order, so the
-    caller must state it. Malformed content of any kind raises DomainError.
-    The rows are counted first, so the counts are allocated once; then the
-    body is parsed in blocks of _CSV_BLOCK bytes, each cut after its last LF.
-    Given a limit, both passes stop at the LF of row limit, so the rest of the
-    file is neither read nor checked."""
+def load_csv(path, order: int, limit: int) -> RepTable:
+    """Read the rows 0..limit of a table written by save_csv, in one pass; the
+    CSV carries no order, so the caller states it. Malformed content raises
+    DomainError. The counts are sized by the limit and the body's bytes; the
+    body is parsed into them in blocks of _CSV_BLOCK bytes, each cut after its
+    last LF, up to the LF of row limit. The rest of the file is not read."""
     with open(path, "rb") as fh:
         line = 1
         while (header := fh.readline(9)).startswith(b"#"):  # comments come only before the header
@@ -307,35 +306,27 @@ def load_csv(path, order: int, limit: int | None = None) -> RepTable:
         if header not in (b"n,count\n", b"n,count\r\n", b"n,count"):
             got = header[:40].decode("ascii", "replace").strip()
             raise DomainError(f"expected header n,count, got {got!r}")
-        body, end = fh.tell(), None
-        rows, last = 0, b"\n"
-        while block := fh.read(_CSV_BLOCK):
-            rows, last = rows + block.count(b"\n"), block[-1:]
-            if limit is not None and rows > limit:  # row limit ends in this block
-                lfs = np.flatnonzero(np.frombuffer(block, dtype=np.uint8) == ord("\n"))
-                end, rows = fh.tell() - len(block) + int(lfs[limit - rows]) + 1, limit + 1
-                break
-        else:  # the whole body is counted; its last row may lack the LF
-            rows += last != b"\n"
-        if not 0 < 4 * rows <= (end or fh.tell()) - body + 1:  # a row takes 4 bytes or more, the last 3
-            raise DomainError("a row is not an n,count row" if rows else "table file has no rows")
-        counts = np.empty(rows, dtype=np.int64)
-        fh.seek(body)
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        if not size:
+            raise DomainError("table file has no rows")
+        # a row takes 4 bytes or more, the last 3, so row (size + 1) // 4 can never
+        # be whole: bytes left after the rows before it are parsed, and refused
+        counts = np.empty(min(limit + 1, (size + 5) // 4), dtype=np.int64)
         row, tail = 0, b""
-        while block := fh.read(_CSV_BLOCK if end is None else min(_CSV_BLOCK, end - fh.tell())):
+        while row < counts.size and (block := fh.read(_CSV_BLOCK)):
             # a CR left at a block's end waits in the tail for its LF; a lone CR stays
             seg = (tail + block).replace(b"\r\n", b"\n")
-            cut = seg.rfind(b"\n") + 1
+            cut, room = seg.rfind(b"\n") + 1, counts.size - row
+            if seg.count(b"\n", 0, cut) > room:  # the last row that fits ends in this block
+                cut = int(np.flatnonzero(np.frombuffer(seg, dtype=np.uint8) == ord("\n"))[room - 1]) + 1
             if cut:
                 row = _parse_rows(seg[:cut], counts, row, line + 1 + row)
             tail = seg[cut:]
-            if len(tail) > 40:  # longer than any row: 19 digits, a comma, 19, a CR
+            if len(tail) > 40 and row < counts.size:  # longer than any row: 19 digits, a comma, 19, a CR
                 raise DomainError("a row is not an n,count row")
-        if tail and end is None:  # with an end, the last row read ends in its LF
+        if row < counts.size and tail:  # the file ended; its last row may lack the LF
             row = _parse_rows(tail + b"\n", counts, row, line + 1 + row)
-    if row != rows:  # fewer rows than counted: the file changed between the passes
-        raise DomainError("table file changed while it was read")
-    return RepTable(order=order, limit=rows - 1, counts=counts)
+    return RepTable(order=order, limit=row - 1, counts=counts[:row])
 
 
 def load_table(path, order: int, limit: int) -> RepTable:
@@ -363,10 +354,10 @@ def save_binary(table: RepTable, path) -> None:
             fh.write(np.ascontiguousarray(counts[lo : lo + _BIN_CHUNK], dtype="<i8").data)
 
 
-def load_binary(path, limit: int | None = None) -> RepTable:
-    """Read a table written by save_binary into one preallocated array; the
-    body's size is checked against the file's before anything is allocated.
-    Given a limit, only the counts 0..min(limit, stored limit) are read."""
+def load_binary(path, limit: int) -> RepTable:
+    """Read the counts 0..min(limit, stored limit) of a table written by
+    save_binary into one preallocated array; the body's size is checked
+    against the file's before anything is allocated."""
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
         if len(head) != _HEADER.size:
@@ -377,12 +368,10 @@ def load_binary(path, limit: int | None = None) -> RepTable:
         size, expected = os.fstat(fh.fileno()).st_size - _HEADER.size, (stored + 1) * 8
         if size != expected:
             raise DomainError(f"table body has {size} bytes, expected {expected}")
-        if limit is not None:
-            stored = min(stored, limit)
-        counts = np.empty(stored + 1, dtype="<i8")
+        counts = np.empty(min(stored, limit) + 1, dtype="<i8")
         if fh.readinto(counts) != counts.nbytes:
             raise DomainError("table file changed while it was read")
     # a stored count of 2^63 or more reads as a negative int64
     if counts.size and int(counts.min()) < 0:
         raise CountOverflowError("stored count exceeds 63-bit range")
-    return RepTable(order=order, limit=stored, counts=counts)
+    return RepTable(order=order, limit=counts.size - 1, counts=counts)

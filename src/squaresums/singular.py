@@ -96,7 +96,11 @@ def a_term(q: int, n: int) -> float:
 
 @dataclass(frozen=True, eq=False)
 class SingularTruncation:
-    """S3(n, Q) together with its per-q terms A(q, n) for q = 1..Q."""
+    """S3(n, Q) together with its per-q terms A(q, n) for q = 1..Q.
+
+    float64 terms share the caller's buffer: the truncation holds a read-only
+    view, and the caller's array stays writable.
+    """
 
     n: int
     Q: int
@@ -111,8 +115,8 @@ class SingularTruncation:
             raise DomainError(f"terms length {t.shape} does not match Q={self.Q}")
         if abs(t[0] - 1.0) > 1e-12:
             raise DomainError(f"q=1 term must be 1, got {t[0]!r}")
-        if t.flags.writeable:
-            t.setflags(write=False)
+        t = t.view()
+        t.setflags(write=False)
         object.__setattr__(self, "terms", t)
 
 

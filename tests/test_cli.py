@@ -283,6 +283,13 @@ def test_usage_errors_exit_2(capsys):
         assert run_cli(["tables", "--limit", "10", "--k", str(k), "--output", "x"]) == 2
     assert run_cli(["nonsense"]) == 2
     capsys.readouterr()
+    for args, flag in (
+        (["verify-mean", "--limit", "100", "--checkpoints", ""], "--checkpoints"),
+        (["singular", "--n", "5", "--q-grid", ""], "--q-grid"),
+        (["constants", "--w-orders", ""], "--w-orders"),
+    ):
+        assert run_cli(args) == 2
+        assert capsys.readouterr().err.splitlines() == [f"usage error: {flag} is empty"]
 
 
 def test_singular_q_above_cap_fails_before_any_work(monkeypatch, capsys):

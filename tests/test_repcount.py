@@ -1,5 +1,6 @@
 """Exact count tables against literal tuple enumeration and classical identities."""
 
+import io
 import math
 import os
 import stat
@@ -209,6 +210,16 @@ def test_counts_are_frozen(t3_fold):
         t3_fold.counts[0] = 99
 
 
+@pytest.mark.parametrize("dtype", [np.int16, np.int32, np.int64])
+def test_table_freezes_a_view_of_the_callers_array(dtype):
+    a = np.array([1, 2, 0], dtype)
+    t = repcount.RepTable(1, 2, a)
+    a[0] = 5  # the caller's array stays writable, and the table shares it
+    assert t.counts.tolist() == [5, 2, 0]
+    with pytest.raises(ValueError):
+        t.counts[0] = 5
+
+
 def test_csv_and_binary_round_trip(tmp_path):
     chunk = repcount._CSV_CHUNK
 
@@ -261,7 +272,7 @@ def test_csv_round_trip_in_blocks_of_a_few_bytes(tmp_path, monkeypatch):
             path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
         body = path.read_bytes().split(b"n,count\r\n" if crlf else b"n,count\n", 1)[1]
         seams.append(b"\r" in body[block - 1 :: block])  # a CR ends a block, its LF starts the next
-        assert repcount.load_csv(path, order=3).counts.tolist() == counts.tolist()
+        assert repcount.load_csv(path, 3, limit).counts.tolist() == counts.tolist()
 
     check()
     assert any(seams)
@@ -629,13 +640,13 @@ def test_csv_rejects_malformed_rows(tmp_path, body):
     path = tmp_path / "bad.csv"
     path.write_bytes(b"n,count\n" + body.encode())
     with pytest.raises(DomainError):
-        repcount.load_csv(path, order=1)
+        repcount.load_csv(path, 1, 10)  # a limit past the last row, so every row is read
 
 
 def test_csv_reads_past_leading_comments(tmp_path):
     path = tmp_path / "r1.csv"
     path.write_bytes(b"# one\r\n# two\r\nn,count\r\n0,1\r\n1,2\r\n")
-    assert list(repcount.load_csv(path, order=1).counts) == [1, 2]
+    assert list(repcount.load_csv(path, 1, 1).counts) == [1, 2]
 
 
 @pytest.mark.parametrize(
@@ -650,7 +661,7 @@ def test_csv_reads_past_leading_comments(tmp_path):
 def test_csv_accepts_a_missing_final_newline_and_any_leading_comments(tmp_path, raw):
     path = tmp_path / "r1.csv"
     path.write_bytes(raw)
-    assert repcount.load_csv(path, order=1).counts.tolist() == [1, 2]
+    assert repcount.load_csv(path, 1, 10).counts.tolist() == [1, 2]
 
 
 @pytest.mark.parametrize("comment", ["two\nlines", "a\rcarriage return", "crlf\r\n"])
@@ -661,41 +672,21 @@ def test_csv_comment_of_more_than_one_line_is_refused_before_writing(tmp_path, c
     assert os.listdir(tmp_path) == []
 
 
-@pytest.mark.parametrize("grow", [True, False], ids=["grows", "shrinks"])
-def test_csv_that_changes_between_its_two_passes_is_refused(tmp_path, monkeypatch, grow):
-    path = tmp_path / "r1.csv"
-    rows = b"".join(b"%d,0\n" % n for n in range(5000))
-    path.write_bytes(b"n,count\n" + rows)
-    cut = rows.index(b"\n3000,") + 1  # a row end past what one buffered read holds
-    parse = repcount._parse_rows
-
-    def parse_after_a_change(*args):  # the first call comes after the rows were counted
-        with open(path, "r+b") as fh:
-            fh.seek(0, os.SEEK_END) if grow else fh.truncate(len(b"n,count\n") + cut)
-            fh.write(b"5000,0\n" if grow else b"")
-        return parse(*args)
-
-    monkeypatch.setattr(repcount, "_CSV_BLOCK", 1024)
-    monkeypatch.setattr(repcount, "_parse_rows", parse_after_a_change)
-    with pytest.raises(DomainError, match="changed while it was read"):
-        repcount.load_csv(path, order=1)
-
-
 def test_csv_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("m,count\n0,1\n")
     with pytest.raises(DomainError):
-        repcount.load_csv(path, order=1)
+        repcount.load_csv(path, 1, 10)
 
 
 def test_csv_rejects_out_of_order_rows(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("n,count\n0,1\n2,4\n")
     with pytest.raises(DomainError, match="at line 3$"):
-        repcount.load_csv(path, order=1)
+        repcount.load_csv(path, 1, 10)
     path.write_text("# a comment\n#\nn,count\n0,1\n1,2\n3,4\n")
     with pytest.raises(DomainError, match="at line 6$"):
-        repcount.load_csv(path, order=1)
+        repcount.load_csv(path, 1, 10)
 
 
 def test_binary_rejects_corruption(tmp_path, t3_fold):
@@ -705,15 +696,15 @@ def test_binary_rejects_corruption(tmp_path, t3_fold):
     bad_magic = tmp_path / "magic.bin"
     bad_magic.write_bytes(b"XXXX" + raw[4:])
     with pytest.raises(DomainError):
-        repcount.load_binary(bad_magic)
+        repcount.load_binary(bad_magic, t3_fold.limit)
     truncated = tmp_path / "short.bin"
     truncated.write_bytes(raw[:-8])
     with pytest.raises(DomainError):
-        repcount.load_binary(truncated)
+        repcount.load_binary(truncated, t3_fold.limit)
     overflow = tmp_path / "overflow.bin"
     overflow.write_bytes(raw[:16] + b"\xff" * 8 + raw[24:])
     with pytest.raises(CountOverflowError):
-        repcount.load_binary(overflow)
+        repcount.load_binary(overflow, t3_fold.limit)
 
 
 def test_binary_header_claiming_2_40_entries_allocates_nothing(tmp_path):
@@ -722,11 +713,55 @@ def test_binary_header_claiming_2_40_entries_allocates_nothing(tmp_path):
     tracemalloc.start()
     try:
         with pytest.raises(DomainError, match="expected 8796093022208"):
-            repcount.load_binary(path)
+            repcount.load_binary(path, 2**40)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 2**20  # numpy reports its buffers to tracemalloc
+
+
+def test_csv_claiming_2_40_rows_allocates_only_what_its_bytes_hold(tmp_path):
+    path = tmp_path / "r1.csv"
+    path.write_bytes(b"n,count\n0,1\n1,2\n2,0\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(TableTooShortError, match="covers n <= 2"):
+            repcount.load_table(path, 3, 2**40)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_csv_is_read_in_one_pass(tmp_path, monkeypatch):
+    path = tmp_path / "r3.csv"
+    table = repcount.build_r3_fold(5000)
+    repcount.save_csv(table, path, header_comment="r3")
+    read = 0
+
+    def count(got):
+        nonlocal read
+        read += len(got)
+        return got
+
+    class Counting(io.BufferedReader):  # counts the bytes each read returns
+        def read(self, *args):
+            return count(super().read(*args))
+
+        def readline(self, *args):
+            return count(super().readline(*args))
+
+    monkeypatch.setattr(repcount, "open", lambda path, mode: Counting(io.FileIO(path)), raising=False)
+    monkeypatch.setattr(repcount, "_CSV_BLOCK", 1024)  # many blocks, and a short last one
+    for limit in (5000, 6000):  # the whole table: the limit bounds the counts, then the bytes
+        read = 0
+        loaded = repcount.load_csv(path, 3, limit)
+        assert loaded.counts.tolist() == table.counts.tolist()
+        assert 0 < read <= path.stat().st_size
+    with pytest.raises(TypeError):
+        repcount.load_csv(path, 3)
+    with pytest.raises(TypeError):
+        repcount.load_binary(path)
 
 
 def test_origin_count(t3_fold, t3_conv):

@@ -299,3 +299,12 @@ def test_domain_errors():
         singular.i_exact_range(5, 0)
     with pytest.raises(DomainError):
         singular.i_exact_range(-1, 5)
+
+
+def test_truncation_freezes_a_view_of_the_callers_terms():
+    a = np.array([1.0, 0.5])
+    t = singular.SingularTruncation(n=1, Q=2, value=1.5, terms=a)
+    a[1] = 0.25  # the caller's array stays writable, and the truncation shares it
+    assert t.terms.tolist() == [1.0, 0.25]
+    with pytest.raises(ValueError):
+        t.terms[1] = 0.0
