@@ -20,16 +20,14 @@ from dataclasses import asdict, astuple, dataclass, field, fields
 from datetime import datetime, timezone
 from itertools import islice
 
-# No subcommand calls BLAS (expsum.v_sum, its one user, is library-only), so
-# OpenBLAS's worker threads would only spin. Set before numpy loads; a value
-# the user set wins, and library imports that skip this module keep the default.
+# No subcommand calls BLAS, so this only stops the worker threads OpenBLAS
+# starts and spins when numpy loads: 0.06-0.09 s of CPU per process. Set before
+# any handler imports numpy; a value the user set wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-import numpy as np
-
-from . import expsum, repcount, singular, verify
+# numpy and the compute modules are imported by the handler that runs them, so
+# parsing, --help and usage errors load neither, and a subcommand loads only its own.
 from .errors import DomainError, InsufficientPointsError, SquaresumsError
-from ._util import atomic_write
 
 LIMIT_CAP = 10**8
 Q_CAP = 10**7  # singular series memory grows linearly in Q: 414 MiB peak RSS at the cap
@@ -156,8 +154,9 @@ def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
         over = f"--limit {args.limit} exceeds {LIMIT_CAP}; pass --override-limit to proceed"
         _require(args.limit <= LIMIT_CAP or args.override_limit, over)
         _require(args.threads >= 1, "--threads must be >= 1")
-        # 32 B per entry bounds each measured peak RSS above a CLI process before any
-        # work (29 MiB): 8 B for the fold's tables and verify-meansquare at 10^6..10^8
+        # 32 B per entry bounds each measured peak RSS above a CLI process that has
+        # loaded numpy and the package but done no work (29 MiB; a bare --help is
+        # 16 MiB): 8 B for the fold's tables and verify-meansquare at 10^6..10^8
         # (the int32 lattice and fold output), 10 B for r_4, about 20 B for r_8
         if not getattr(args, "table_path", None):
             need = 32 * (args.limit + 1)
@@ -227,7 +226,12 @@ class _CsvLines(dict):
 def _emit(args, result: Result) -> int:
     """Render `result` in the requested format only, write it, return the exit status."""
     stamp = None if args.reproducible else _timestamp()
-    out = atomic_write(args.output) if args.output else contextlib.nullcontext(sys.stdout)
+    if args.output:
+        from ._util import atomic_write
+
+        out = atomic_write(args.output)
+    else:
+        out = contextlib.nullcontext(sys.stdout)
     with out as fh:
         if args.output_format == "csv":
             if stamp:
@@ -238,6 +242,8 @@ def _emit(args, result: Result) -> int:
             while chunk := list(islice(rows, 4096)):  # one write per chunk, not per line
                 fh.write("".join([lines[tuple(map(type, row))] % row for row in chunk]))
         elif args.output_format == "json":
+            import numpy as np
+
             extras = result.extras.items()
             obj = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in extras}
             if result.json_key:
@@ -261,6 +267,8 @@ def _emit(args, result: Result) -> int:
 
 def _build_table(args, k: int, builder: str = "auto") -> tuple[repcount.RepTable, str]:
     """The order-k table to --limit, and the route that built it."""
+    from . import repcount
+
     if builder == "auto":
         builder = "fold" if k == 3 else "convolution"
     if args.limit >= 10**6:
@@ -272,6 +280,8 @@ def _build_table(args, k: int, builder: str = "auto") -> tuple[repcount.RepTable
 
 def _handle_tables(args) -> None:
     """The table file is the output, in repcount's own CSV or binary format."""
+    from . import repcount
+
     table, builder = _build_table(args, args.k, args.builder)
     if args.table_format == "binary":
         repcount.save_binary(table, args.output)
@@ -288,6 +298,8 @@ _FIT_TEXT = (
 
 
 def _handle_verify(args) -> Result:
+    from . import repcount, verify
+
     k = args.n if args.subcommand == "verify-general" else 3
     xs = args.checkpoints or verify.geometric_checkpoints(args.limit)
     path = args.table_path
@@ -345,6 +357,8 @@ def _handle_constants(args) -> Result:
 
 def _handle_singular(args) -> Result:
     if args.dump_terms:
+        from . import singular
+
         trunc = singular.singular_series(args.n, args.q_max)
 
         def rows():  # lazy: only the CSV form reads the terms as rows
@@ -354,6 +368,8 @@ def _handle_singular(args) -> Result:
         text = lambda: [f"S3(n={trunc.n}, Q={trunc.Q}) = {_cell(trunc.value)}"]
         extras = {"n": trunc.n, "Q": trunc.Q, "value": trunc.value, "terms": trunc.terms}
         return Result(("q", "A_q_n"), rows(), text, extras=extras)
+    from . import verify
+
     sweep = verify.singular_truncation_sweep(args.n, args.q_grid or [1, 10, 100, 1000])
     rows = [(p.Q, p.bateman, sweep.r3, p.abs_err, p.rel_err) for p in sweep.points]
     line = "Q={0:>8}  bateman={1:>14.6f}  rel_err={4:.3e}".format
@@ -363,6 +379,8 @@ def _handle_singular(args) -> Result:
 
 
 def _handle_gauss(args) -> Result:
+    from . import expsum
+
     q = args.q
     closed = expsum.gauss_magnitude_closed(q)
     coprime = (a for a in range(1, q + 1) if math.gcd(a, q) == 1)
@@ -377,6 +395,8 @@ def _handle_gauss(args) -> Result:
 
 
 def _handle_weyl(args) -> Result:
+    from . import expsum
+
     alphas = [i * args.grid for i in range(math.ceil(1.0 / args.grid))]
     sums = [(alpha, expsum.weyl_sum(alpha, args.n_terms)) for alpha in alphas if alpha < 1.0]
     rows = [(alpha, f.real, f.imag, abs(f)) for alpha, f in sums]
@@ -388,6 +408,8 @@ def _handle_weyl(args) -> Result:
 
 
 def _handle_fit(args) -> Result:
+    from . import verify
+
     fit = verify.fit_error_exponent(verify.read_series(args.input_path))
     columns = tuple(f.name for f in fields(verify.FitResult))
     text = lambda: [_FIT_TEXT(**asdict(fit))]

@@ -11,8 +11,10 @@ exponential is taken, so accuracy does not degrade as the raw phase grows.
 
 v is evaluated in blocks: with m = B i + j and B = isqrt(x) + 1,
 v(beta) = (1/2) sum_i e(beta B i) sum_j w_{B i + j} e(beta j), so one call
-takes about 2 sqrt(x) exponentials and one real matrix-vector product
-against a cached (rows x B) matrix of the weights w_m = m^{-1/2}.
+takes about 2 sqrt(x) exponentials and one pass of row dot products over a
+cached (rows x B) matrix of the weights w_m = m^{-1/2}. Every dot product is
+about sqrt(x) long, which for x < 10^8 stays under the 10^4 at which OpenBLAS
+would hand it to worker threads, so a call runs on the caller's thread alone.
 """
 
 from __future__ import annotations
@@ -124,7 +126,8 @@ def v_sum(beta: float, x: int) -> complex:
     Periodic in beta with period 1 and conjugate-symmetric, so beta is folded
     to [0, 1/2]. The sum is taken in blocks m = B i + j (module docstring):
     the phases beta B i and beta j are reduced mod 1 exactly, and the inner
-    sums over j are one product with the cached weight matrix.
+    sums over j, real and imaginary parts, are one pass over the cached weight
+    matrix. For x >= 10^8 OpenBLAS may thread each row's dot product.
     """
     if x < 1:
         raise DomainError(f"x must be >= 1, got {x}")
@@ -136,7 +139,8 @@ def v_sum(beta: float, x: int) -> complex:
     w = _block_weights(x)
     rows, B = w.shape
     inner = _unit_phases(num, den, np.arange(B, dtype=np.uint64))
-    row_sums = w @ inner.real + 1j * (w @ inner.imag)
+    parts = np.vecdot(w[:, None, :], np.stack((inner.real, inner.imag)))  # (rows, 2)
+    row_sums = parts[:, 0] + 1j * parts[:, 1]
     outer = _unit_phases(num, den, np.arange(0, rows * B, B, dtype=np.uint64))
     v = complex(0.5 * np.dot(outer, row_sums))
     return v.conjugate() if beta < 0 else v

@@ -16,7 +16,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from . import repcount, singular
+from . import repcount
 from .errors import DomainError, InsufficientPointsError, TableTooShortError
 from ._util import SAFE_LIMIT
 
@@ -249,6 +249,8 @@ def read_series(path) -> list[SimpleNamespace]:
 
 def singular_truncation_sweep(n: int, Q_grid) -> TruncationSweep:
     """Truncated count formula 2 pi sqrt(n) S3(n, Q) against exact r_3(n)."""
+    from . import singular  # local: the verify-* subcommands never load it
+
     qs = sorted({int(Q) for Q in Q_grid})
     if not qs:
         raise DomainError("Q grid is empty")

@@ -640,7 +640,7 @@ def test_failed_write_leaves_existing_output_intact(tmp_path, monkeypatch):
 
     terms = SimpleNamespace(tolist=terms_failing_after_two_chunks)
     trunc = SimpleNamespace(n=1, Q=10**4, value=1.0, terms=terms)
-    monkeypatch.setattr(cli.singular, "singular_series", lambda n, q_max: trunc)
+    monkeypatch.setattr(singular, "singular_series", lambda n, q_max: trunc)
     args = ["singular", "--n", "1", "--q-max", "10000", "--dump-terms", "--output", str(target)]
     assert run_cli(args) == 1  # two chunks of rows were written before the failure
     assert len(read) == 2 * 4096
@@ -884,22 +884,85 @@ def _child(code, *args, env=None, timeout=300):
     return proc.stdout
 
 
-def test_imports_load_no_constants_thread_pool_or_numpy():
+# Runs cli.main(argv[1]) with its output discarded and prints the exit status
+# and which of the modules named in argv[2] the process then holds.
+_LOADED_AFTER_MAIN = """
+import contextlib, io, json, sys
+from squaresums import cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = cli.main(json.loads(sys.argv[1]))
+print(code, sorted(set(json.loads(sys.argv[2])) & set(sys.modules)))
+"""
+
+
+def test_imports_load_no_constants_thread_pool_or_numpy(tmp_path):
+    """Importing the CLI, --help and usage errors load no numpy and no compute
+    module; each subcommand loads only the modules it runs."""
     loaded = "import sys, {}; print(sorted(set({!r}) & set(sys.modules)))".format
-    lazy = ["concurrent.futures", "mpmath", "squaresums.constants"]
-    assert _child(loaded("squaresums.cli", lazy)) == "[]\n"
+    compute = ["numpy", "squaresums._util", "squaresums.constants", "squaresums.expsum",
+               "squaresums.repcount", "squaresums.singular", "squaresums.verify"]
+    assert _child(loaded("squaresums.cli", ["concurrent.futures", "mpmath", *compute])) == "[]\n"
     assert _child(loaded("squaresums", ["numpy"])) == "[]\n"
+    table = str(tmp_path / "t.csv")
+    for argv, code, unloaded in [
+        (["--help"], 0, compute),
+        (["nonsense"], 2, compute),
+        (["verify-mean", "--limit", "0"], 2, compute),
+        (["tables", "--limit", "100", "--output", table], 0,
+         ["squaresums.constants", "squaresums.expsum", "squaresums.singular", "squaresums.verify"]),
+        (["gauss", "--q", "12"], 0, ["squaresums.repcount", "squaresums.singular", "squaresums.verify"]),
+        (["weyl-sweep", "--n-terms", "40", "--grid", "0.25"], 0,
+         ["squaresums.repcount", "squaresums.singular", "squaresums.verify"]),
+        (["verify-mean", "--limit", "1000"], 0, ["squaresums.expsum", "squaresums.singular"]),
+        (["verify-meansquare", "--limit", "1000"], 0, ["squaresums.expsum", "squaresums.singular"]),
+        (["verify-general", "--n", "4", "--limit", "1000"], 0,
+         ["squaresums.expsum", "squaresums.singular"]),
+    ]:
+        assert _child(_LOADED_AFTER_MAIN, json.dumps(argv), json.dumps(unloaded)) == f"{code} []\n", argv
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux") or (os.cpu_count() or 1) < 2,
                     reason="reads /proc/self/task; OpenBLAS starts no worker on one CPU")
 def test_cli_runs_openblas_on_one_thread_unless_told_otherwise():
+    # numpy starts the OpenBLAS pool as it loads, and a handler loads it after `cli`
     probe = ("import os, {}; print(len(os.listdir('/proc/self/task')), "
              "os.environ.get('OPENBLAS_NUM_THREADS'))").format
     env = {k: v for k, v in _child_env().items() if k != "OPENBLAS_NUM_THREADS"}
-    assert _child(probe("squaresums.cli"), env=env).split() == ["1", "1"]
-    assert _child(probe("squaresums.cli"), env=dict(env, OPENBLAS_NUM_THREADS="2")).split() == ["2", "2"]
+    assert _child(probe("squaresums.cli, numpy"), env=env).split() == ["1", "1"]
+    two = dict(env, OPENBLAS_NUM_THREADS="2")
+    assert _child(probe("squaresums.cli, numpy"), env=two).split() == ["2", "2"]
     assert _child(probe("squaresums.expsum"), env=env).split()[1] == "None"  # library: untouched
+
+
+# Prints the CPU seconds that every thread but the main one spends during 50
+# v_sum calls at x = 10^6, once import-time thread start-up has settled.
+_WORKER_CPU_OF_V_SUM = """
+import os, time
+from squaresums import expsum
+
+def workers_cpu():
+    ticks = 0
+    for tid in os.listdir("/proc/self/task"):
+        if int(tid) != os.getpid():
+            with open(f"/proc/self/task/{tid}/stat") as fh:
+                utime, stime = fh.read().rsplit(")", 1)[1].split()[11:13]
+            ticks += int(utime) + int(stime)
+    return ticks / os.sysconf("SC_CLK_TCK")
+
+time.sleep(0.5)
+before = workers_cpu()
+for i in range(50):
+    expsum.v_sum(i / 2e5, 10**6)
+print(workers_cpu() - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or (os.cpu_count() or 1) < 2,
+                    reason="reads /proc/self/task; OpenBLAS starts no worker on one CPU")
+def test_library_v_sum_wakes_no_blas_worker():
+    """With OpenBLAS on its default thread count, v_sum leaves its workers idle."""
+    env = {k: v for k, v in _child_env().items() if k != "OPENBLAS_NUM_THREADS"}
+    assert float(_child(_WORKER_CPU_OF_V_SUM, env=env)) < 0.02
 
 
 _RUN_IN_CHILD = """
@@ -977,35 +1040,36 @@ _PEAK_LIMIT = 2 * 10**6
 
 @pytest.fixture(scope="module")
 def peak_tables(tmp_path_factory):
-    """An r_3 table to 2*10^6 in both formats, and the peak RSS in bytes of a
-    bare --help."""
+    """An r_3 table to 2*10^6 in both formats, and the peak RSS in bytes of an
+    idle run: `verify-mean --limit 100` loads numpy and the package but does no
+    work. A bare --help loads neither."""
     folder = tmp_path_factory.mktemp("peak")
     table = repcount.build_r3_fold(_PEAK_LIMIT)
     repcount.save_csv(table, folder / "r3.csv")
     repcount.save_binary(table, folder / "r3.bin")
     del table
-    code, _, err, bare = _cli_peak(["--help"], folder)
+    code, _, err, idle = _cli_peak(["verify-mean", "--limit", "100", "--reproducible"], folder)
     assert code == 0, err
-    return folder, bare
+    return folder, idle
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
 def test_reading_a_table_holds_the_table_and_one_block(peak_tables):
     """verify-mean --table at 2*10^6 entries, from CSV and from binary, peaks
-    under 12 B per entry above a bare --help: the int64 counts take 8."""
-    folder, bare = peak_tables
+    under 12 B per entry above an idle run: the int64 counts take 8."""
+    folder, idle = peak_tables
     for name in ("r3.csv", "r3.bin"):
         args = ["verify-mean", "--limit", str(_PEAK_LIMIT), "--table", str(folder / name), "--reproducible"]
         code, _, err, peak = _cli_peak(args, folder)
         assert code == 0, err
-        assert peak - bare < 12 * (_PEAK_LIMIT + 1), (name, (peak - bare) / (_PEAK_LIMIT + 1))
+        assert peak - idle < 12 * (_PEAK_LIMIT + 1), (name, (peak - idle) / (_PEAK_LIMIT + 1))
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
 def test_a_short_limit_reads_only_its_rows(peak_tables):
     """verify-mean --limit 1000 on the 2*10^6 table, from CSV and from binary:
-    the output of a build to 1000, at a peak under 2 MiB above a bare --help."""
-    folder, bare = peak_tables
+    the output of a build to 1000, at a peak under 2 MiB above an idle run."""
+    folder, idle = peak_tables
     args = ["verify-mean", "--limit", "1000", "--reproducible"]
     code, built, err, _ = _cli_peak(args, folder)
     assert code == 0, err
@@ -1013,7 +1077,7 @@ def test_a_short_limit_reads_only_its_rows(peak_tables):
         code, out, err, peak = _cli_peak([*args, "--table", str(folder / name)], folder)
         assert code == 0, err
         assert out == built
-        assert peak - bare < 2 << 20, (name, (peak - bare) / 2**20)
+        assert peak - idle < 2 << 20, (name, (peak - idle) / 2**20)
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
@@ -1027,15 +1091,15 @@ def test_a_short_limit_reads_only_its_rows(peak_tables):
     ids=["tables-binary", "tables-csv", "verify-meansquare"],
 )
 def test_a_fold_build_holds_8_bytes_per_entry(peak_tables, command, extra, output):
-    """At 2*10^6 entries each peaks under 9 B per entry above a bare --help:
+    """At 2*10^6 entries each peaks under 9 B per entry above an idle run:
     the int32 lattice and the int32 fold output, with no int64 copy."""
-    folder, bare = peak_tables
+    folder, idle = peak_tables
     args = [command, "--limit", str(_PEAK_LIMIT), "--reproducible", *extra]
     if output:
         args += ["--output", str(folder / output)]
     code, _, err, peak = _cli_peak(args, folder)
     assert code == 0, err
-    assert peak - bare < 9 * (_PEAK_LIMIT + 1), (peak - bare) / (_PEAK_LIMIT + 1)
+    assert peak - idle < 9 * (_PEAK_LIMIT + 1), (peak - idle) / (_PEAK_LIMIT + 1)
 
 
 @pytest.mark.slow
