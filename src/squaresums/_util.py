@@ -60,6 +60,19 @@ def atomic_write(path, binary: bool = False):
         raise
 
 
+SIEVE_BLOCK = 1 << 16
+
+
+def sieve_blocks(start: int, stop: int):
+    """(lo, hi) blocks covering [start, stop), none longer than SIEVE_BLOCK or
+    than lo itself, so every rest[q] <= q / 2 of a block lies below it."""
+    lo = start
+    while lo < stop:
+        hi = min(lo + min(lo, SIEVE_BLOCK), stop)
+        yield lo, hi
+        lo = hi
+
+
 def factor_sieve(Q: int) -> tuple[np.ndarray, np.ndarray]:
     """Smallest-prime-factor sieve with the prime-power split of every q <= Q.
 
@@ -68,47 +81,48 @@ def factor_sieve(Q: int) -> tuple[np.ndarray, np.ndarray]:
     exactly divides q and rest[q] has only larger primes. Both are 1 at q = 1;
     index 0 is an unused zero. A multiplicative f then satisfies
     f(q) = f(q / rest[q]) f(rest[q]), and since rest[q] <= q / 2 the arrays can be
-    filled (and f assembled) over the dyadic blocks [lo, 2 lo) in increasing
-    order: every rest[q] of a block lies in an earlier one. The Python loops run
-    over d <= sqrt(Q), sieving at the primes, and over the log2(Q) blocks.
+    filled (and f assembled) over the blocks of `sieve_blocks` in increasing
+    order: every rest[q] of a block lies in an earlier one.
+
+    The sieve writes each prime d <= sqrt(Q) onto its multiples from d^2 on,
+    largest d first, so the smallest prime factor of a composite is written
+    last. The primes (entries still 0) and rest are then filled block by block,
+    so the two int32 arrays, 8 B per q, are all the memory the sieve holds.
     """
     if Q < 1:
         raise DomainError(f"Q must be >= 1, got {Q}")
     if Q >= 2**31:
         raise DomainError(f"Q must be < 2**31, got {Q}")
+    root = math.isqrt(Q)
+    small = np.ones(root + 1, dtype=bool)
+    small[:2] = False
+    for d in range(2, math.isqrt(root) + 1):
+        if small[d]:
+            small[d * d :: d] = False
     p = np.zeros(Q + 1, dtype=np.int32)
-    for d in range(2, math.isqrt(Q) + 1):
-        if p[d] == 0:  # no smaller prime divides d, so d is prime
-            multiples = p[d * d :: d]
-            multiples[multiples == 0] = d
-    q = np.arange(Q + 1, dtype=np.int32)
-    primes = p == 0
-    p[primes] = q[primes]
-    p[:2] = (0, 1)
+    for d in reversed(np.flatnonzero(small).tolist()):
+        p[d * d :: d] = d
+    p[1] = 1
     rest = np.zeros(Q + 1, dtype=np.int32)
     rest[1] = 1
-    lo = 2
-    while lo <= Q:
-        hi = min(2 * lo, Q + 1)
+    for lo, hi in sieve_blocks(2, Q + 1):
+        q = np.arange(lo, hi, dtype=np.int32)
         block = p[lo:hi]
-        up = q[lo:hi] // block
+        np.copyto(block, q, where=block == 0)  # primes
+        up = q // block
         rest[lo:hi] = np.where(p[up] == block, rest[up], up)
-        lo = hi
     return p, rest
 
 
 def assemble_multiplicative(values: np.ndarray, rest: np.ndarray) -> np.ndarray:
     """Turn f at prime powers into f at every q, in place, along `factor_sieve`.
 
-    On entry values[..., q] holds f(p^k) for the prime power p^k = q / rest[q]
+    On entry values[q] holds f(p^k) for the prime power p^k = q / rest[q]
     (and f(1) at q = 1); on return it holds f(q) = f(p^k) * f(rest[q]).
     Unrolled, f(q) is the product of its prime-power factors taken from the
     largest prime down, each multiplied onto the running product of the larger
-    ones, which starts at f(1).
+    ones, which starts at f(1). One block of `sieve_blocks` at a time.
     """
-    lo = 2
-    while lo < values.shape[-1]:
-        hi = min(2 * lo, values.shape[-1])
-        values[..., lo:hi] *= values[..., rest[lo:hi]]
-        lo = hi
+    for lo, hi in sieve_blocks(2, values.size):
+        values[lo:hi] *= values[rest[lo:hi]]
     return values

@@ -30,11 +30,11 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 from .errors import DomainError, InsufficientPointsError, SquaresumsError
 
 LIMIT_CAP = 10**8
-Q_CAP = 10**7  # singular series memory grows linearly in Q: 414 MiB peak RSS at the cap
+Q_CAP = 10**7  # singular series memory grows linearly in Q: 182 MiB peak RSS at the cap
 N_TERMS_CAP = 10**7  # weyl_sum holds about 40 B per term: about 0.4 GB at the cap
 GRID_POINTS_CAP = 10**6  # weyl-sweep evaluates ceil(1 / --grid) points
 GAUSS_Q_CAP = 2**16  # listing S(q, a) for every coprime a costs O(q^2)
-B1_Q_CAP = 10**7  # the B1 totient sieves: 1.3 s and 281 MiB peak RSS at the cap
+B1_Q_CAP = 10**7  # the B1 totient sieves: 0.8 s and 148 MiB peak RSS at the cap
 W_ORDER_CAP = 198  # bounds --w-orders, and --k and --n (an order-k build is k - 1 passes)
 DIGITS_CAP = 1000  # every W_N up to W_ORDER_CAP to 1000 digits takes about 5 s
 
@@ -223,6 +223,27 @@ class _CsvLines(dict):
         return line
 
 
+_BLOCK = 1 << 16  # array entries rendered per chunk by the dump's CSV and JSON forms
+
+
+def _json_floats(values) -> Iterable[str]:
+    """A 1-D float64 array as the indent-2 encoder writes a list that is a value
+    of the top-level object, one block at a time: a finite float's text is its
+    repr, as in the encoder, and json.dumps spells NaN and the infinities."""
+    import numpy as np
+
+    if not values.size:
+        yield "[]"
+        return
+    sep = ",\n    "
+    yield "[\n    "
+    for lo in range(0, values.size, _BLOCK):
+        block = values[lo : lo + _BLOCK]
+        spell = float.__repr__ if np.isfinite(block).all() else json.dumps
+        yield ("" if lo == 0 else sep) + sep.join(map(spell, block.tolist()))
+    yield "\n  ]"
+
+
 def _emit(args, result: Result) -> int:
     """Render `result` in the requested format only, write it, return the exit status."""
     stamp = None if args.reproducible else _timestamp()
@@ -244,8 +265,14 @@ def _emit(args, result: Result) -> int:
         elif args.output_format == "json":
             import numpy as np
 
-            extras = result.extras.items()
-            obj = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in extras}
+            obj, arrays = {}, {}
+            for k, v in result.extras.items():
+                if isinstance(v, np.ndarray):  # _json_floats renders it where its placeholder is
+                    assert v.dtype == np.float64 and v.ndim == 1, k
+                    token = f"\0{k}"
+                    arrays[json.dumps(token)] = v
+                    v = token
+                obj[k] = v
             if result.json_key:
                 cols = [(i, c) for i, c in enumerate(result.columns) if c not in obj]
                 obj[result.json_key] = [
@@ -255,8 +282,12 @@ def _emit(args, result: Result) -> int:
             if stamp:
                 obj["generated"] = stamp
             chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(obj)
-            while batch := "".join(islice(chunks, 1 << 16)):  # bounded memory, few writes
-                fh.write(batch)
+            if arrays:  # a placeholder is one chunk; the other extras are a few chunks
+                for chunk in chunks:
+                    fh.writelines(_json_floats(arrays[chunk]) if chunk in arrays else (chunk,))
+            else:
+                while batch := "".join(islice(chunks, 1 << 16)):  # bounded memory, few writes
+                    fh.write(batch)
             fh.write("\n")
         else:
             fh.writelines(line + "\n" for line in result.text())
@@ -361,8 +392,9 @@ def _handle_singular(args) -> Result:
 
         trunc = singular.singular_series(args.n, args.q_max)
 
-        def rows():  # lazy: only the CSV form reads the terms as rows
-            yield from enumerate(trunc.terms.tolist(), start=1)
+        def rows():  # lazy, one block at a time: only the CSV form reads the terms as rows
+            for lo in range(0, trunc.Q, _BLOCK):
+                yield from enumerate(trunc.terms[lo : lo + _BLOCK].tolist(), start=lo + 1)
             yield "total", trunc.value
 
         text = lambda: [f"S3(n={trunc.n}, Q={trunc.Q}) = {_cell(trunc.value)}"]

@@ -23,7 +23,7 @@ import mpmath
 import numpy as np
 
 from .errors import DomainError, NotCoprimeError
-from ._util import assemble_multiplicative, factor_sieve
+from ._util import SIEVE_BLOCK, assemble_multiplicative, factor_sieve, sieve_blocks
 
 
 def _double(form, *args) -> float:
@@ -41,19 +41,29 @@ def zeta_real(s: float) -> float:
 
 
 def totient_sieve(Q: int) -> np.ndarray:
-    """phi(1..Q) exactly; index 0 is an unused zero."""
+    """phi(1..Q) exactly, as int32 (phi(q) <= q < 2^31); index 0 is an unused zero.
+
+    phi(p^k) = p^k - p^(k-1) is written one block at a time, the sieve's p is
+    freed, and assemble_multiplicative spreads the prime-power values in place:
+    the peak holds p, rest and phi, 12 B per q, and the result 4.
+    """
     p, rest = factor_sieve(Q)
-    phi = np.arange(Q + 1, dtype=np.int64)
-    phi[1:] //= rest[1:]  # the prime power p^k exactly dividing q
-    phi[2:] -= phi[2:] // p[2:]  # phi(p^k) = p^k - p^(k-1)
+    phi = np.zeros(Q + 1, dtype=np.int32)
+    phi[1] = 1
+    for lo, hi in sieve_blocks(2, Q + 1):
+        pk = np.arange(lo, hi, dtype=np.int32)
+        pk //= rest[lo:hi]  # the prime power p^k exactly dividing q
+        phi[lo:hi] = pk - pk // p[lo:hi]
+    del p
     return assemble_multiplicative(phi, rest)
 
 
 def _over_cubes(terms: np.ndarray) -> np.ndarray:
-    """terms[q - 1] / q^3 for q = 1..Q, in place, with one Q-sized temporary."""
-    q3 = np.arange(1, terms.size + 1, dtype=np.float64)
-    q3 **= 3
-    terms /= q3
+    """terms[q - 1] / q^3 for q = 1..Q, in place, one block of q^3 at a time."""
+    for lo in range(0, terms.size, SIEVE_BLOCK):
+        q3 = np.arange(lo + 1, min(lo + SIEVE_BLOCK, terms.size) + 1, dtype=np.float64)
+        q3 **= 3
+        terms[lo : lo + q3.size] /= q3
     return terms
 
 

@@ -12,7 +12,7 @@ factor has a closed form (_local_factor): for odd p in the Legendre symbol and
 the Ramanujan sum, for p = 2 an exact dyadic value, a sign read off
 8n / 2^k mod 8 times 2^{-floor(k/2)}. singular_series finds the prime-power
 split of every q <= Q with one smallest-prime-factor sieve and assembles all
-Q terms in one vectorised pass.
+Q terms in place, one block of q at a time.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from ._util import assemble_multiplicative, factor_sieve
+from ._util import assemble_multiplicative, factor_sieve, sieve_blocks
 
 def _legendre(a: int, p: int) -> int:
     """Legendre symbol (a/p) for an odd prime p, by Euler's criterion."""
@@ -120,12 +120,35 @@ class SingularTruncation:
         object.__setattr__(self, "terms", t)
 
 
-def singular_series(n: int, Q: int) -> SingularTruncation:
-    """Partial sum S3(n, Q) with all Q terms retained, from one sieve and one
-    pass over q = 1..Q.
+def _euler_symbols(n: int, primes: np.ndarray) -> np.ndarray:
+    """(-n/p) for each odd prime p of an int64 array, by Euler's criterion:
+    (-n)^((p-1)/2) mod p by square-and-multiply, exact in int64 as p < 2^31.
+    n of any size is reduced mod p 31 bits at a time, from the top."""
+    base = np.zeros_like(primes)
+    for shift in range(n.bit_length() // 31 * 31, -1, -31):
+        base = (base << 31 | (n >> shift) & 0x7FFFFFFF) % primes
+    base = -base % primes
+    power = primes >> 1  # (p - 1) / 2
+    t = np.ones_like(primes)
+    while True:
+        t = np.where(power & 1, t * base % primes, t)
+        power >>= 1
+        if not power.any():
+            break
+        base = base * base % primes
+    return np.where(t == primes - 1, -1, t)
 
-    The local factors A(p^k, n) are placed at q = p^k and spread to every q by
-    assemble_multiplicative.
+
+def singular_series(n: int, Q: int) -> SingularTruncation:
+    """Partial sum S3(n, Q) with all Q terms retained, from one sieve.
+
+    The local factors A(p^k, n) are placed at q = p^k: by _local_factor for the
+    primes up to sqrt(Q) (and 2), and for the larger primes, which divide no
+    q <= Q twice, as A(p, n) = (-n/p)/p from a vectorised Euler criterion. The
+    prime power of every other q is then gathered in place, one block at a
+    time (a prime power maps to itself, so no source is overwritten before it
+    is read), and assemble_multiplicative spreads the factors to every q. The
+    float64 terms and the sieve's two int32 arrays, 16 B per q, are the peak.
     """
     if Q < 1:
         raise DomainError(f"Q must be >= 1, got {Q}")
@@ -134,15 +157,24 @@ def singular_series(n: int, Q: int) -> SingularTruncation:
     local = np.zeros(Q + 1, dtype=np.float64)
     local[1] = 1.0
     p, rest = factor_sieve(Q)
-    q = np.arange(Q + 1, dtype=np.int32)
-    for prime in q[(p == q) & (q > 1)].tolist():
+    top = min(Q, max(2, math.isqrt(Q)))
+    for prime in range(2, top + 1):
+        if p[prime] != prime:
+            continue
         power, k = prime, 1
         while power <= Q:
             local[power] = _local_factor(prime, k, n)
             power, k = power * prime, k + 1
-    pk = q.copy()
-    pk[1:] //= rest[1:]
-    terms = assemble_multiplicative(local[pk], rest)[1:]
+    for lo, hi in sieve_blocks(top + 1, Q + 1):
+        primes = np.arange(lo, hi, dtype=np.int64)
+        primes = primes[p[lo:hi] == primes]
+        local[primes] = _euler_symbols(n, primes) / primes
+    del p
+    for lo, hi in sieve_blocks(2, Q + 1):
+        pk = np.arange(lo, hi, dtype=np.int32)
+        pk //= rest[lo:hi]
+        local[lo:hi] = local[pk]
+    terms = assemble_multiplicative(local, rest)[1:]
     return SingularTruncation(n=n, Q=Q, value=float(np.sum(terms)), terms=terms)
 
 

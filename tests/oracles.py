@@ -113,3 +113,30 @@ def r3_class_number_oracle(x: int) -> np.ndarray:
             h12[at_c_eq_a + 4 * a :: 4 * a] += 12 if b in (0, a) else 24  # c > a; +-b
         a += 1
     return h12[::4] - 2 * h12[: x + 1]
+
+
+def sieve_oracle(Q: int) -> tuple[list[int], list[int], list[int]]:
+    """(spf, rest, phi) for q = 0..Q in Python ints, index 0 all zero: the
+    smallest prime factor by Eratosthenes over ascending primes, rest[q] as q
+    with every factor spf[q] divided out, and phi(q) = q prod_{p | q} (1 - 1/p)
+    over the full factorisation of q."""
+    spf = [0, 1] + [0] * (Q - 1)
+    for d in range(2, Q + 1):
+        if spf[d] == 0:
+            for m in range(d, Q + 1, d):
+                if spf[m] == 0:
+                    spf[m] = d
+    rest, phi = [0] * (Q + 1), [0] * (Q + 1)
+    for q in range(1, Q + 1):
+        r = q
+        while r > 1 and r % spf[q] == 0:
+            r //= spf[q]
+        rest[q] = r
+        f, m = q, q
+        while m > 1:
+            p = spf[m]
+            f -= f // p
+            while m % p == 0:
+                m //= p
+        phi[q] = f
+    return spf, rest, phi

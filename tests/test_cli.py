@@ -626,6 +626,30 @@ def test_emit_renders_only_the_requested_format(capsys):
     assert outputs["text"] == "a line\n"
 
 
+@pytest.mark.parametrize("size", [0, 1, cli._BLOCK + 3])
+def test_json_float_arrays_match_the_encoder(capsys, size):
+    """A float64 array extra, rendered a block at a time, is the text of the
+    stdlib encoder for its list: repr for finite floats, NaN and the
+    infinities spelled as json spells them, across a block edge."""
+    values = np.random.default_rng(size).standard_normal(size) / 3.0
+    special = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300]
+    values[-len(special) :] = special[len(special) - size :]
+    extras = {"n": 1, "terms": values, "value": 0.5}
+    args = SimpleNamespace(output_format="json", output=None, reproducible=True)
+    assert cli._emit(args, cli.Result(("q",), [], list, extras=extras)) == 0
+    want = json.dumps({**extras, "terms": values.tolist()}, indent=2, sort_keys=True)
+    assert capsys.readouterr().out == want + "\n"
+
+
+def test_csv_dump_crosses_a_block(capsys):
+    Q = cli._BLOCK + 3
+    assert run_cli(["singular", "--n", "7", "--q-max", str(Q), "--dump-terms", "--reproducible"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    trunc = singular.singular_series(7, Q)
+    assert lines[0] == "q,A_q_n" and lines[-1] == "total,%.17g" % trunc.value
+    assert lines[1:-1] == ["%d,%.17g" % row for row in enumerate(trunc.terms.tolist(), start=1)]
+
+
 def test_failed_write_leaves_existing_output_intact(tmp_path, monkeypatch):
     target = tmp_path / "terms.csv"
     target.write_bytes(b"previous contents\n")
@@ -638,7 +662,11 @@ def test_failed_write_leaves_existing_output_intact(tmp_path, monkeypatch):
             yield 0.5
         raise OSError(28, "No space left on device")
 
-    terms = SimpleNamespace(tolist=terms_failing_after_two_chunks)
+    class Terms(SimpleNamespace):  # the dump reads its terms a slice at a time
+        def __getitem__(self, block):
+            return self
+
+    terms = Terms(tolist=terms_failing_after_two_chunks)
     trunc = SimpleNamespace(n=1, Q=10**4, value=1.0, terms=terms)
     monkeypatch.setattr(singular, "singular_series", lambda n, q_max: trunc)
     args = ["singular", "--n", "1", "--q-max", "10000", "--dump-terms", "--output", str(target)]
@@ -1100,6 +1128,26 @@ def test_a_fold_build_holds_8_bytes_per_entry(peak_tables, command, extra, outpu
     code, _, err, peak = _cli_peak(args, folder)
     assert code == 0, err
     assert peak - idle < 9 * (_PEAK_LIMIT + 1), (peak - idle) / (_PEAK_LIMIT + 1)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
+@pytest.mark.parametrize(
+    "args, q_flag, per_q",
+    [
+        (["constants"], "--b1-euler-q", 14),
+        (["singular", "--n", "5", "--dump-terms", "--format", "text"], "--q-max", 24),
+    ],
+    ids=["constants", "singular-dump"],
+)
+def test_a_sieve_holds_its_outputs_and_blocks(tmp_path, args, q_flag, per_q):
+    """At Q = 2*10^6 each peaks under `per_q` B per q above the same command at
+    Q = 1: the totients take 4 B (and the float64 B1 terms 8), the singular
+    terms 8 and the sieve's two int32 arrays 8, with no other Q-sized array."""
+    code, _, err, idle = _cli_peak([*args, q_flag, "1", "--reproducible"], tmp_path)
+    assert code == 0, err
+    code, _, err, peak = _cli_peak([*args, q_flag, str(_PEAK_LIMIT), "--reproducible"], tmp_path)
+    assert code == 0, err
+    assert peak - idle < per_q * _PEAK_LIMIT, (peak - idle) / _PEAK_LIMIT
 
 
 @pytest.mark.slow

@@ -3,9 +3,12 @@
 import math
 
 import mpmath
+import numpy as np
 import pytest
 
+from oracles import sieve_oracle
 from squaresums import constants
+from squaresums._util import factor_sieve
 from squaresums.errors import DomainError, NotCoprimeError
 from squaresums.expsum import gauss_sum
 
@@ -62,6 +65,19 @@ def test_totient_sieve_matches_gcd_count():
             assert phi[n] == want, (Q, n)
     with pytest.raises(DomainError):
         constants.totient_sieve(0)
+
+
+def test_sieves_match_the_oracle_across_block_edges():
+    """Q at the sieve's 2^16-entry block and at twice it, +-3 each: p, rest and
+    phi equal the oracle's entry for entry, all as int32."""
+    edges = [Q for edge in (2**16, 2**17) for Q in range(edge - 3, edge + 4)]
+    spf, rest, phi = sieve_oracle(edges[-1])
+    for Q in edges:
+        p, r = factor_sieve(Q)
+        assert p.dtype == r.dtype == np.int32
+        assert p.tolist() == spf[: Q + 1] and r.tolist() == rest[: Q + 1], Q
+        totients = constants.totient_sieve(Q)
+        assert totients.dtype == np.int32 and totients.tolist() == phi[: Q + 1], Q
 
 
 def test_b1_small_truncations_by_hand():

@@ -1,6 +1,7 @@
 """Singular series terms and the singular integral against literal sums."""
 
 import cmath
+import functools
 import json
 import math
 import pathlib
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import sieve_oracle
 from squaresums import repcount, singular
 from squaresums.errors import DomainError
 from squaresums.expsum import gauss_sum
@@ -230,6 +232,52 @@ def test_truncation_terms_match_a_term():
     trunc = singular.singular_series(5, 60)
     for i, t in enumerate(trunc.terms):
         assert t == singular.a_term(i + 1, 5), i + 1
+
+
+# Q past two of the sieve's 2^16-entry blocks; the n cover a multiple of
+# 65537 (a prime above sqrt(Q), at a block edge) and two n = 7 mod 8, one of
+# them beyond int64
+_EDGE_Q = 2**17 + 3
+_EDGE_NS = (5, 3 * 65537, 10**8 - 1, 2**64 + 7)
+
+
+@functools.cache
+def _edge_terms(n: int) -> np.ndarray:
+    return singular.singular_series(n, _EDGE_Q).terms
+
+
+@functools.cache
+def _large_primes() -> list[int]:
+    spf = sieve_oracle(_EDGE_Q)[0]
+    return [q for q in range(math.isqrt(_EDGE_Q) + 1, _EDGE_Q + 1) if spf[q] == q]
+
+
+def test_truncation_terms_match_a_term_across_block_edges():
+    edges = {2**j for j in range(18)} | {3 * 2**16, _EDGE_Q}
+    qs = sorted({q for e in edges for q in range(e - 3, e + 4) if 1 <= q <= _EDGE_Q})
+    for n in _EDGE_NS:
+        terms = _edge_terms(n)
+        for q in qs:
+            assert float(terms[q - 1]).hex() == singular.a_term(q, n).hex(), (n, q)
+
+
+@settings(max_examples=150)
+@given(n=st.sampled_from(_EDGE_NS), data=st.data())
+def test_truncation_terms_match_a_term_at_large_primes(n, data):
+    """A prime p > sqrt(Q), whose factor comes from the vectorised Euler
+    criterion, and a multiple m p <= Q."""
+    p = data.draw(st.sampled_from(_large_primes()))
+    m = data.draw(st.integers(1, _EDGE_Q // p))
+    terms = _edge_terms(n)
+    for q in (p, m * p):
+        assert float(terms[q - 1]).hex() == singular.a_term(q, n).hex(), (n, q)
+
+
+def test_euler_symbols_are_exact_below_2_to_the_31():
+    primes = np.array([3, 5, 65537, 1000003, 2147483629, 2147483647], dtype=np.int64)
+    for n in (1, 5, 7, 3 * 65537, 10**8 - 1, 2**31 - 1, 2**62 + 3, 2**64 + 7, 3**80):
+        want = [singular._legendre(-n, p) for p in primes.tolist()]
+        assert singular._euler_symbols(n, primes).tolist() == want, n
 
 
 def test_bateman_factor_and_first_truncation():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from squaresums import repcount, verify
+from squaresums import repcount, singular, verify
 from squaresums._util import SAFE_LIMIT
 from squaresums.constants import mean_square_constant, w_constant, zeta_real
 from squaresums.errors import (
@@ -268,6 +268,16 @@ def test_truncation_sweep_values():
     for p in sweep.points:
         assert p.abs_err == pytest.approx(abs(p.bateman - 12))
         assert p.rel_err == pytest.approx(p.abs_err / 12)
+
+
+def test_truncation_sweep_reads_the_prefix_sums_across_blocks():
+    """Each bateman value is 2 pi sqrt(n) times np.cumsum of the terms, bit for
+    bit, at Q inside, at and past the edges of the running sum's blocks."""
+    qs = [1, 2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 5]
+    for n in (5, 199999):  # r_3(199999) = 0, as 199999 = 7 mod 8
+        prefix = np.cumsum(singular.singular_series(n, qs[-1]).terms)
+        want = [float(singular.bateman_factor(n) * prefix[Q - 1]) for Q in qs]
+        assert [p.bateman for p in verify.singular_truncation_sweep(n, qs).points] == want
 
 
 def test_truncation_sweep_zero_class():
