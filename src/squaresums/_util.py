@@ -79,10 +79,9 @@ def factor_sieve(Q: int) -> tuple[np.ndarray, np.ndarray]:
     Returns int32 arrays (p, rest) indexed by q: p[q] is the smallest prime
     dividing q and rest[q] is q with every factor p removed, so p^k = q / rest[q]
     exactly divides q and rest[q] has only larger primes. Both are 1 at q = 1;
-    index 0 is an unused zero. A multiplicative f then satisfies
-    f(q) = f(q / rest[q]) f(rest[q]), and since rest[q] <= q / 2 the arrays can be
-    filled (and f assembled) over the blocks of `sieve_blocks` in increasing
-    order: every rest[q] of a block lies in an earlier one.
+    index 0 is an unused zero. Since rest[q] <= q / 2, both are filled over the
+    blocks of `sieve_blocks` in increasing order, as `multiplicative` then
+    walks them: every rest[q] of a block lies in an earlier one.
 
     The sieve writes each prime d <= sqrt(Q) onto its multiples from d^2 on,
     largest d first, so the smallest prime factor of a composite is written
@@ -114,15 +113,27 @@ def factor_sieve(Q: int) -> tuple[np.ndarray, np.ndarray]:
     return p, rest
 
 
-def assemble_multiplicative(values: np.ndarray, rest: np.ndarray) -> np.ndarray:
-    """Turn f at prime powers into f at every q, in place, along `factor_sieve`.
+def multiplicative(Q: int, dtype, at_prime_powers) -> np.ndarray:
+    """f(0..Q) of a multiplicative f, given at prime powers, in one walk over
+    the blocks of `factor_sieve`; index 0 is an unused zero and f(1) = 1.
 
-    On entry values[q] holds f(p^k) for the prime power p^k = q / rest[q]
-    (and f(1) at q = 1); on return it holds f(q) = f(p^k) * f(rest[q]).
-    Unrolled, f(q) is the product of its prime-power factors taken from the
-    largest prime down, each multiplied onto the running product of the larger
-    ones, which starts at f(1). One block of `sieve_blocks` at a time.
+    at_prime_powers(p, pk) returns f(p^k) for int32 arrays of the primes p and
+    the prime powers pk = p^k of a block. Each block first writes f at its
+    prime powers (rest == 1), then sets f(q) = f(q / rest[q]) * f(rest[q])
+    throughout: rest[q] lies in an earlier block, and q / rest[q] is q itself
+    or lies there too. Unrolled, f(q) is the product of its prime-power
+    factors taken from the largest prime down, each multiplied onto the
+    running product of the larger ones. The peak is f, p and rest.
     """
-    for lo, hi in sieve_blocks(2, values.size):
-        values[lo:hi] *= values[rest[lo:hi]]
-    return values
+    p, rest = factor_sieve(Q)
+    f = np.zeros(Q + 1, dtype=dtype)
+    f[1] = 1
+    for lo, hi in sieve_blocks(2, Q + 1):
+        r = rest[lo:hi]
+        pk = np.arange(lo, hi, dtype=np.int32)
+        pk //= r  # the prime power p^k exactly dividing q
+        at = r == 1
+        f[lo:hi][at] = at_prime_powers(p[lo:hi][at], pk[at])
+        f[lo:hi] = f[pk]  # in two steps, so only one gathered block is held at a time
+        f[lo:hi] *= f[r]
+    return f

@@ -27,12 +27,13 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 # numpy and the compute modules are imported by the handler that runs them, so
 # parsing, --help and usage errors load neither, and a subcommand loads only its own.
-from .errors import DomainError, InsufficientPointsError, SquaresumsError
+from .errors import InsufficientPointsError, SquaresumsError
 
 LIMIT_CAP = 10**8
-Q_CAP = 10**7  # singular series memory grows linearly in Q: 182 MiB peak RSS at the cap
+Q_CAP = 10**7  # singular series memory grows linearly in Q: 183 MiB peak RSS at the cap
 N_TERMS_CAP = 10**7  # weyl_sum holds about 40 B per term: about 0.4 GB at the cap
 GRID_POINTS_CAP = 10**6  # weyl-sweep evaluates ceil(1 / --grid) points
+WEYL_TERMS_CAP = 10**9  # --n-terms times the points: weyl_sum takes about 65 ns a term, 65 s at the cap
 GAUSS_Q_CAP = 2**16  # listing S(q, a) for every coprime a costs O(q^2)
 B1_Q_CAP = 10**7  # the B1 totient sieves: 0.8 s and 148 MiB peak RSS at the cap
 W_ORDER_CAP = 198  # bounds --w-orders, and --k and --n (an order-k build is k - 1 passes)
@@ -201,6 +202,9 @@ def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
         _require(0.0 < args.grid <= 1.0, "--grid must be in (0, 1]")
         too_fine = f"--grid {args.grid} gives more than {GRID_POINTS_CAP} points"
         _require(1.0 / args.grid <= GRID_POINTS_CAP, too_fine)  # 1/grid may be inf
+        terms = args.n_terms * math.ceil(1.0 / args.grid)
+        _require(terms <= WEYL_TERMS_CAP, f"--n-terms {args.n_terms} at --grid {args.grid} "
+                 f"sums {terms} terms, more than {WEYL_TERMS_CAP}")
     return args
 
 
@@ -335,11 +339,6 @@ def _handle_verify(args) -> Result:
     xs = args.checkpoints or verify.geometric_checkpoints(args.limit)
     path = args.table_path
     table = repcount.load_table(path, k, args.limit) if path else _build_table(args, k)[0]
-    if path:  # a CSV carries no order, but r_k(0) = 1 and r_k(1) = 2k tell it
-        r0, r1 = table.counts[:2].tolist()
-        if (r0, r1) != (1, 2 * k):
-            raise DomainError(f"table {path} has r(0) = {r0}, r(1) = {r1}; "
-                              f"an order-{k} table has r(0) = 1, r(1) = {2 * k}")
     if args.subcommand == "verify-mean":
         cps = verify.mean_value_series(table, xs)
     elif args.subcommand == "verify-meansquare":

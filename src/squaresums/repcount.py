@@ -293,10 +293,11 @@ def _parse_rows(seg: bytes, counts: np.ndarray, row: int, line: int) -> int:
 
 def load_csv(path, order: int, limit: int) -> RepTable:
     """Read the rows 0..limit of a table written by save_csv, in one pass; the
-    CSV carries no order, so the caller states it. Malformed content raises
-    DomainError. The counts are sized by the limit and the body's bytes; the
-    body is parsed into them in blocks of _CSV_BLOCK bytes, each cut after its
-    last LF, up to the LF of row limit. The rest of the file is not read."""
+    CSV carries no order, so the caller states it and rows 0 and 1 must agree
+    with it. Malformed content raises DomainError. The counts are sized by the
+    limit and the body's bytes; the body is parsed into them in blocks of
+    _CSV_BLOCK bytes, each cut after its last LF, up to the LF of row limit.
+    The rest of the file is not read."""
     with open(path, "rb") as fh:
         line = 1
         while (header := fh.readline(9)).startswith(b"#"):  # comments come only before the header
@@ -326,6 +327,11 @@ def load_csv(path, order: int, limit: int) -> RepTable:
                 raise DomainError("a row is not an n,count row")
         if row < counts.size and tail:  # the file ended; its last row may lack the LF
             row = _parse_rows(tail + b"\n", counts, row, line + 1 + row)
+    head = counts[: min(row, 2)].tolist()  # r_k(0) = 1 and r_k(1) = 2k tell the order
+    if head != [1, 2 * order][: len(head)]:
+        got = ", ".join(f"r({i}) = {c}" for i, c in enumerate(head))
+        raise DomainError(f"table {path} has {got}; "
+                          f"an order-{order} table has r(0) = 1, r(1) = {2 * order}")
     return RepTable(order=order, limit=row - 1, counts=counts[:row])
 
 

@@ -10,9 +10,10 @@ the product of the local factors A(p^k, n) over the prime powers p^k exactly
 dividing q (Vaughan, The Hardy-Littlewood Method, 2nd ed., ch. 4). Every local
 factor has a closed form (_local_factor): for odd p in the Legendre symbol and
 the Ramanujan sum, for p = 2 an exact dyadic value, a sign read off
-8n / 2^k mod 8 times 2^{-floor(k/2)}. singular_series finds the prime-power
-split of every q <= Q with one smallest-prime-factor sieve and assembles all
-Q terms in place, one block of q at a time.
+8n / 2^k mod 8 times 2^{-floor(k/2)}. singular_series builds all Q terms in
+one walk over a smallest-prime-factor sieve, a block of q at a time: each
+block writes its prime powers' local factors, then multiplies every q's
+prime-power factor onto the term of its cofactor from an earlier block.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from ._util import assemble_multiplicative, factor_sieve, sieve_blocks
+from ._util import multiplicative
 
 def _legendre(a: int, p: int) -> int:
     """Legendre symbol (a/p) for an odd prime p, by Euler's criterion."""
@@ -140,41 +141,30 @@ def _euler_symbols(n: int, primes: np.ndarray) -> np.ndarray:
 
 
 def singular_series(n: int, Q: int) -> SingularTruncation:
-    """Partial sum S3(n, Q) with all Q terms retained, from one sieve.
+    """Partial sum S3(n, Q) with all Q terms retained, from one sieve walk.
 
-    The local factors A(p^k, n) are placed at q = p^k: by _local_factor for the
-    primes up to sqrt(Q) (and 2), and for the larger primes, which divide no
-    q <= Q twice, as A(p, n) = (-n/p)/p from a vectorised Euler criterion. The
-    prime power of every other q is then gathered in place, one block at a
-    time (a prime power maps to itself, so no source is overwritten before it
-    is read), and assemble_multiplicative spreads the factors to every q. The
-    float64 terms and the sieve's two int32 arrays, 16 B per q, are the peak.
+    `multiplicative` builds every term from the local factors A(p^k, n) at the
+    prime powers of each block: A(p, n) = (-n/p)/p for every odd prime from a
+    vectorised Euler criterion, then _local_factor for p = 2 and for the few
+    higher powers (556 entries below 10^7). The float64 terms and the sieve's
+    two int32 arrays, 16 B per q, are the peak.
     """
     if Q < 1:
         raise DomainError(f"Q must be >= 1, got {Q}")
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    local = np.zeros(Q + 1, dtype=np.float64)
-    local[1] = 1.0
-    p, rest = factor_sieve(Q)
-    top = min(Q, max(2, math.isqrt(Q)))
-    for prime in range(2, top + 1):
-        if p[prime] != prime:
-            continue
-        power, k = prime, 1
-        while power <= Q:
-            local[power] = _local_factor(prime, k, n)
-            power, k = power * prime, k + 1
-    for lo, hi in sieve_blocks(top + 1, Q + 1):
-        primes = np.arange(lo, hi, dtype=np.int64)
-        primes = primes[p[lo:hi] == primes]
-        local[primes] = _euler_symbols(n, primes) / primes
-    del p
-    for lo, hi in sieve_blocks(2, Q + 1):
-        pk = np.arange(lo, hi, dtype=np.int32)
-        pk //= rest[lo:hi]
-        local[lo:hi] = local[pk]
-    terms = assemble_multiplicative(local, rest)[1:]
+
+    def at_prime_powers(p, pk):
+        p = p.astype(np.int64)
+        local = _euler_symbols(n, p) / p
+        for i in np.flatnonzero((p == 2) | (pk != p)).tolist():
+            prime, power, k = int(p[i]), int(pk[i]), 1
+            while prime**k < power:
+                k += 1
+            local[i] = _local_factor(prime, k, n)
+        return local
+
+    terms = multiplicative(Q, np.float64, at_prime_powers)[1:]
     return SingularTruncation(n=n, Q=Q, value=float(np.sum(terms)), terms=terms)
 
 

@@ -10,7 +10,6 @@ no sum wraps and no table-sized temporary is made.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -248,23 +247,6 @@ def read_series(path) -> list[SimpleNamespace]:
     return points
 
 
-def _running_sums(terms: np.ndarray, qs: list[int]) -> list[float]:
-    """terms[0] + ... + terms[Q - 1] for each Q of the ascending list `qs`, added
-    left to right as np.cumsum adds them, so each equals np.cumsum(terms)[Q - 1]
-    bit for bit; one block at a time, the running sum carried into the next."""
-    sums, carry, i = [], 0.0, 0
-    for lo in range(0, qs[-1], _SUM_BLOCK):
-        hi = min(lo + _SUM_BLOCK, qs[-1])
-        block = terms[lo:hi].copy()
-        if lo:
-            block[0] += carry
-        np.cumsum(block, out=block)
-        j = bisect.bisect_right(qs, hi, i)  # qs[i:j] are the grid points in (lo, hi]
-        sums.extend(block[Q - 1 - lo] for Q in qs[i:j])
-        i, carry = j, block[-1]
-    return sums
-
-
 def singular_truncation_sweep(n: int, Q_grid) -> TruncationSweep:
     """Truncated count formula 2 pi sqrt(n) S3(n, Q) against exact r_3(n)."""
     from . import singular  # local: the verify-* subcommands never load it
@@ -278,8 +260,9 @@ def singular_truncation_sweep(n: int, Q_grid) -> TruncationSweep:
     trunc = singular.singular_series(n, qs[-1])
     factor = singular.bateman_factor(n)
     points = []
-    for Q, partial in zip(qs, _running_sums(trunc.terms, qs)):
-        val = float(factor * partial)
+    prefix = np.cumsum(trunc.terms)
+    for Q in qs:
+        val = float(factor * prefix[Q - 1])
         abs_err = abs(val - r3)
         rel_err = abs_err / r3 if r3 > 0 else math.nan
         points.append(TruncationPoint(Q=Q, bateman=val, abs_err=abs_err, rel_err=rel_err))

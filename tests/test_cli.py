@@ -379,15 +379,18 @@ def test_weyl_and_gauss_above_caps_fail_before_any_work(monkeypatch, capsys):
     assert run_cli(["weyl-sweep", "--n-terms", over_terms, "--grid", "1"]) == 2
     for grid in (fine_grid, "1e-310", "5e-324"):  # 1 / grid is inf for the last two
         assert run_cli(["weyl-sweep", "--n-terms", "1", "--grid", grid]) == 2
+    # each within its own cap, but 10^13 terms together
+    assert run_cli(["weyl-sweep", "--n-terms", str(cli.N_TERMS_CAP), "--grid", "1e-6"]) == 2
     assert run_cli(["gauss", "--q", str(cli.GAUSS_Q_CAP + 1)]) == 2
     assert run_cli(["gauss", "--q", str(cli.GAUSS_Q_CAP + 1), "--a", "1"]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 6 and all(line.startswith("usage error: ") for line in err), err
+    assert len(err) == 7 and all(line.startswith("usage error: ") for line in err), err
     assert all("exceeds" in line or "more than" in line for line in err)
-    # the caps themselves are accepted
+    # the caps themselves are accepted: terms times points exactly at its cap
     parse = cli.build_parser().parse_args
-    at_cap = parse(["weyl-sweep", "--n-terms", str(cli.N_TERMS_CAP), "--grid", "1e-6"])
-    assert cli._config_from_args(at_cap).n_terms == cli.N_TERMS_CAP
+    for n_terms, grid in ((cli.N_TERMS_CAP, "0.01"), (1000, "1e-6")):
+        at_cap = cli._config_from_args(parse(["weyl-sweep", "--n-terms", str(n_terms), "--grid", grid]))
+        assert at_cap.n_terms * round(1 / at_cap.grid) == cli.WEYL_TERMS_CAP
     assert cli._config_from_args(parse(["gauss", "--q", str(cli.GAUSS_Q_CAP)])).q == cli.GAUSS_Q_CAP
 
 

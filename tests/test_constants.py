@@ -8,7 +8,7 @@ import pytest
 
 from oracles import sieve_oracle
 from squaresums import constants
-from squaresums._util import factor_sieve
+from squaresums._util import factor_sieve, multiplicative
 from squaresums.errors import DomainError, NotCoprimeError
 from squaresums.expsum import gauss_sum
 
@@ -78,6 +78,63 @@ def test_sieves_match_the_oracle_across_block_edges():
         assert p.tolist() == spf[: Q + 1] and r.tolist() == rest[: Q + 1], Q
         totients = constants.totient_sieve(Q)
         assert totients.dtype == np.int32 and totients.tolist() == phi[: Q + 1], Q
+
+
+def _primes_to(Q: int) -> list[int]:
+    sieve = np.ones(Q + 1, dtype=bool)
+    sieve[:2] = False
+    for d in range(2, math.isqrt(Q) + 1):
+        if sieve[d]:
+            sieve[d * d :: d] = False
+    return np.flatnonzero(sieve).tolist()
+
+
+_MULTIPLICATIVE_QS = (1, 2, 2**16 - 3, 2**16 + 3, 2**17 - 3, 2**17 + 3)
+
+
+def test_multiplicative_builds_the_divisor_count_and_moebius():
+    """d(p^k) = k + 1 and mu(p^k) = -1 if k = 1 else 0, against a divisor-count
+    sieve and a Moebius sieve over the primes, across the block edges."""
+    top = _MULTIPLICATIVE_QS[-1]
+    divisors = np.zeros(top + 1, dtype=np.int32)
+    for d in range(1, top + 1):
+        divisors[d::d] += 1
+    moebius = np.ones(top + 1, dtype=np.int32)
+    moebius[0] = 0
+    for p in _primes_to(top):
+        moebius[p::p] *= -1
+        moebius[p * p :: p * p] = 0
+
+    def exponent(p, pk):
+        return np.array([next(k for k in range(1, 32) if a**k == b)
+                         for a, b in zip(p.tolist(), pk.tolist())], dtype=np.int32)
+
+    for Q in _MULTIPLICATIVE_QS:
+        d = multiplicative(Q, np.int32, lambda p, pk: exponent(p, pk) + 1)
+        mu = multiplicative(Q, np.int32, lambda p, pk: np.where(pk == p, -1, 0))
+        assert d.dtype == mu.dtype == np.int32
+        assert d[0] == mu[0] == 0 and d[1] == mu[1] == 1
+        assert d[1:].tolist() == divisors[1 : Q + 1].tolist(), Q
+        assert mu[1:].tolist() == moebius[1 : Q + 1].tolist(), Q
+
+
+def test_multiplicative_asks_for_each_prime_power_once():
+    for Q in _MULTIPLICATIVE_QS:
+        seen = []
+
+        def record(p, pk):
+            assert p.dtype == pk.dtype == np.int32 and p.shape == pk.shape
+            seen.extend(zip(p.tolist(), pk.tolist()))
+            return np.zeros(p.size, dtype=np.int32)
+
+        multiplicative(Q, np.int32, record)
+        want = []
+        for p in _primes_to(Q):
+            pk = p
+            while pk <= Q:
+                want.append((p, pk))
+                pk *= p
+        assert sorted(seen) == want, Q
 
 
 def test_b1_small_truncations_by_hand():

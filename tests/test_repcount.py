@@ -231,9 +231,10 @@ def test_csv_and_binary_round_trip(tmp_path):
         comment=st.none() | st.text(st.characters(min_codepoint=32, max_codepoint=126)),
     )
     @example(order=3, limit=chunk + 1, values=[0, 2**63 - 1], comment="generated")
-    @example(order=1, limit=0, values=[2**63 - 1], comment=None)
+    @example(order=1, limit=2, values=[2**63 - 1], comment=None)
     def check(order, limit, values, comment):
         counts = np.resize(np.array(values, dtype=np.int64), limit + 1)
+        counts[:2] = (1, 2 * order)[: limit + 1]  # the rows that tell a CSV's order
         table = repcount.RepTable(order, limit, counts)
         csv_path, bin_path = tmp_path / "table.csv", tmp_path / "table.bin"
         repcount.save_csv(table, csv_path, header_comment=comment)
@@ -261,11 +262,12 @@ def test_csv_round_trip_in_blocks_of_a_few_bytes(tmp_path, monkeypatch):
         comment=st.none() | st.text(st.characters(min_codepoint=32, max_codepoint=126)),
         crlf=st.booleans(),
     )
-    @example(block=4, limit=1, values=[1], comment=None, crlf=True)  # body b"0,1\r|\n1,1\r\n"
+    @example(block=4, limit=1, values=[1], comment=None, crlf=True)  # body b"0,1\r|\n1,6\r\n"
     @example(block=1, limit=2, values=[2**63 - 1, 0], comment="c", crlf=False)
     def check(block, limit, values, comment, crlf):
         monkeypatch.setattr(repcount, "_CSV_BLOCK", block)
         counts = np.resize(np.array(values, dtype=np.int64), limit + 1)
+        counts[:2] = (1, 6)[: limit + 1]  # the rows that tell a CSV's order
         path = tmp_path / "table.csv"
         repcount.save_csv(repcount.RepTable(3, limit, counts), path, header_comment=comment)
         if crlf:
@@ -562,6 +564,19 @@ def test_load_table_detects_the_format(tmp_path, t3_fold):
         repcount.load_table(csv_path, 3, t3_fold.limit + 1)
 
 
+def test_csv_of_another_order_is_refused(tmp_path):
+    """A CSV carries no order: rows 0 and 1 must be r_k(0) = 1 and r_k(1) = 2k
+    for the order stated, and only the rows a limit reads are checked."""
+    path = tmp_path / "r8.csv"
+    repcount.save_csv(repcount.build_rk(50, 8), path)
+    with pytest.raises(DomainError, match=r"has r\(0\) = 1, r\(1\) = 16; an order-3 table"):
+        repcount.load_table(path, 3, 50)
+    assert repcount.load_table(path, 8, 50).counts[1] == 16
+    path.write_bytes(b"n,count\n0,2\n1,6\n")
+    with pytest.raises(DomainError, match=r"has r\(0\) = 2; an order-3 table"):
+        repcount.load_csv(path, 3, 0)
+
+
 def test_loaders_read_only_the_rows_a_limit_asks_for(tmp_path, monkeypatch):
     """load_table with every limit from 0 past the table's end, the CSV read
     in blocks of a few bytes, with LF or CRLF line ends: the counts 0..limit,
@@ -575,11 +590,12 @@ def test_loaders_read_only_the_rows_a_limit_asks_for(tmp_path, monkeypatch):
         crlf=st.booleans(),
         comment=st.none() | st.just("c"),
     )
-    @example(block=4, rows=3, limit=0, crlf=True, comment=None)  # row 0 ends b"0,0\r|\n"
+    @example(block=4, rows=3, limit=0, crlf=True, comment=None)  # row 0 ends b"0,1\r|\n"
     @example(block=9, rows=40, limit=39, crlf=False, comment="c")
     def check(block, rows, limit, crlf, comment):
         monkeypatch.setattr(repcount, "_CSV_BLOCK", block)
         counts = np.arange(rows, dtype=np.int64) * 7 % 11
+        counts[:2] = (1, 6)[:rows]  # the rows that tell a CSV's order
         table = repcount.RepTable(3, rows - 1, counts)
         csv_path, bin_path = tmp_path / "t.csv", tmp_path / "t.bin"
         repcount.save_csv(table, csv_path, header_comment=comment)
@@ -726,7 +742,7 @@ def test_csv_claiming_2_40_rows_allocates_only_what_its_bytes_hold(tmp_path):
     tracemalloc.start()
     try:
         with pytest.raises(TableTooShortError, match="covers n <= 2"):
-            repcount.load_table(path, 3, 2**40)
+            repcount.load_table(path, 1, 2**40)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -261,6 +261,16 @@ def test_truncation_terms_match_a_term_across_block_edges():
             assert float(terms[q - 1]).hex() == singular.a_term(q, n).hex(), (n, q)
 
 
+def test_truncation_terms_match_a_term_around_a_prime_square():
+    """Q = 97^2 - 1, 97^2 and 97^2 + 1, where sqrt(Q) reaches the prime 97:
+    every term, bit for bit."""
+    for n in _EDGE_NS:
+        want = [singular.a_term(q, n).hex() for q in range(1, 97**2 + 2)]
+        for Q in (97**2 - 1, 97**2, 97**2 + 1):
+            terms = singular.singular_series(n, Q).terms
+            assert [float(t).hex() for t in terms] == want[:Q], (n, Q)
+
+
 @settings(max_examples=150)
 @given(n=st.sampled_from(_EDGE_NS), data=st.data())
 def test_truncation_terms_match_a_term_at_large_primes(n, data):
