@@ -18,7 +18,7 @@ import sys
 from collections.abc import Callable, Iterable
 from dataclasses import asdict, astuple, dataclass, field, fields
 from datetime import datetime, timezone
-from itertools import islice
+from itertools import chain, islice
 
 # No subcommand calls BLAS, so this only stops the worker threads OpenBLAS
 # starts and spins when numpy loads: 0.06-0.09 s of CPU per process. Set before
@@ -49,8 +49,10 @@ class Result:
     """One subcommand's output as data. `rows` (one value per column) is read
     once, by the CSV or the JSON writer, so it may be lazy; JSON lists them as
     objects under `json_key` (if set) beside the top-level `extras`, leaving out
-    columns that are extras keys. `text` returns the text lines. A `failure` is
-    printed to stderr after the output and makes the exit status 1."""
+    columns that are extras keys. `text` returns the text lines. `csv_body`, if
+    set, returns the CSV lines below the header, rendered in chunks, in place of
+    `rows`. A `failure` is printed to stderr after the output and makes the exit
+    status 1."""
 
     columns: tuple[str, ...]
     rows: Iterable[tuple]
@@ -58,6 +60,7 @@ class Result:
     json_key: str | None = None
     extras: dict = field(default_factory=dict)
     failure: str | None = None
+    csv_body: Callable[[], Iterable[str]] | None = None
 
 
 def _require(ok, message: str) -> None:
@@ -155,10 +158,12 @@ def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
         over = f"--limit {args.limit} exceeds {LIMIT_CAP}; pass --override-limit to proceed"
         _require(args.limit <= LIMIT_CAP or args.override_limit, over)
         _require(args.threads >= 1, "--threads must be >= 1")
-        # 32 B per entry bounds each measured peak RSS above a CLI process that has
-        # loaded numpy and the package but done no work (29 MiB; a bare --help is
-        # 16 MiB): 8 B for the fold's tables and verify-meansquare at 10^6..10^8
-        # (the int32 lattice and fold output), 10 B for r_4, about 20 B for r_8
+        # The memory check covers builds only: a --table read holds one block of the
+        # file at any limit. 32 B per entry bounds each measured build's peak RSS
+        # above a CLI process that has loaded numpy and the package but done no
+        # work (29 MiB; a bare --help is 16 MiB): 8 B for the fold's tables and
+        # verify-meansquare at 10^6..10^8 (the int32 lattice and fold output),
+        # 10 B for r_4, about 20 B for r_8
         if not getattr(args, "table_path", None):
             need = 32 * (args.limit + 1)
             ram = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -262,10 +267,13 @@ def _emit(args, result: Result) -> int:
             if stamp:
                 fh.write(f"# generated {stamp}\n")
             fh.write(",".join(result.columns) + "\n")
-            rows = iter(result.rows)
-            lines = _CsvLines()
-            while chunk := list(islice(rows, 4096)):  # one write per chunk, not per line
-                fh.write("".join([lines[tuple(map(type, row))] % row for row in chunk]))
+            if result.csv_body:
+                fh.writelines(result.csv_body())
+            else:
+                rows = iter(result.rows)
+                lines = _CsvLines()
+                while chunk := list(islice(rows, 4096)):  # one write per chunk, not per line
+                    fh.write("".join([lines[tuple(map(type, row))] % row for row in chunk]))
         elif args.output_format == "json":
             import numpy as np
 
@@ -338,7 +346,7 @@ def _handle_verify(args) -> Result:
     k = args.n if args.subcommand == "verify-general" else 3
     xs = args.checkpoints or verify.geometric_checkpoints(args.limit)
     path = args.table_path
-    table = repcount.load_table(path, k, args.limit) if path else _build_table(args, k)[0]
+    table = repcount.TableFile(path, k, args.limit) if path else _build_table(args, k)[0]
     if args.subcommand == "verify-mean":
         cps = verify.mean_value_series(table, xs)
     elif args.subcommand == "verify-meansquare":
@@ -391,14 +399,16 @@ def _handle_singular(args) -> Result:
 
         trunc = singular.singular_series(args.n, args.q_max)
 
-        def rows():  # lazy, one block at a time: only the CSV form reads the terms as rows
+        def csv_body():  # one % per block of terms, rendered as _CsvLines renders rows
             for lo in range(0, trunc.Q, _BLOCK):
-                yield from enumerate(trunc.terms[lo : lo + _BLOCK].tolist(), start=lo + 1)
-            yield "total", trunc.value
+                size = min(_BLOCK, trunc.Q - lo)
+                cells = zip(range(lo + 1, lo + size + 1), trunc.terms[lo : lo + _BLOCK].tolist())
+                yield ("%d,%.17g\n" * size) % tuple(chain.from_iterable(cells))
+            yield "total,%.17g\n" % trunc.value
 
         text = lambda: [f"S3(n={trunc.n}, Q={trunc.Q}) = {_cell(trunc.value)}"]
         extras = {"n": trunc.n, "Q": trunc.Q, "value": trunc.value, "terms": trunc.terms}
-        return Result(("q", "A_q_n"), rows(), text, extras=extras)
+        return Result(("q", "A_q_n"), (), text, extras=extras, csv_body=csv_body)
     from . import verify
 
     sweep = verify.singular_truncation_sweep(args.n, args.q_grid or [1, 10, 100, 1000])

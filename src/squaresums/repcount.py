@@ -22,9 +22,14 @@ by LF or CRLF (the last may lack it); a binary file is a 16-byte header, then
 little-endian int64 counts. A built table keeps the width of its last pass
 (a fold table to 10^8 is int32, 4 B per entry): save_binary widens it to
 int64 one chunk at a time, and save_csv formats each chunk at its own width.
-A reader takes a limit and reads the rows 0..limit once, into int64 counts
-(8 B per entry) sized by the limit and, for a CSV, by the body's bytes; it
-holds one block of the file besides.
+A reader takes a limit and reads the rows 0..limit once, as int64 blocks in
+row order: a CSV parsed _CSV_BLOCK bytes at a time, a binary body read
+_BIN_CHUNK counts at a time into one reused buffer. TableFile streams them,
+so a sum over a file holds one block at any limit (verify-meansquare --table
+r3.bin peaks at 33 MiB at 10^6 and at 10^7, against 29 MiB for a run that
+loads numpy and does no work); load_table, load_csv and load_binary collect
+them into one int64 array (8 B per entry) sized by the limit and by the
+file's bytes.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +48,7 @@ from ._util import SAFE_LIMIT, atomic_write
 _I64_MAX = (1 << 63) - 1
 _TILE_BYTES = 2**19  # bytes per shift-add output tile, resident in L2
 _CSV_CHUNK = 2**16  # table rows formatted per write
-_BIN_CHUNK = 2**16  # counts widened to int64 per binary write
+_BIN_CHUNK = 2**16  # counts per binary write, and per block read
 _CSV_BLOCK = 2**16  # bytes of a CSV table parsed at a time
 
 _BINARY_MAGIC = b"RKTB"
@@ -57,7 +63,7 @@ class RepTable:
     output of its last _add_squares pass, with no int64 copy, and a caller's
     array is shared through a read-only view (the caller's stays writable).
     Any other dtype is converted to int64. A reader that squares or sums the
-    counts must widen them first (verify._prefix_at widens one block at a time).
+    counts must widen them first (verify._chunk_sum widens one chunk at a time).
     """
 
     order: int
@@ -81,6 +87,10 @@ class RepTable:
         c = c.view()
         c.setflags(write=False)
         object.__setattr__(self, "counts", c)
+
+    def blocks(self) -> Iterator[np.ndarray]:
+        """The counts as one block, as TableFile.blocks gives a file's."""
+        return iter((self.counts,))
 
 
 def _tile_plan(src: np.ndarray, x: int, threads: int):
@@ -212,19 +222,25 @@ def build_r3_fold(x: int, threads: int = 1) -> RepTable:
 
 
 def r3_point(n: int) -> int:
-    """Slow exact r_3(n) for spot checks: enumerate two coordinates, test the rest."""
+    """Slow exact r_3(n) for spot checks, by enumeration alone: for each m1,
+    every m2 with m1^2 + m2^2 <= n at once, and whether the rest is a square.
+    The float square root of the rest is within one of its integer root: one
+    below is corrected in int64, and one above squares past the rest, so it
+    counts nothing, as it should. n stays below 2^62, so no square wraps."""
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
+    if n >= 1 << 62:
+        raise DomainError(f"n must be < 2^62, got {n}")
+    squares = np.arange(math.isqrt(n) + 1, dtype=np.int64) ** 2
     total = 0
-    for m1 in range(math.isqrt(n) + 1):
-        w1 = 2 if m1 else 1
+    for m1 in range(squares.size):
         rem1 = n - m1 * m1
-        for m2 in range(math.isqrt(rem1) + 1):
-            rem = rem1 - m2 * m2
-            root = math.isqrt(rem)
-            if root * root == rem:
-                w = w1 * (2 if m2 else 1) * (2 if root else 1)
-                total += w
+        rem = rem1 - squares[: math.isqrt(rem1) + 1]
+        root = np.sqrt(rem, dtype=np.float64).astype(np.int64)
+        root += (root + 1) * (root + 1) <= rem
+        m2 = np.flatnonzero(root * root == rem)
+        weights = (1 + (m2 > 0)) * (1 + (root[m2] > 0))  # 2 for each nonzero coordinate
+        total += (2 if m1 else 1) * int(weights.sum())
     return total
 
 
@@ -263,9 +279,9 @@ def save_csv(table: RepTable, path, header_comment: str | None = None) -> None:
             fh.write(rows[rows != 0])
 
 
-def _parse_rows(seg: bytes, counts: np.ndarray, row: int, line: int) -> int:
-    """Parse whole `n,count` LF-ended lines into counts[row:], checking each n;
-    return the next row. `line` is the file line number of the first one."""
+def _parse_rows(seg: bytes, row: int, line: int) -> np.ndarray:
+    """The int64 counts of whole `n,count` LF-ended lines whose n must run from
+    `row` up; `line` is the file line number of the first one."""
     b = np.frombuffer(seg, dtype=np.uint8)
     digits = b - np.uint8(ord("0"))  # every other byte wraps to 10 or more
     ends = np.flatnonzero(digits > 9)  # a comma, then an LF, in every row
@@ -283,56 +299,155 @@ def _parse_rows(seg: bytes, counts: np.ndarray, row: int, line: int) -> int:
             cells += digits[last - j] * (size > j) * np.uint64(10**j)
     if max(int(n.max()), int(count.max())) > _I64_MAX:
         raise DomainError("a cell lies outside the 64-bit range")
-    n, count = n.view(np.int64), count.view(np.int64)
-    bad = np.flatnonzero(n != np.arange(row, row + n.size))
+    bad = np.flatnonzero(n.view(np.int64) != np.arange(row, row + n.size))
     if bad.size:
         raise DomainError(f"rows out of order at line {line + bad[0]}")
-    counts[row : row + n.size] = count
-    return row + n.size
+    return count.view(np.int64)
+
+
+def _csv_lines(fh, rows: int) -> Iterator[bytes]:
+    """Up to `rows` whole lines of fh from where it stands, CRLF read as LF, in
+    segments of about _CSV_BLOCK bytes: each block read is cut after its last
+    LF, or after the LF of the last line wanted. A last line without its LF is
+    given one."""
+    tail = b""
+    while rows > 0 and (block := fh.read(_CSV_BLOCK)):
+        # a CR left at a block's end waits in the tail for its LF; a lone CR stays
+        seg = (tail + block).replace(b"\r\n", b"\n")
+        cut = seg.rfind(b"\n") + 1
+        lines = seg.count(b"\n", 0, cut)
+        if lines > rows:  # the last line wanted ends in this block
+            cut = int(np.flatnonzero(np.frombuffer(seg, dtype=np.uint8) == ord("\n"))[rows - 1]) + 1
+            lines = rows
+        rows -= lines
+        tail = seg[cut:]
+        if cut:
+            yield seg[:cut]
+        if len(tail) > 40 and rows > 0:  # longer than any row: 19 digits, a comma, 19, a CR
+            raise DomainError("a row is not an n,count row")
+    if rows > 0 and tail:  # the file ended
+        yield tail + b"\n"
+
+
+def _csv_blocks(fh, path, order: int, limit: int) -> Iterator[np.ndarray]:
+    """The counts of the rows 0..limit of the CSV table open in fh, or of every
+    row if it has fewer, as int64 blocks in row order, one per segment of
+    _csv_lines; the rest of the file is not read. The CSV carries no order, so
+    rows 0 and 1, when read, must be r_k(0) = 1 and r_k(1) = 2k for the order
+    the caller states. Malformed content raises DomainError."""
+    line = 1
+    while (header := fh.readline(9)).startswith(b"#"):  # comments come only before the header
+        while header and not header.endswith(b"\n"):  # the rest of a long comment
+            header = fh.readline(_CSV_BLOCK)
+        line += 1
+    if header not in (b"n,count\n", b"n,count\r\n", b"n,count"):
+        got = header[:40].decode("ascii", "replace").strip()
+        raise DomainError(f"expected header n,count, got {got!r}")
+    if os.fstat(fh.fileno()).st_size == fh.tell():
+        raise DomainError("table file has no rows")
+
+    def check(head):  # r_k(0) = 1 and r_k(1) = 2k tell the order
+        if head != [1, 2 * order][: len(head)]:
+            got = ", ".join(f"r({i}) = {c}" for i, c in enumerate(head))
+            raise DomainError(f"table {path} has {got}; "
+                              f"an order-{order} table has r(0) = 1, r(1) = {2 * order}")
+
+    row, head = 0, []
+    for seg in _csv_lines(fh, limit + 1):
+        counts = _parse_rows(seg, row, line + 1 + row)
+        row += counts.size
+        if len(head) < 2:
+            head += counts[: 2 - len(head)].tolist()
+            if len(head) == 2:
+                check(head)
+        yield counts
+    if len(head) < 2:  # one row was read
+        check(head)
+
+
+def _binary_header(fh) -> tuple[int, int]:
+    """The order and stored limit in the header of the binary table open in
+    fh; the body's size is checked against the file's."""
+    head = fh.read(_HEADER.size)
+    if len(head) != _HEADER.size:
+        raise DomainError("truncated table file")
+    magic, order, stored = _HEADER.unpack(head)
+    if magic != _BINARY_MAGIC:
+        raise DomainError(f"bad magic {magic!r}")
+    size, expected = os.fstat(fh.fileno()).st_size - _HEADER.size, (stored + 1) * 8
+    if size != expected:
+        raise DomainError(f"table body has {size} bytes, expected {expected}")
+    return order, stored
+
+
+def _binary_blocks(fh, rows: int) -> Iterator[np.ndarray]:
+    """The first `rows` counts of the binary body that fh stands at, in blocks
+    read into one reused buffer of _BIN_CHUNK counts: a block holds its
+    values only until the next is asked for."""
+    buf = np.empty(min(rows, _BIN_CHUNK), dtype="<i8")
+    for lo in range(0, rows, _BIN_CHUNK):
+        block = buf[: rows - lo]
+        if fh.readinto(block) != block.nbytes:
+            raise DomainError("table file changed while it was read")
+        if int(block.min()) < 0:  # a stored count of 2^63 or more reads as negative
+            raise CountOverflowError("stored count exceeds 63-bit range")
+        yield block
+
+
+def _check_covers(path, order: int, limit: int, got_order: int, got_limit: int) -> None:
+    if got_order != order:
+        raise DomainError(f"table {path} has order {got_order}, expected {order}")
+    if got_limit < limit:
+        raise TableTooShortError(f"table {path} covers n <= {got_limit}, not {limit}")
+
+
+@dataclass(frozen=True)
+class TableFile:
+    """The counts 0..limit of an order-`order` table file in either format,
+    read as a stream: blocks() holds one block of the file at a time, whatever
+    the limit, and makes every check that load_table makes."""
+
+    path: str | os.PathLike
+    order: int
+    limit: int
+
+    def blocks(self) -> Iterator[np.ndarray]:
+        """The counts as int64 blocks in row order, read anew on each call; a
+        block holds its values only until the next is asked for. A binary
+        file's order and limit are checked before its body is read, a CSV's
+        limit when its rows run out (TableTooShortError)."""
+        with open(self.path, "rb") as fh:
+            binary = fh.read(len(_BINARY_MAGIC)) == _BINARY_MAGIC
+            fh.seek(0)
+            if binary:
+                _check_covers(self.path, self.order, self.limit, *_binary_header(fh))
+                yield from _binary_blocks(fh, self.limit + 1)
+                return
+            rows = 0
+            for block in _csv_blocks(fh, self.path, self.order, self.limit):
+                rows += block.size
+                yield block
+        _check_covers(self.path, self.order, self.limit, self.order, rows - 1)
+
+
+def _collect(blocks: Iterable[np.ndarray], size: int) -> np.ndarray:
+    """The blocks, in order, in one int64 array made for at most `size` entries."""
+    counts = np.empty(size, dtype=np.int64)
+    end = 0
+    for block in blocks:
+        counts[end : end + block.size] = block
+        end += block.size
+    return counts[:end]
 
 
 def load_csv(path, order: int, limit: int) -> RepTable:
-    """Read the rows 0..limit of a table written by save_csv, in one pass; the
-    CSV carries no order, so the caller states it and rows 0 and 1 must agree
-    with it. Malformed content raises DomainError. The counts are sized by the
-    limit and the body's bytes; the body is parsed into them in blocks of
-    _CSV_BLOCK bytes, each cut after its last LF, up to the LF of row limit.
-    The rest of the file is not read."""
+    """Read the rows 0..limit of a table written by save_csv, in one pass (see
+    _csv_blocks), into counts sized by the limit and by the file's bytes: a
+    row takes 4 bytes or more, the last 3."""
     with open(path, "rb") as fh:
-        line = 1
-        while (header := fh.readline(9)).startswith(b"#"):  # comments come only before the header
-            while header and not header.endswith(b"\n"):  # the rest of a long comment
-                header = fh.readline(_CSV_BLOCK)
-            line += 1
-        if header not in (b"n,count\n", b"n,count\r\n", b"n,count"):
-            got = header[:40].decode("ascii", "replace").strip()
-            raise DomainError(f"expected header n,count, got {got!r}")
-        size = os.fstat(fh.fileno()).st_size - fh.tell()
-        if not size:
-            raise DomainError("table file has no rows")
-        # a row takes 4 bytes or more, the last 3, so row (size + 1) // 4 can never
-        # be whole: bytes left after the rows before it are parsed, and refused
-        counts = np.empty(min(limit + 1, (size + 5) // 4), dtype=np.int64)
-        row, tail = 0, b""
-        while row < counts.size and (block := fh.read(_CSV_BLOCK)):
-            # a CR left at a block's end waits in the tail for its LF; a lone CR stays
-            seg = (tail + block).replace(b"\r\n", b"\n")
-            cut, room = seg.rfind(b"\n") + 1, counts.size - row
-            if seg.count(b"\n", 0, cut) > room:  # the last row that fits ends in this block
-                cut = int(np.flatnonzero(np.frombuffer(seg, dtype=np.uint8) == ord("\n"))[room - 1]) + 1
-            if cut:
-                row = _parse_rows(seg[:cut], counts, row, line + 1 + row)
-            tail = seg[cut:]
-            if len(tail) > 40 and row < counts.size:  # longer than any row: 19 digits, a comma, 19, a CR
-                raise DomainError("a row is not an n,count row")
-        if row < counts.size and tail:  # the file ended; its last row may lack the LF
-            row = _parse_rows(tail + b"\n", counts, row, line + 1 + row)
-    head = counts[: min(row, 2)].tolist()  # r_k(0) = 1 and r_k(1) = 2k tell the order
-    if head != [1, 2 * order][: len(head)]:
-        got = ", ".join(f"r({i}) = {c}" for i, c in enumerate(head))
-        raise DomainError(f"table {path} has {got}; "
-                          f"an order-{order} table has r(0) = 1, r(1) = {2 * order}")
-    return RepTable(order=order, limit=row - 1, counts=counts[:row])
+        size = min(limit + 1, (os.fstat(fh.fileno()).st_size + 5) // 4)
+        counts = _collect(_csv_blocks(fh, path, order, limit), size)
+    return RepTable(order=order, limit=counts.size - 1, counts=counts)
 
 
 def load_table(path, order: int, limit: int) -> RepTable:
@@ -341,10 +456,7 @@ def load_table(path, order: int, limit: int) -> RepTable:
     with open(path, "rb") as fh:
         binary = fh.read(len(_BINARY_MAGIC)) == _BINARY_MAGIC
     table = load_binary(path, limit) if binary else load_csv(path, order, limit)
-    if table.order != order:
-        raise DomainError(f"table {path} has order {table.order}, expected {order}")
-    if table.limit < limit:
-        raise TableTooShortError(f"table {path} covers n <= {table.limit}, not {limit}")
+    _check_covers(path, order, limit, table.order, table.limit)
     return table
 
 
@@ -362,22 +474,10 @@ def save_binary(table: RepTable, path) -> None:
 
 def load_binary(path, limit: int) -> RepTable:
     """Read the counts 0..min(limit, stored limit) of a table written by
-    save_binary into one preallocated array; the body's size is checked
-    against the file's before anything is allocated."""
+    save_binary into one array, allocated once the header's claim has been
+    checked against the file's size."""
     with open(path, "rb") as fh:
-        head = fh.read(_HEADER.size)
-        if len(head) != _HEADER.size:
-            raise DomainError("truncated table file")
-        magic, order, stored = _HEADER.unpack(head)
-        if magic != _BINARY_MAGIC:
-            raise DomainError(f"bad magic {magic!r}")
-        size, expected = os.fstat(fh.fileno()).st_size - _HEADER.size, (stored + 1) * 8
-        if size != expected:
-            raise DomainError(f"table body has {size} bytes, expected {expected}")
-        counts = np.empty(min(stored, limit) + 1, dtype="<i8")
-        if fh.readinto(counts) != counts.nbytes:
-            raise DomainError("table file changed while it was read")
-    # a stored count of 2^63 or more reads as a negative int64
-    if counts.size and int(counts.min()) < 0:
-        raise CountOverflowError("stored count exceeds 63-bit range")
-    return RepTable(order=order, limit=counts.size - 1, counts=counts)
+        order, stored = _binary_header(fh)
+        rows = min(stored, limit) + 1
+        counts = _collect(_binary_blocks(fh, rows), rows)
+    return RepTable(order=order, limit=rows - 1, counts=counts)

@@ -5,7 +5,9 @@ grids, fits empirical error exponents on log-log scales, and sweeps the
 truncation level of the singular-series count formula against exact counts.
 Partial sums are exact integers throughout: they are taken block by block, in
 int64 where a block's exact bound allows it and in Python ints otherwise, so
-no sum wraps and no table-sized temporary is made.
+no sum wraps and no table-sized temporary is made. A series reads its table
+through blocks(), so a repcount.TableFile is summed as it is read and never
+held whole.
 """
 
 from __future__ import annotations
@@ -97,7 +99,7 @@ def geometric_checkpoints(limit: int) -> list[int]:
     return xs
 
 
-def _validate_grid(table: repcount.RepTable, checkpoints, order: int) -> list[int]:
+def _validate_grid(table: repcount.RepTable | repcount.TableFile, checkpoints, order: int) -> list[int]:
     if table.order != order:
         raise DomainError(
             f"need a table of order {order}, got order {table.order}"
@@ -116,36 +118,55 @@ def _validate_grid(table: repcount.RepTable, checkpoints, order: int) -> list[in
     return xs
 
 
-def _prefix_at(counts: np.ndarray, xs: list[int], square: bool) -> dict[int, int]:
-    """Exact sums of counts[n] (or counts[n]^2) over 1 <= n <= x for each x.
-
-    The entries between checkpoints are summed in blocks of _SUM_BLOCK, each
-    widened to int64 first: narrow counts (int16, int32) squared in their own
-    width would wrap. A block whose exact bound, top * size (top * top * size
-    for squares, top its largest entry), stays below SAFE_LIMIT sums in int64;
-    any other block alone is cast to Python ints, _OBJECT_BLOCK entries at a
-    time. The running total is a Python int.
-    """
-    out: dict[int, int] = {}
+def _chunk_sum(chunk: np.ndarray, square: bool) -> int:
+    """Exact sum of chunk (or of its squares), widened to int64 first: narrow
+    counts (int16, int32) squared in their own width would wrap. A chunk whose
+    exact bound, top * size (top * top * size for squares, top its largest
+    entry), stays below SAFE_LIMIT sums in int64; any other is cast to Python
+    ints, _OBJECT_BLOCK entries at a time."""
+    chunk = chunk.astype(np.int64, copy=False)
+    top = int(chunk.max())
+    if (top * top if square else top) * chunk.size < SAFE_LIMIT:
+        return int((chunk * chunk if square else chunk).sum())
     total = 0
-    prev = 1
-    for x in xs:
-        for lo in range(prev, x + 1, _SUM_BLOCK):
-            block = counts[lo : min(lo + _SUM_BLOCK, x + 1)].astype(np.int64, copy=False)
-            top = int(block.max())
-            if (top * top if square else top) * block.size < SAFE_LIMIT:
-                total += int((block * block if square else block).sum())
-                continue
-            for i in range(0, block.size, _OBJECT_BLOCK):
-                part = block[i : i + _OBJECT_BLOCK].astype(object)
-                total += int((part * part if square else part).sum())
-        out[x] = total
-        prev = x + 1
+    for i in range(0, chunk.size, _OBJECT_BLOCK):
+        part = chunk[i : i + _OBJECT_BLOCK].astype(object)
+        total += int((part * part if square else part).sum())
+    return total
+
+
+def _prefix_at(blocks, xs: list[int], square: bool) -> dict[int, int]:
+    """Exact sums of counts[n] (or counts[n]^2) over 1 <= n <= x for each x in
+    the ascending xs, where `blocks` is the counts array or its blocks in row
+    order, as a table's blocks() gives them. Each block is used only until the
+    next is asked for, and every block is walked, past the last checkpoint
+    too, so a file's checks all run. The entries are summed by _chunk_sum in
+    chunks of at most _SUM_BLOCK, each ending at a checkpoint or a block's
+    end; the running total is a Python int.
+    """
+    if isinstance(blocks, np.ndarray):
+        blocks = (blocks,)
+    out: dict[int, int] = {}
+    todo = iter(xs)
+    x = next(todo, None)
+    total = start = 0  # start: the row of the block's first entry
+    for block in blocks:
+        lo, end = max(start, 1), start + block.size
+        while x is not None and lo < end:
+            hi = min(lo + _SUM_BLOCK, x + 1, end)
+            total += _chunk_sum(block[lo - start : hi - start], square)
+            if hi == x + 1:
+                out[x] = total
+                x = next(todo, None)
+            lo = hi
+        start = end
+    if x is not None:
+        raise TableTooShortError(f"checkpoint {x} exceeds the last count, at n = {start - 1}")
     return out
 
 
 def _series(table, xs, main_of, square: bool) -> list[Checkpoint]:
-    sums = _prefix_at(table.counts, xs, square)
+    sums = _prefix_at(table.blocks(), xs, square)
     cps = []
     for x in xs:
         main = main_of(x)
@@ -163,13 +184,13 @@ def _series(table, xs, main_of, square: bool) -> list[Checkpoint]:
     return cps
 
 
-def mean_value_series(table: repcount.RepTable, checkpoints) -> list[Checkpoint]:
+def mean_value_series(table: repcount.RepTable | repcount.TableFile, checkpoints) -> list[Checkpoint]:
     """Sum of r_3(n) over 1 <= n <= x against the main term (4/3) pi x^{3/2}."""
     xs = _validate_grid(table, checkpoints, order=3)
     return _series(table, xs, lambda x: (4.0 / 3.0) * math.pi * x**1.5, square=False)
 
 
-def mean_square_series(table: repcount.RepTable, checkpoints) -> list[Checkpoint]:
+def mean_square_series(table: repcount.RepTable | repcount.TableFile, checkpoints) -> list[Checkpoint]:
     """Sum of r_3(n)^2 over 1 <= n <= x against C3 x^2."""
     from .constants import mean_square_constant  # local: mpmath loads only where C3 is used
 
@@ -178,7 +199,7 @@ def mean_square_series(table: repcount.RepTable, checkpoints) -> list[Checkpoint
     return _series(table, xs, lambda x: c3 * float(x) ** 2, square=True)
 
 
-def mean_square_general(N: int, table: repcount.RepTable, checkpoints) -> list[Checkpoint]:
+def mean_square_general(N: int, table: repcount.RepTable | repcount.TableFile, checkpoints) -> list[Checkpoint]:
     """Sum of r_N(n)^2 over 1 <= n <= x against W_N x^{N-1}, for N > 3."""
     if N <= 3:
         raise DomainError(f"mean_square_general requires N > 3, got {N}")

@@ -21,6 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from squaresums import cli, constants, expsum, repcount, singular, verify
+from squaresums.errors import SquaresumsError
 
 
 def run_cli(args):
@@ -673,7 +674,7 @@ def test_failed_write_leaves_existing_output_intact(tmp_path, monkeypatch):
     trunc = SimpleNamespace(n=1, Q=10**4, value=1.0, terms=terms)
     monkeypatch.setattr(singular, "singular_series", lambda n, q_max: trunc)
     args = ["singular", "--n", "1", "--q-max", "10000", "--dump-terms", "--output", str(target)]
-    assert run_cli(args) == 1  # two chunks of rows were written before the failure
+    assert run_cli(args) == 1  # the header was written, and 2 * 4096 terms read, before the failure
     assert len(read) == 2 * 4096
     assert target.read_bytes() == b"previous contents\n"
     assert os.listdir(tmp_path) == ["terms.csv"]
@@ -769,29 +770,56 @@ def test_malformed_input_files_end_in_one_error_line(table, series):
             assert err.startswith("error: DomainError: ") and err.count("\n") == 1, err
 
 
-@pytest.mark.parametrize(
-    "content,expected",
-    [
-        ("n,count\n0,1\n1,abc\n", "not an n,count row"),
-        ("n,count\n0,1\n1,99999999999999999999\n", "64-bit range"),
-        ("n,count\n0,1\n1\n", "not an n,count row"),
-        ("n,count\n0,1\n\n1,2\n", "not an n,count row"),
-        ("n,count\n0,1\n1, 6\n", "not an n,count row"),
-        ("n,count\n0,1\n1,+6\n", "not an n,count row"),
-        ("n,count\n0,1\n1,-0\n", "not an n,count row"),
-        ("n,count\n0,1\n1,10000000000000000000\n", "64-bit range"),
-        ("n,count\n0,1\r1,6\n", "not an n,count row"),
-        ("n,count\n", "no rows"),
-    ],
-    ids=["non-integer", "above-2^63", "one-cell", "blank-line", "space-in-cell", "plus-sign",
-         "minus-zero", "twenty-digits", "lone-cr", "empty-body"],
-)
+_MALFORMED_TABLES = {
+    "non-integer": ("n,count\n0,1\n1,abc\n", "not an n,count row"),
+    "above-2^63": ("n,count\n0,1\n1,99999999999999999999\n", "64-bit range"),
+    "one-cell": ("n,count\n0,1\n1\n", "not an n,count row"),
+    "blank-line": ("n,count\n0,1\n\n1,2\n", "not an n,count row"),
+    "space-in-cell": ("n,count\n0,1\n1, 6\n", "not an n,count row"),
+    "plus-sign": ("n,count\n0,1\n1,+6\n", "not an n,count row"),
+    "minus-zero": ("n,count\n0,1\n1,-0\n", "not an n,count row"),
+    "twenty-digits": ("n,count\n0,1\n1,10000000000000000000\n", "64-bit range"),
+    "lone-cr": ("n,count\n0,1\r1,6\n", "not an n,count row"),
+    "empty-body": ("n,count\n", "no rows"),
+}
+
+
+@pytest.mark.parametrize("content,expected", list(_MALFORMED_TABLES.values()), ids=list(_MALFORMED_TABLES))
 def test_malformed_table_cases(tmp_path, content, expected):
     path = tmp_path / "table.csv"
     path.write_bytes(content.encode())
     code, err = _run_captured(["verify-mean", "--limit", "1", "--table", str(path)])
     assert code == 1
     assert err.startswith("error: DomainError: ") and expected in err and err.count("\n") == 1
+
+
+def test_streamed_table_errors_match_the_loader(tmp_path):
+    """Each --table error case of this module, read by verify-* as a stream:
+    exit status 1 and one line naming the exception that load_table raises,
+    word for word, and no --output file."""
+    cases = [(["verify-mean"], 3, 1, content.encode()) for content, _ in _MALFORMED_TABLES.values()]
+    for k, built, verify_cmd, order, limit in [
+        (3, 50, ["verify-mean"], 3, 100),  # too short
+        (2, 50, ["verify-mean"], 3, 50),  # and each of another order
+        (8, 1000, ["verify-mean"], 3, 1000),
+        (3, 50, ["verify-general", "--n", "4"], 4, 50),
+        (4, 1000, ["verify-meansquare"], 3, 1000),
+    ]:
+        path = tmp_path / "built"
+        argv = ["tables", "--limit", str(built), "--k", str(k), "--reproducible"]
+        for fmt in ("csv", "binary"):
+            assert run_cli([*argv, "--table-format", fmt, "--output", str(path)]) == 0
+            cases.append((verify_cmd, order, limit, path.read_bytes()))
+    out = tmp_path / "out.csv"
+    for verify_cmd, k, limit, data in cases:
+        table = tmp_path / "table"
+        table.write_bytes(data)
+        with pytest.raises(SquaresumsError) as loaded:
+            repcount.load_table(table, k, limit)
+        argv = [*verify_cmd, "--limit", str(limit), "--table", str(table), "--output", str(out)]
+        code, err = _run_captured(argv)
+        assert (code, err) == (1, f"error: {type(loaded.value).__name__}: {loaded.value}\n"), argv
+        assert not out.exists()
 
 
 def test_short_fit_row_is_a_domain_error(tmp_path):
@@ -1085,15 +1113,15 @@ def peak_tables(tmp_path_factory):
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
-def test_reading_a_table_holds_the_table_and_one_block(peak_tables):
+def test_reading_a_table_holds_one_block(peak_tables):
     """verify-mean --table at 2*10^6 entries, from CSV and from binary, peaks
-    under 12 B per entry above an idle run: the int64 counts take 8."""
+    under 2 MiB above an idle run: the file is summed one block at a time."""
     folder, idle = peak_tables
     for name in ("r3.csv", "r3.bin"):
         args = ["verify-mean", "--limit", str(_PEAK_LIMIT), "--table", str(folder / name), "--reproducible"]
         code, _, err, peak = _cli_peak(args, folder)
         assert code == 0, err
-        assert peak - idle < 12 * (_PEAK_LIMIT + 1), (name, (peak - idle) / (_PEAK_LIMIT + 1))
+        assert peak - idle < 2 << 20, (name, (peak - idle) / 2**20)
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
@@ -1151,6 +1179,23 @@ def test_a_sieve_holds_its_outputs_and_blocks(tmp_path, args, q_flag, per_q):
     code, _, err, peak = _cli_peak([*args, q_flag, str(_PEAK_LIMIT), "--reproducible"], tmp_path)
     assert code == 0, err
     assert peak - idle < per_q * _PEAK_LIMIT, (peak - idle) / _PEAK_LIMIT
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
+def test_reading_a_10_7_table_holds_one_block(tmp_path):
+    """verify-meansquare --table r3.bin at 10^7 entries peaks under 4 MiB above
+    the same command at --limit 100, and sums as a build of the table does."""
+    table = tmp_path / "r3.bin"
+    argv = ["tables", "--limit", str(10**7), "--table-format", "binary", "--output", str(table)]
+    assert run_cli([*argv, "--reproducible"]) == 0
+    args = ["verify-meansquare", "--reproducible", "--checkpoints", "100,65536,1000000,10000000"]
+    code, _, err, idle = _cli_peak(["verify-meansquare", "--limit", "100", "--reproducible"], tmp_path)
+    assert code == 0, err
+    code, out, err, peak = _cli_peak([*args, "--limit", str(10**7), "--table", str(table)], tmp_path)
+    assert code == 0, err
+    assert peak - idle < 4 << 20, (peak - idle) / 2**20
+    assert out == _cli_peak([*args, "--limit", str(10**7)], tmp_path)[1]
 
 
 @pytest.mark.slow

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from squaresums import repcount
 from squaresums._util import SAFE_LIMIT
-from squaresums.errors import CountOverflowError, DomainError, TableTooShortError
+from squaresums.errors import CountOverflowError, DomainError, SquaresumsError, TableTooShortError
 
 from oracles import (
     add_squares_oracle,
@@ -106,6 +106,19 @@ def test_three_square_criterion(t3_fold):
 def test_r3_point_matches_table(t3_fold):
     for n in (0, 1, 2, 7, 25, 121, 777, 2000):
         assert repcount.r3_point(n) == t3_fold.counts[n], n
+
+
+@pytest.mark.parametrize("shift", [-0.99, 0.99])
+def test_r3_point_corrects_its_float_roots_by_one(t3_fold, shift, monkeypatch):
+    """r3_point takes each root from a float square root, which may be one off
+    either way: with every root pushed almost one down or up, it still counts
+    exactly. n reaches 2^62 nowhere, and is refused there."""
+    sqrt = np.sqrt
+    monkeypatch.setattr(np, "sqrt", lambda x, **kw: sqrt(x, **kw) + shift)
+    for n in [*range(50), 1024, 1681, 1999, 2000]:
+        assert repcount.r3_point(n) == t3_fold.counts[n], n
+    with pytest.raises(DomainError, match="2\\^62"):
+        repcount.r3_point(2**62)
 
 
 def test_four_square_divisor_identity():
@@ -621,37 +634,23 @@ def test_loaders_read_only_the_rows_a_limit_asks_for(tmp_path, monkeypatch):
     check()
 
 
-@pytest.mark.parametrize(
-    "body",
-    [
-        "0,1\n1,x\n",
-        "0,1\n1\n",
-        "0,1\n1,2,3\n",
-        "0,1\n1,9223372036854775808\n",
-        "0,-1\n",
-        "0,1\n# note\n1,2\n",
-        "0,1\n# note,2\n1,2\n",
-        "0,1\n1,02\n",
-        "0,1\n1,2\r",
-        "0,1\r\r\n1,2\n",
-        "0,1\n1,2\n\n",
-        ",1\n",
-    ],
-    ids=[
-        "non-integer",
-        "one-cell",
-        "three-cells",
-        "above-2^63",
-        "negative",
-        "comment-below-header",
-        "two-cell-comment",
-        "leading-zero",
-        "lone-cr-at-the-end",
-        "cr-cr-lf",
-        "trailing-blank-line",
-        "empty-cell",
-    ],
-)
+_MALFORMED_BODIES = {
+    "non-integer": "0,1\n1,x\n",
+    "one-cell": "0,1\n1\n",
+    "three-cells": "0,1\n1,2,3\n",
+    "above-2^63": "0,1\n1,9223372036854775808\n",
+    "negative": "0,-1\n",
+    "comment-below-header": "0,1\n# note\n1,2\n",
+    "two-cell-comment": "0,1\n# note,2\n1,2\n",
+    "leading-zero": "0,1\n1,02\n",
+    "lone-cr-at-the-end": "0,1\n1,2\r",
+    "cr-cr-lf": "0,1\r\r\n1,2\n",
+    "trailing-blank-line": "0,1\n1,2\n\n",
+    "empty-cell": ",1\n",
+}
+
+
+@pytest.mark.parametrize("body", list(_MALFORMED_BODIES.values()), ids=list(_MALFORMED_BODIES))
 def test_csv_rejects_malformed_rows(tmp_path, body):
     path = tmp_path / "bad.csv"
     path.write_bytes(b"n,count\n" + body.encode())
@@ -778,6 +777,42 @@ def test_csv_is_read_in_one_pass(tmp_path, monkeypatch):
         repcount.load_csv(path, 3)
     with pytest.raises(TypeError):
         repcount.load_binary(path)
+
+
+def test_streamed_reads_fail_as_loads_do(tmp_path, t3_fold):
+    """Every malformed, mismatched or short table of this module's tests,
+    read as a stream to its end, raises what load_table raises, word for word."""
+    cases = {f"{name}.csv": (b"n,count\n" + body.encode(), 1, 10) for name, body in _MALFORMED_BODIES.items()}
+    repcount.save_binary(t3_fold, tmp_path / "r3.bin")
+    repcount.save_csv(t3_fold, tmp_path / "r3.csv")
+    repcount.save_csv(repcount.build_rk(50, 8), tmp_path / "r8.csv")
+    good, x = (tmp_path / "r3.bin").read_bytes(), t3_fold.limit
+    claims = repcount._HEADER.pack(repcount._BINARY_MAGIC, 3, 2**40 - 1) + bytes(8)
+    cases.update({
+        "header.csv": (b"m,count\n0,1\n", 1, 10),
+        "order.csv": (b"n,count\n0,1\n2,4\n", 1, 10),
+        "order-after-comments.csv": (b"# a comment\n#\nn,count\n0,1\n1,2\n3,4\n", 1, 10),
+        "r8.csv": ((tmp_path / "r8.csv").read_bytes(), 3, 50),
+        "r0.csv": (b"n,count\n0,2\n1,6\n", 3, 0),
+        "short.csv": ((tmp_path / "r3.csv").read_bytes(), 3, x + 1),
+        "rows-for-2^40.csv": (b"n,count\n0,1\n1,2\n2,0\n", 1, 2**40),
+        "r3-as-r4.bin": (good, 4, 1),
+        "short.bin": (good, 3, x + 1),
+        "magic.bin": (b"XXXX" + good[4:], 3, x),
+        "truncated.bin": (good[:-8], 3, x),
+        "overflow.bin": (good[:16] + b"\xff" * 8 + good[24:], 3, x),
+        "claims-2^40.bin": (claims, 3, 2**40),
+    })
+    for name, (data, order, limit) in cases.items():
+        path = tmp_path / name
+        path.write_bytes(data)
+        with pytest.raises(SquaresumsError) as loaded:
+            repcount.load_table(path, order, limit)
+        with pytest.raises(SquaresumsError) as streamed:
+            for _ in repcount.TableFile(path, order, limit).blocks():
+                pass
+        assert type(streamed.value) is type(loaded.value), name
+        assert str(streamed.value) == str(loaded.value), name
 
 
 def test_origin_count(t3_fold, t3_conv):

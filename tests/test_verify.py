@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from squaresums import repcount, singular, verify
 from squaresums._util import SAFE_LIMIT
@@ -205,6 +205,78 @@ def test_prefix_sums_make_no_table_sized_temporary():
         tracemalloc.stop()
     assert sums[counts.size - 1] == int((counts[1:-1] ** 2).sum()) + 2**124
     assert peak < counts.nbytes // 8
+
+
+def _cr_on_the_seam(rows: int) -> np.ndarray:
+    """Order-3 counts of `rows` rows, all below 10 but row 2, whose width puts
+    a CR as the last byte of the first _CSV_BLOCK bytes of the CRLF body."""
+    counts = np.arange(rows, dtype=np.int64) % 10
+    counts[:2] = 1, 6
+    for width in range(1, 20):
+        counts[2] = 10 ** (width - 1)
+        ends = np.cumsum([len(f"{n},{c}\r\n") for n, c in enumerate(counts.tolist())])
+        if repcount._CSV_BLOCK + 1 in ends:  # that row's LF opens the second block
+            return counts
+    raise AssertionError("no width of row 2 puts a CR on the seam")
+
+
+@st.composite
+def _stream_case(draw):
+    """Order-3 counts of 2^16 - 1, 2^16 or 2^16 + 1 rows, or of a few, up to
+    2^63 - 1, with a limit below their end and an ascending checkpoint grid."""
+    rows = draw(st.sampled_from([2**16 - 1, 2**16, 2**16 + 1]) | st.integers(3, 300))
+    top = draw(st.sampled_from([9, 1000, 2**31, 2**62, 2**63 - 1]))
+    counts = np.random.default_rng(draw(st.integers(0, 2**32))).integers(0, top, rows, endpoint=True)
+    counts[:2] = 1, 6  # the rows that tell a CSV's order
+    limit = draw(st.sampled_from([rows - 1, rows - 2]) | st.integers(1, rows - 1))
+    xs = draw(st.sets(st.integers(1, limit) | st.just(limit), min_size=1, max_size=12))
+    return counts, limit, sorted(xs)
+
+
+def test_streamed_sums_equal_the_sums_of_the_loaded_table(tmp_path):
+    """A table file's blocks, summed as they are read, give the sums of the
+    loaded counts, from a binary file and from a CSV with LF or CRLF line ends
+    whose 64 KiB blocks cut mid-row and between a CR and its LF."""
+    seams = set()
+    seam_case = (_cr_on_the_seam(2**16 + 1), 2**16, [1, 6553, 2**16])
+
+    @settings(max_examples=20)
+    @given(case=_stream_case(), crlf=st.booleans())
+    @example(case=seam_case, crlf=True)
+    def check(case, crlf):
+        counts, limit, xs = case
+        table = repcount.RepTable(3, counts.size - 1, counts)
+        csv_path, bin_path = tmp_path / "t.csv", tmp_path / "t.bin"
+        repcount.save_csv(table, csv_path)
+        repcount.save_binary(table, bin_path)
+        raw = csv_path.read_bytes()
+        if crlf:
+            csv_path.write_bytes(raw := raw.replace(b"\n", b"\r\n"))
+        body = raw[raw.index(b"\n") + 1 :]
+        seams.update(body[repcount._CSV_BLOCK - 1 :: repcount._CSV_BLOCK])  # the last byte of each block
+        for path in (csv_path, bin_path):
+            loaded = repcount.load_table(path, 3, limit).counts
+            for square in (False, True):
+                streamed = verify._prefix_at(repcount.TableFile(path, 3, limit).blocks(), xs, square)
+                assert streamed == verify._prefix_at(loaded, xs, square)
+
+    check()
+    assert ord("\r") in seams and seams - set(b"\r\n")  # a CR|LF cut, and a mid-row one
+
+
+def test_prefix_sums_walk_every_block_and_refuse_a_short_stream():
+    counts = np.arange(10, dtype=np.int64)
+    walked = []
+
+    def blocks():
+        for lo in range(0, 10, 3):
+            walked.append(lo)
+            yield counts[lo : lo + 3]
+
+    assert verify._prefix_at(blocks(), [1, 4], True) == {1: 1, 4: 1 + 4 + 9 + 16}
+    assert walked == [0, 3, 6, 9]  # past the last checkpoint: a file's own checks run to its end
+    with pytest.raises(TableTooShortError, match="checkpoint 10 exceeds the last count, at n = 9"):
+        verify._prefix_at(blocks(), [4, 10], False)
 
 
 def test_fit_recovers_synthetic_slope():
