@@ -4,7 +4,7 @@ Submodules:
     repcount   exact representation-count tables and point evaluations
     expsum     quadratic Gauss sums, Weyl sums, and major-arc approximants
     singular   singular series terms, truncations, and the singular integral
-    constants  zeta values, B1 routes, C3, W_N, and the spectral assembly
+    constants  B1 routes, C3, W_N, and the spectral assembly
     verify     partial-sum checkpoints, error fits, and truncation sweeps
     cli        command-line frontend (entry point: squaresums)
 

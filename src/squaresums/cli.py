@@ -192,6 +192,7 @@ def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
             _require(min(args.q_grid) >= 1, "--q-grid entries must be >= 1")
         _require(args.q_max is not None or not args.dump_terms, "--dump-terms requires --q-max")
         _require(args.q_max is None or args.dump_terms, "--q-max requires --dump-terms")
+        _require(args.q_grid is None or not args.dump_terms, "--dump-terms takes no --q-grid")
         if args.q_max is not None:
             _require(args.q_max >= 1, "--q-max must be >= 1")
             _require(args.q_max <= Q_CAP, f"--q-max {args.q_max} exceeds {Q_CAP}")

@@ -32,14 +32,6 @@ def _double(form, *args) -> float:
         return float(form(*args))
 
 
-def zeta_real(s: float) -> float:
-    """Riemann zeta for real s > 1, by mpmath at double precision."""
-    s = float(s)
-    if not s > 1.0:
-        raise DomainError(f"zeta_real requires s > 1, got {s}")
-    return _double(mpmath.zeta, s)
-
-
 def totient_sieve(Q: int) -> np.ndarray:
     """phi(1..Q) exactly, as int32 (phi(q) <= q < 2^31); index 0 is an unused zero.
 

@@ -22,14 +22,12 @@ by LF or CRLF (the last may lack it); a binary file is a 16-byte header, then
 little-endian int64 counts. A built table keeps the width of its last pass
 (a fold table to 10^8 is int32, 4 B per entry): save_binary widens it to
 int64 one chunk at a time, and save_csv formats each chunk at its own width.
-A reader takes a limit and reads the rows 0..limit once, as int64 blocks in
-row order: a CSV parsed _CSV_BLOCK bytes at a time, a binary body read
-_BIN_CHUNK counts at a time into one reused buffer. TableFile streams them,
-so a sum over a file holds one block at any limit (verify-meansquare --table
-r3.bin peaks at 33 MiB at 10^6 and at 10^7, against 29 MiB for a run that
-loads numpy and does no work); load_table, load_csv and load_binary collect
-them into one int64 array (8 B per entry) sized by the limit and by the
-file's bytes.
+TableFile is the one reader of either format. It takes a limit and reads the
+rows 0..limit once, as int64 blocks in row order: a CSV parsed _CSV_BLOCK
+bytes at a time, a binary body read _BIN_CHUNK counts at a time into one
+reused buffer. So a sum over a file holds one block at any limit
+(verify-meansquare --table r3.bin peaks at 33 MiB at 10^6 and at 10^7,
+against 29 MiB for a run that loads numpy and does no work).
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ from __future__ import annotations
 import math
 import os
 import struct
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -367,13 +365,12 @@ def _csv_blocks(fh, path, order: int, limit: int) -> Iterator[np.ndarray]:
 
 def _binary_header(fh) -> tuple[int, int]:
     """The order and stored limit in the header of the binary table open in
-    fh; the body's size is checked against the file's."""
+    fh, which starts with the magic; the body's size is checked against the
+    file's."""
     head = fh.read(_HEADER.size)
     if len(head) != _HEADER.size:
         raise DomainError("truncated table file")
-    magic, order, stored = _HEADER.unpack(head)
-    if magic != _BINARY_MAGIC:
-        raise DomainError(f"bad magic {magic!r}")
+    _, order, stored = _HEADER.unpack(head)
     size, expected = os.fstat(fh.fileno()).st_size - _HEADER.size, (stored + 1) * 8
     if size != expected:
         raise DomainError(f"table body has {size} bytes, expected {expected}")
@@ -405,7 +402,8 @@ def _check_covers(path, order: int, limit: int, got_order: int, got_limit: int) 
 class TableFile:
     """The counts 0..limit of an order-`order` table file in either format,
     read as a stream: blocks() holds one block of the file at a time, whatever
-    the limit, and makes every check that load_table makes."""
+    the limit. The binary magic tells the formats apart, and rows past the
+    limit are not read."""
 
     path: str | os.PathLike
     order: int
@@ -430,36 +428,6 @@ class TableFile:
         _check_covers(self.path, self.order, self.limit, self.order, rows - 1)
 
 
-def _collect(blocks: Iterable[np.ndarray], size: int) -> np.ndarray:
-    """The blocks, in order, in one int64 array made for at most `size` entries."""
-    counts = np.empty(size, dtype=np.int64)
-    end = 0
-    for block in blocks:
-        counts[end : end + block.size] = block
-        end += block.size
-    return counts[:end]
-
-
-def load_csv(path, order: int, limit: int) -> RepTable:
-    """Read the rows 0..limit of a table written by save_csv, in one pass (see
-    _csv_blocks), into counts sized by the limit and by the file's bytes: a
-    row takes 4 bytes or more, the last 3."""
-    with open(path, "rb") as fh:
-        size = min(limit + 1, (os.fstat(fh.fileno()).st_size + 5) // 4)
-        counts = _collect(_csv_blocks(fh, path, order, limit), size)
-    return RepTable(order=order, limit=counts.size - 1, counts=counts)
-
-
-def load_table(path, order: int, limit: int) -> RepTable:
-    """Read the counts 0..limit of a table of the given order, in either
-    format; the binary magic tells them apart. The rest of the file is not read."""
-    with open(path, "rb") as fh:
-        binary = fh.read(len(_BINARY_MAGIC)) == _BINARY_MAGIC
-    table = load_binary(path, limit) if binary else load_csv(path, order, limit)
-    _check_covers(path, order, limit, table.order, table.limit)
-    return table
-
-
 def save_binary(table: RepTable, path) -> None:
     """Compact dump, written atomically: 16-byte header (magic, k, x), then
     little-endian 64-bit counts, widened _BIN_CHUNK counts at a time."""
@@ -471,13 +439,3 @@ def save_binary(table: RepTable, path) -> None:
         for lo in range(0, counts.size, _BIN_CHUNK):
             fh.write(np.ascontiguousarray(counts[lo : lo + _BIN_CHUNK], dtype="<i8").data)
 
-
-def load_binary(path, limit: int) -> RepTable:
-    """Read the counts 0..min(limit, stored limit) of a table written by
-    save_binary into one array, allocated once the header's claim has been
-    checked against the file's size."""
-    with open(path, "rb") as fh:
-        order, stored = _binary_header(fh)
-        rows = min(stored, limit) + 1
-        counts = _collect(_binary_blocks(fh, rows), rows)
-    return RepTable(order=order, limit=rows - 1, counts=counts)

@@ -5,8 +5,8 @@ its partial sums S3(n, Q) = sum_{q<=Q} A(q, n) converge (slowly) to a limit
 with 2 pi sqrt(n) S3(n) = r_3(n). The archimedean counterpart is the singular
 integral I(n), computed here exactly by coefficient extraction.
 
-A(q, n) is multiplicative in q, so a_term and singular_series evaluate it as
-the product of the local factors A(p^k, n) over the prime powers p^k exactly
+A(q, n) is multiplicative in q, so singular_series evaluates it as the
+product of the local factors A(p^k, n) over the prime powers p^k exactly
 dividing q (Vaughan, The Hardy-Littlewood Method, 2nd ed., ch. 4). Every local
 factor has a closed form (_local_factor): for odd p in the Legendre symbol and
 the Ramanujan sum, for p = 2 an exact dyadic value, a sign read off
@@ -60,39 +60,6 @@ def _local_factor(p: int, k: int, n: int) -> float:
     if n % (below * p):
         return -below / p ** (3 * k // 2)
     return (below * p - below) / p ** (3 * k // 2)
-
-
-def _prime_powers(q: int) -> list[tuple[int, int]]:
-    """(p, k) for each prime power p^k exactly dividing q, p ascending."""
-    out = []
-    d = 2
-    while d * d <= q:
-        if q % d == 0:
-            k = 0
-            while q % d == 0:
-                q //= d
-                k += 1
-            out.append((d, k))
-        d += 1 if d == 2 else 2
-    if q > 1:
-        out.append((q, 1))
-    return out
-
-
-def a_term(q: int, n: int) -> float:
-    """A(q, n) as the product of its local factors A(p^k, n), p^k || q.
-
-    The product runs from the largest prime down, the order in which
-    singular_series assembles its terms, so both give the same float.
-    """
-    if q < 1:
-        raise DomainError(f"q must be >= 1, got {q}")
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    term = 1.0
-    for p, k in reversed(_prime_powers(q)):
-        term = _local_factor(p, k, n) * term
-    return float(term)
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,11 +147,6 @@ def bateman_factor(n: int) -> float:
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     return 2.0 * math.pi * math.sqrt(n)
-
-
-def bateman_r3(n: int, Q: int) -> float:
-    """Truncated exact-formula approximation 2 pi sqrt(n) S3(n, Q) to r_3(n)."""
-    return bateman_factor(n) * singular_series(n, Q).value
 
 
 def i_exact_range(n_max: int, x: int) -> np.ndarray:

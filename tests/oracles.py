@@ -1,5 +1,6 @@
-"""Test-side references for the count tables. None of them calls repcount, so
-a defect in its kernel cannot hide in a comparison with one of these."""
+"""Test-side references for the count tables and the singular series. None of
+them calls repcount or singular, so a defect in their kernels cannot hide in a
+comparison with one of these."""
 
 import itertools
 import math
@@ -9,6 +10,7 @@ import numpy as np
 from squaresums.errors import CountOverflowError
 
 _I64_MAX = (1 << 63) - 1
+IMAG_TOLERANCE = 1e-9
 
 
 def brute_counts(k: int, x: int) -> list[int]:
@@ -43,6 +45,26 @@ def rstar_counts(x: int) -> np.ndarray:
     out = np.zeros(x + 1, dtype=np.int64)
     for c2 in squares.tolist():
         out[c2:] += two[: x + 1 - c2]
+    return out
+
+
+def r8_jacobi_oracle(x: int) -> np.ndarray:
+    """r_8(0..x) by Jacobi's r_8(n) = 16 sum over d | n of (-1)^(n + d) d^3,
+    r_8(0) = 1. Each divisor d of n is added once: d <= sqrt(x) along the
+    multiples of d, and a larger d along the multiples of its cofactor
+    e = n / d < sqrt(x), from n = e (isqrt(x) + 1) on. The largest entry at
+    x = 5 * 10^5 is about 2.4 * 10^18, inside int64."""
+    s = math.isqrt(x)
+    sigma = np.zeros(x + 1, dtype=np.int64)
+    for d in range(1, s + 1):
+        n = np.arange(d, x + 1, d, dtype=np.int64)
+        sigma[d::d] += np.where((n + d) & 1, -(d**3), d**3)
+    for e in range(1, s + 1):
+        n = np.arange(e * (s + 1), x + 1, e, dtype=np.int64)
+        d = n // e
+        sigma[n] += np.where((n + d) & 1, -1, 1) * d**3
+    out = 16 * sigma
+    out[0] = 1
     return out
 
 
@@ -140,3 +162,32 @@ def sieve_oracle(Q: int) -> tuple[list[int], list[int], list[int]]:
                 m //= p
         phi[q] = f
     return spf, rest, phi
+
+
+def a_profile(q: int) -> np.ndarray:
+    """A(q, r) for every residue r = 0..q-1, from its defining sums.
+
+    g[r] counts solutions of h^2 = r (mod q), so S(q, a) for all a is the
+    conjugated DFT of g, and the profile is the forward DFT of the coprime-
+    masked S^3/q^3. Both steps are the defining sums, just evaluated for all
+    indices at once. An imaginary residue above IMAG_TOLERANCE fails.
+    """
+    h = np.arange(1, q + 1, dtype=np.int64)
+    h *= h
+    h %= q
+    s = np.fft.fft(np.bincount(h, minlength=q).astype(np.float64))
+    del h
+    np.conj(s, out=s)
+    s **= 3
+    s[np.gcd(np.arange(q), q) != 1] = 0.0
+    s /= float(q) ** 3
+    profile = np.fft.fft(s)
+    del s
+    resid = float(np.abs(profile.imag).max())
+    if resid > IMAG_TOLERANCE:
+        raise AssertionError(
+            f"A({q}, .) imaginary residue {resid:.3e} exceeds {IMAG_TOLERANCE}"
+        )
+    real = np.ascontiguousarray(profile.real)
+    real.setflags(write=False)
+    return real

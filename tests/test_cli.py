@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from squaresums import cli, constants, expsum, repcount, singular, verify
 from squaresums.errors import SquaresumsError
+from tablefiles import read_table
 
 
 def run_cli(args):
@@ -291,6 +292,8 @@ def test_usage_errors_exit_2(capsys):
     ):
         assert run_cli(args) == 2
         assert capsys.readouterr().err.splitlines() == [f"usage error: {flag} is empty"]
+    assert run_cli(["singular", "--n", "5", "--q-grid", "10,20", "--dump-terms", "--q-max", "3"]) == 2
+    assert capsys.readouterr().err.splitlines() == ["usage error: --dump-terms takes no --q-grid"]
 
 
 def test_singular_q_above_cap_fails_before_any_work(monkeypatch, capsys):
@@ -366,7 +369,7 @@ def test_tables_note_names_the_route_that_built_it(capsys, tmp_path, k, builder,
     err = capsys.readouterr().err
     assert err == f"wrote order-{k} table (limit 300, {route}) to {out}\n", err
     expected = repcount.build_rk(300, k).counts
-    assert (repcount.load_table(out, k, 300).counts == expected).all()
+    assert (read_table(out, k, 300) == expected).all()
 
 
 def test_weyl_and_gauss_above_caps_fail_before_any_work(monkeypatch, capsys):
@@ -795,8 +798,8 @@ def test_malformed_table_cases(tmp_path, content, expected):
 
 def test_streamed_table_errors_match_the_loader(tmp_path):
     """Each --table error case of this module, read by verify-* as a stream:
-    exit status 1 and one line naming the exception that load_table raises,
-    word for word, and no --output file."""
+    exit status 1 and one line naming the exception that reading the file
+    whole raises, word for word, and no --output file."""
     cases = [(["verify-mean"], 3, 1, content.encode()) for content, _ in _MALFORMED_TABLES.values()]
     for k, built, verify_cmd, order, limit in [
         (3, 50, ["verify-mean"], 3, 100),  # too short
@@ -815,7 +818,7 @@ def test_streamed_table_errors_match_the_loader(tmp_path):
         table = tmp_path / "table"
         table.write_bytes(data)
         with pytest.raises(SquaresumsError) as loaded:
-            repcount.load_table(table, k, limit)
+            read_table(table, k, limit)
         argv = [*verify_cmd, "--limit", str(limit), "--table", str(table), "--output", str(out)]
         code, err = _run_captured(argv)
         assert (code, err) == (1, f"error: {type(loaded.value).__name__}: {loaded.value}\n"), argv

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import sieve_oracle
+from oracles import IMAG_TOLERANCE, a_profile, sieve_oracle
 from squaresums import repcount, singular
 from squaresums.errors import DomainError
 from squaresums.expsum import gauss_sum
@@ -18,38 +18,6 @@ from squaresums.expsum import gauss_sum
 FROZEN = json.loads(
     (pathlib.Path(__file__).parent / "fixtures" / "frozen_constants.json").read_text()
 )
-
-IMAG_TOLERANCE = 1e-9
-
-
-def _a_profile(q: int) -> tuple[np.ndarray, float]:
-    """A(q, r) for every residue r = 0..q-1, plus the imaginary residue.
-
-    g[r] counts solutions of h^2 = r (mod q), so S(q, a) for all a is the
-    conjugated DFT of g, and the profile is the forward DFT of the coprime-
-    masked S^3/q^3. Both steps are the defining sums, just evaluated for all
-    indices at once.
-    """
-    h = np.arange(1, q + 1, dtype=np.int64)
-    h *= h
-    h %= q
-    s = np.fft.fft(np.bincount(h, minlength=q).astype(np.float64))
-    del h
-    np.conj(s, out=s)
-    s **= 3
-    s[np.gcd(np.arange(q), q) != 1] = 0.0
-    s /= float(q) ** 3
-    profile = np.fft.fft(s)
-    del s
-    resid = float(np.abs(profile.imag).max())
-    if resid > IMAG_TOLERANCE:
-        raise AssertionError(
-            f"A({q}, .) imaginary residue {resid:.3e} exceeds {IMAG_TOLERANCE}"
-        )
-    real = np.ascontiguousarray(profile.real)
-    real.setflags(write=False)
-    return real, resid
-
 
 def brute_a_term(q: int, n: int) -> complex:
     """A(q, n) straight from its definition, all in cmath."""
@@ -124,27 +92,31 @@ def brute_i_exact(n: int, x: int) -> float:
 
 def test_a_term_known_values():
     for n in (1, 2, 17):
-        assert singular.a_term(1, n) == 1.0
-        assert singular.a_term(2, n) == pytest.approx(0.0, abs=1e-12)
-    assert singular.a_term(3, 1) == pytest.approx(-1 / 3, abs=1e-12)
-    assert singular.a_term(4, 1) == pytest.approx(0.5, abs=1e-12)
+        terms = singular.singular_series(n, 2).terms
+        assert terms[0] == 1.0
+        assert terms[1] == pytest.approx(0.0, abs=1e-12)
+    terms = singular.singular_series(1, 4).terms
+    assert terms[2] == pytest.approx(-1 / 3, abs=1e-12)
+    assert terms[3] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_a_term_matches_literal_definition():
-    for q in list(range(1, 31)) + [37, 48, 50]:
-        for n in (1, 2, 3, 7, 30):
+    for n in (1, 2, 3, 7, 30):
+        terms = singular.singular_series(n, 50).terms
+        for q in list(range(1, 31)) + [37, 48, 50]:
             lit = brute_a_term(q, n)
             assert abs(lit.imag) < 1e-9, (q, n)
-            assert singular.a_term(q, n) == pytest.approx(lit.real, abs=1e-9), (q, n)
+            assert terms[q - 1] == pytest.approx(lit.real, abs=1e-9), (q, n)
             assert a_term_direct(q, n) == pytest.approx(
                 lit.real, abs=1e-9
             ), (q, n)
 
 
 def test_a_term_fast_path_matches_direct_path():
-    for q in (1, 2, 3, 8, 121, 360, 625):
-        for n in (1, 5, 49, 99):
-            assert singular.a_term(q, n) == pytest.approx(
+    for n in (1, 5, 49, 99):
+        terms = singular.singular_series(n, 625).terms
+        for q in (1, 2, 3, 8, 121, 360, 625):
+            assert terms[q - 1] == pytest.approx(
                 a_term_direct(q, n), abs=1e-11
             ), (q, n)
 
@@ -152,7 +124,7 @@ def test_a_term_fast_path_matches_direct_path():
 def test_odd_local_factors_match_transform():
     worst = 0.0
     for p, k, q in odd_prime_powers(4096):
-        profile, _ = _a_profile(q)
+        profile = a_profile(q)
         n = np.arange(1, 3 * q + 1)
         closed = np.array([singular._local_factor(p, k, int(m)) for m in n])
         worst = max(worst, float(np.abs(closed - profile[n % q]).max()))
@@ -164,14 +136,14 @@ def test_two_adic_local_factors_are_the_rounded_transform():
     for bit: at every residue for k <= 16, at the multiples of 2^(k-3) (where
     it can be nonzero) for 17 <= k <= 20."""
     for k in range(1, 21):
-        profile, _ = _a_profile(2**k)
+        profile = a_profile(2**k)
         scale = 2.0 ** (k // 2)
         residues = range(2**k) if k <= 16 else range(0, 2**k, 2 ** (k - 3))
         for r in residues:
             want = round(profile[r] * scale) / scale
             n = r or 2**k  # A(q, n) is periodic in n mod q, and n >= 1
             assert singular._local_factor(2, k, n) == want, (k, r)
-    assert singular.a_term(8, 7) == -0.5
+    assert singular.singular_series(7, 8).terms[7] == -0.5
 
 
 def test_assembled_terms_match_full_length_transform():
@@ -179,7 +151,7 @@ def test_assembled_terms_match_full_length_transform():
     truncs = {n: singular.singular_series(n, 2000) for n in ns}
     worst = 0.0
     for q in range(1, 2001):
-        profile, _ = _a_profile(q)
+        profile = a_profile(q)
         for n in ns:
             worst = max(worst, abs(truncs[n].terms[q - 1] - profile[n % q]))
     assert worst <= 1e-12, worst
@@ -188,34 +160,35 @@ def test_assembled_terms_match_full_length_transform():
 @settings(max_examples=200)
 @given(q=st.integers(1, 4096), n=st.integers(1, 10**12))
 def test_a_term_matches_transform_property(q, n):
-    profile, _ = _a_profile(q)
-    assert abs(singular.a_term(q, n) - profile[n % q]) <= 1e-12
+    profile = a_profile(q)
+    assert abs(singular.singular_series(n, q).terms[q - 1] - profile[n % q]) <= 1e-12
 
 
 def test_a_term_periodic_in_n():
     for q in (3, 4, 7, 9):
         for n in (1, 2, 5):
-            assert singular.a_term(q, n) == singular.a_term(q, n + q)
+            terms, shifted = (singular.singular_series(m, q).terms for m in (n, n + q))
+            assert terms[q - 1] == shifted[q - 1], (q, n)
 
 
 def test_a_term_multiplicative():
     pairs = [(3, 4), (3, 5), (4, 9), (5, 8), (7, 16), (9, 20)]
-    for q1, q2 in pairs:
-        assert math.gcd(q1, q2) == 1
-        for n in range(1, 21):
-            got = singular.a_term(q1 * q2, n)
-            want = singular.a_term(q1, n) * singular.a_term(q2, n)
+    for n in range(1, 21):
+        terms = singular.singular_series(n, 180).terms
+        for q1, q2 in pairs:
+            assert math.gcd(q1, q2) == 1
+            got = terms[q1 * q2 - 1]
+            want = terms[q1 - 1] * terms[q2 - 1]
             assert got == pytest.approx(want, abs=1e-9), (q1, q2, n)
 
 
 def test_a_term_decay_under_frozen_ceiling():
     cfg = FROZEN["singular_term_decay"]
-    sup = 0.0
-    for q in range(1, cfg["q_max"] + 1):
-        worst_n = max(
-            abs(singular.a_term(q, n)) for n in range(1, cfg["n_max"] + 1)
-        )
-        sup = max(sup, worst_n * math.sqrt(q))
+    root_q = np.sqrt(np.arange(1, cfg["q_max"] + 1))
+    sup = max(
+        float(np.max(np.abs(singular.singular_series(n, cfg["q_max"]).terms) * root_q))
+        for n in range(1, cfg["n_max"] + 1)
+    )
     assert sup <= cfg["ceiling"], sup
     assert sup <= cfg["a_priori_bound"] + 1e-9, sup
 
@@ -231,7 +204,7 @@ def test_truncation_known_value():
 def test_truncation_terms_match_a_term():
     trunc = singular.singular_series(5, 60)
     for i, t in enumerate(trunc.terms):
-        assert t == singular.a_term(i + 1, 5), i + 1
+        assert t == a_term(i + 1, 5), i + 1
 
 
 # Q past two of the sieve's 2^16-entry blocks; the n cover a multiple of
@@ -247,9 +220,33 @@ def _edge_terms(n: int) -> np.ndarray:
 
 
 @functools.cache
+def _spf() -> list[int]:
+    return sieve_oracle(_EDGE_Q)[0]
+
+
+@functools.cache
 def _large_primes() -> list[int]:
-    spf = sieve_oracle(_EDGE_Q)[0]
+    spf = _spf()
     return [q for q in range(math.isqrt(_EDGE_Q) + 1, _EDGE_Q + 1) if spf[q] == q]
+
+
+def a_term(q: int, n: int) -> float:
+    """A(q, n) for q <= _EDGE_Q as the product of singular._local_factor over
+    the prime powers p^k exactly dividing q, factored by the smallest prime
+    factors of sieve_oracle. The product runs from the largest prime down,
+    the order in which singular_series assembles its terms, so both give the
+    same float."""
+    spf, powers = _spf(), []
+    while q > 1:
+        p, k = spf[q], 0
+        while q % p == 0:
+            q //= p
+            k += 1
+        powers.append((p, k))
+    term = 1.0
+    for p, k in reversed(powers):
+        term = singular._local_factor(p, k, n) * term
+    return term
 
 
 def test_truncation_terms_match_a_term_across_block_edges():
@@ -258,14 +255,14 @@ def test_truncation_terms_match_a_term_across_block_edges():
     for n in _EDGE_NS:
         terms = _edge_terms(n)
         for q in qs:
-            assert float(terms[q - 1]).hex() == singular.a_term(q, n).hex(), (n, q)
+            assert float(terms[q - 1]).hex() == a_term(q, n).hex(), (n, q)
 
 
 def test_truncation_terms_match_a_term_around_a_prime_square():
     """Q = 97^2 - 1, 97^2 and 97^2 + 1, where sqrt(Q) reaches the prime 97:
     every term, bit for bit."""
     for n in _EDGE_NS:
-        want = [singular.a_term(q, n).hex() for q in range(1, 97**2 + 2)]
+        want = [a_term(q, n).hex() for q in range(1, 97**2 + 2)]
         for Q in (97**2 - 1, 97**2, 97**2 + 1):
             terms = singular.singular_series(n, Q).terms
             assert [float(t).hex() for t in terms] == want[:Q], (n, Q)
@@ -280,7 +277,7 @@ def test_truncation_terms_match_a_term_at_large_primes(n, data):
     m = data.draw(st.integers(1, _EDGE_Q // p))
     terms = _edge_terms(n)
     for q in (p, m * p):
-        assert float(terms[q - 1]).hex() == singular.a_term(q, n).hex(), (n, q)
+        assert float(terms[q - 1]).hex() == a_term(q, n).hex(), (n, q)
 
 
 def test_euler_symbols_are_exact_below_2_to_the_31():
@@ -295,7 +292,7 @@ def test_bateman_factor_and_first_truncation():
         assert singular.bateman_factor(n) == pytest.approx(
             2 * math.pi * math.sqrt(n), abs=1e-12
         )
-        assert singular.bateman_r3(n, 1) == pytest.approx(
+        assert singular.bateman_factor(n) * singular.singular_series(n, 1).value == pytest.approx(
             2 * math.pi * math.sqrt(n), abs=1e-12
         )
 
@@ -304,7 +301,7 @@ def test_bateman_converges_to_exact_counts():
     cfg = FROZEN["bateman_convergence"]
     for n in (1, 2, 3):
         r3 = repcount.r3_point(n)
-        rel = abs(singular.bateman_r3(n, 2000) - r3) / r3
+        rel = abs(singular.bateman_factor(n) * singular.singular_series(n, 2000).value - r3) / r3
         assert rel < cfg["rel_tolerance"], (n, rel)
 
 
@@ -343,10 +340,6 @@ def test_i_exact_tracks_sqrt_growth():
 
 
 def test_domain_errors():
-    with pytest.raises(DomainError):
-        singular.a_term(0, 1)
-    with pytest.raises(DomainError):
-        singular.a_term(5, 0)
     with pytest.raises(DomainError):
         singular.singular_series(1, 0)
     with pytest.raises(DomainError):

@@ -3,18 +3,20 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from squaresums import repcount, singular, verify
 from squaresums._util import SAFE_LIMIT
-from squaresums.constants import mean_square_constant, w_constant, zeta_real
+from squaresums.constants import mean_square_constant, w_constant
 from squaresums.errors import (
     DomainError,
     InsufficientPointsError,
     TableTooShortError,
 )
+from tablefiles import read_table
 
 
 @pytest.fixture(scope="module")
@@ -54,7 +56,7 @@ def test_mean_square_general_small_sums():
     cps = verify.mean_square_general(4, t4, [1, 2])
     assert cps[0].partial_sum == 64
     assert cps[1].partial_sum == 64 + 576
-    assert cps[0].main_term == pytest.approx(32 * zeta_real(3.0), rel=1e-12)
+    assert cps[0].main_term == pytest.approx(32 * float(mpmath.zeta(3)), rel=1e-12)
     assert cps[1].main_term == pytest.approx(w_constant(4) * 8, rel=1e-12)
     with pytest.raises(DomainError):
         verify.mean_square_general(3, t4, [1])
@@ -255,7 +257,7 @@ def test_streamed_sums_equal_the_sums_of_the_loaded_table(tmp_path):
         body = raw[raw.index(b"\n") + 1 :]
         seams.update(body[repcount._CSV_BLOCK - 1 :: repcount._CSV_BLOCK])  # the last byte of each block
         for path in (csv_path, bin_path):
-            loaded = repcount.load_table(path, 3, limit).counts
+            loaded = read_table(path, 3, limit)
             for square in (False, True):
                 streamed = verify._prefix_at(repcount.TableFile(path, 3, limit).blocks(), xs, square)
                 assert streamed == verify._prefix_at(loaded, xs, square)
