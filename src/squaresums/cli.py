@@ -159,13 +159,15 @@ def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
         _require(args.limit <= LIMIT_CAP or args.override_limit, over)
         _require(args.threads >= 1, "--threads must be >= 1")
         # The memory check covers builds only: a --table read holds one block of the
-        # file at any limit. 32 B per entry bounds each measured build's peak RSS
+        # file at any limit. A pass writes over its table, so a build's peak RSS
         # above a CLI process that has loaded numpy and the package but done no
-        # work (29 MiB; a bare --help is 16 MiB): 8 B for the fold's tables and
-        # verify-meansquare at 10^6..10^8 (the int32 lattice and fold output),
-        # 10 B for r_4, about 20 B for r_8
+        # work (29 MiB; a bare --help is 16 MiB), measured at 10^7, is 4.1 B per
+        # entry for the fold's tables and 4.5 B for verify-meansquare (the int32
+        # table), 6 B for r_3 and r_4 by convolution (the int16 to int32 cast) and
+        # 12 B for r_8, the widest cast (int32 to int64). 16 B per entry covers
+        # every route.
         if not getattr(args, "table_path", None):
-            need = 32 * (args.limit + 1)
+            need = 16 * (args.limit + 1)
             ram = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
             _require(need <= ram, f"--limit {args.limit} needs about {need >> 20} MiB, "
                      f"more than the {ram >> 20} MiB of physical memory")

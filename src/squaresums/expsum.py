@@ -29,6 +29,8 @@ from .errors import DomainError, NotCoprimeError
 # Python-int phases are formed this many at a time, so the fallback for large
 # denominators holds no more than a fixed number of int objects at once.
 _OBJECT_CHUNK = 1 << 16
+# the weights m^{-1/2} are filled this many at a time
+_WEIGHT_CHUNK = 1 << 16
 
 
 @lru_cache(maxsize=8)
@@ -110,7 +112,11 @@ def _block_weights(x: int) -> np.ndarray:
     B = math.isqrt(x) + 1
     rows = x // B + 1
     w = np.zeros(rows * B, dtype=np.float64)
-    w[1 : x + 1] = 1.0 / np.sqrt(np.arange(1, x + 1, dtype=np.float64))
+    for lo in range(1, x + 1, _WEIGHT_CHUNK):  # in place: no matrix-sized temporary
+        v = w[lo : min(lo + _WEIGHT_CHUNK, x + 1)]
+        v[:] = np.arange(lo, lo + v.size, dtype=np.float64)
+        np.sqrt(v, out=v)
+        np.divide(1.0, v, out=v)
     w = w.reshape(rows, B)
     w.setflags(write=False)
     return w

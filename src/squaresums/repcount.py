@@ -8,7 +8,11 @@ is made of passes of one square-shift kernel (_add_squares), the convolution
 with r_1: it adds copies of a table shifted by the squares m^2, with weight 1
 at m = 0 and 2 at m >= 1. The fold's input is the lattice-enumerated r_2,
 never the r_1 convolution chain, so the two routes still check each other.
-The kernel builds its output in cache-sized tiles (_TILE_BYTES each). All
+The kernel writes each pass over its table in place: it sums cache-sized
+tiles (_TILE_BYTES each) from the top of the table down, into one scratch
+tile per worker, so a pass holds one table and a tile per worker, and a pass
+that widens holds the narrow and the wide copy only while it casts (the fold
+peaks at 4 B per entry, r_3 by convolution at 6 B, r_8 at 12 B). All
 arithmetic is exact: each pass runs in the narrowest of int16, int32 and
 int64 that holds its a-priori bound on every partial sum, so a narrow pass
 cannot overflow and runs unchecked. In int64, a tile whose bound stays below
@@ -35,6 +39,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+import threading
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -45,7 +50,7 @@ from ._util import SAFE_LIMIT, atomic_write
 
 _I64_MAX = (1 << 63) - 1
 _TILE_BYTES = 2**19  # bytes per shift-add output tile, resident in L2
-_CSV_CHUNK = 2**16  # table rows formatted per write
+_CSV_CHUNK = 2**14  # table rows formatted per write
 _BIN_CHUNK = 2**16  # counts per binary write, and per block read
 _CSV_BLOCK = 2**16  # bytes of a CSV table parsed at a time
 
@@ -94,18 +99,20 @@ class RepTable:
 def _tile_plan(src: np.ndarray, x: int, threads: int):
     """The width and output tiles of one _add_squares pass: (dtype, workers),
     where workers holds one list of tiles (lo, hi, guarded) for each of
-    min(threads, tiles, os.cpu_count()) workers, dealt round-robin.
+    min(threads, tiles, os.cpu_count()) workers, dealt round-robin from the
+    bottom; each worker sums its tiles from the top down.
 
     Work per entry grows with the number of squares below it, so dealing tiles
-    in turn balances the workers where contiguous halves would not. An entry
-    n < hi adds 1 + 2 * isqrt(hi - 1) weighted copies of src at most, so that
-    count times max(src[0:hi]) times 1.01 bounds every partial sum written
-    into the tile. The pass runs in the narrowest of int16, int32 and int64
-    whose maximum is above both the last tile's bound, the largest, and
-    max(src[0:x + 1]), so casting src to it is exact; a tile holds
-    _TILE_BYTES of that width. A narrow pass cannot overflow and is never
-    guarded; an int64 tile is unguarded only when its bound stays below
-    SAFE_LIMIT. The maxima are kept running over blocks of one int64 tile, so
+    in turn balances the workers where contiguous halves would not, and
+    neighbouring tiles, which the in-place write-back order makes wait on one
+    another, go to different workers. An entry n < hi adds 1 + 2 * isqrt(hi - 1)
+    weighted copies of src at most, so that count times max(src[0:hi]) times
+    1.01 bounds every partial sum written into the tile. The pass runs in the
+    narrowest of int16, int32 and int64 whose maximum is above both the last
+    tile's bound, the largest, and max(src[0:x + 1]), so casting src to it is
+    exact; a tile, and each worker's scratch tile, holds _TILE_BYTES of that
+    width. A narrow pass cannot overflow and is never guarded; an int64 tile
+    is unguarded only when its bound stays below SAFE_LIMIT. The maxima are kept running over blocks of one int64 tile, so
     no x-sized array is made.
     """
     block = _TILE_BYTES // 8  # an int64 tile; narrower tiles span 2 or 4 blocks
@@ -129,15 +136,16 @@ def _tile_plan(src: np.ndarray, x: int, threads: int):
 
 
 def _add_tile(tile, lo, src, guarded: bool) -> None:
-    """Fill the zeroed tile, which starts at entry lo, with
+    """Fill the tile, which holds entries lo.. of the output, with
     src[n] + 2 * sum over 1 <= m, m^2 <= n of src[n - m^2].
 
-    Each shifted segment is summed straight into the tile, which is then
-    doubled once and the m = 0 segment added. A guarded tile checks every add
-    and the doubling: terms are non-negative, so a wrap shows as a negative
+    Each shifted segment is summed straight into the zeroed tile, which is
+    then doubled once and the m = 0 segment added. A guarded tile checks every
+    add and the doubling: terms are non-negative, so a wrap shows as a negative
     entry right after the add that caused it.
     """
     hi = lo + tile.size
+    tile.fill(0)
     for m in range(1, math.isqrt(hi - 1) + 1):
         sq = m * m
         start = max(lo, sq)
@@ -153,42 +161,86 @@ def _add_tile(tile, lo, src, guarded: bool) -> None:
         raise CountOverflowError("count accumulator exceeds 64-bit range")
 
 
-def _add_squares(src: np.ndarray, x: int, threads: int) -> np.ndarray:
-    """Exact out[n] = src[n] + 2 * sum over 1 <= m, m^2 <= n of src[n - m^2]
-    for n <= x: src convolved with r_1.
+def _shift_add_in_place(table: np.ndarray, plan) -> None:
+    """One pass of _add_squares over table, written over it, for the tiles of
+    plan (see _tile_plan).
 
-    The output has the pass's width (see _tile_plan): the narrowest of int16,
-    int32 and int64 that holds its bound. Only the int64 tiles whose bound
-    reaches SAFE_LIMIT are checked.
+    A tile reads only entries below its top, so the tiles are summed from the
+    top of the table down, each into its worker's scratch tile, and a tile is
+    written back only once every tile above it has been summed: `frontier` is
+    the lowest tile that has been summed with every tile above it. The worker
+    of the tile just below the frontier never waits, so the workers cannot
+    deadlock. A worker that raises wakes the others, which stop before their
+    next write-back; the table is then left part-updated.
     """
-    dtype, plan = _tile_plan(src, x, threads)
-    src = src[: x + 1].astype(dtype, copy=False)  # exact: the width holds every entry
-    out = np.zeros(x + 1, dtype=dtype)
+    size = _TILE_BYTES // table.itemsize
+    frontier, failed = (table.size - 1) // size + 1, False
+    turn = threading.Condition()
 
     def run(tiles):
-        for lo, hi, guarded in tiles:
-            _add_tile(out[lo:hi], lo, src, guarded)
+        nonlocal frontier, failed
+        scratch = np.empty(size, dtype=table.dtype)
+        try:
+            for lo, hi, guarded in reversed(tiles):
+                tile = scratch[: hi - lo]
+                _add_tile(tile, lo, table, guarded)
+                with turn:
+                    turn.wait_for(lambda: frontier == lo // size + 1 or failed)
+                    if failed:
+                        return
+                    frontier -= 1
+                    turn.notify_all()
+                table[lo:hi] = tile
+        except BaseException:
+            with turn:
+                failed = True
+                turn.notify_all()
+            raise
 
     if len(plan) == 1:
         run(plan[0])
-        return out
+        return
     from concurrent.futures import ThreadPoolExecutor  # local: only a multi-worker pass uses it
 
     with ThreadPoolExecutor(max_workers=len(plan)) as pool:
         for fut in [pool.submit(run, tiles) for tiles in plan]:
             fut.result()
-    return out
 
 
-def build_r1(x: int) -> RepTable:
-    """Counts for one square: 2 at positive perfect squares, 1 at 0, in int16."""
+def _add_squares(src: np.ndarray, x: int, threads: int, passes: int = 1) -> np.ndarray:
+    """`passes` times over, exact src[n] + 2 * sum over 1 <= m, m^2 <= n of
+    src[n - m^2] for n <= x, written over src[0:x + 1]: src convolved with r_1.
+
+    Each pass runs at its own width (see _tile_plan): the narrowest of int16,
+    int32 and int64 that holds its bound. A pass whose width is the table's
+    updates it in place; any other first casts the table to its width and lets
+    the old copy go, so only a cast holds two copies (src itself is freed only
+    if the caller holds no other reference to it). Only the int64 tiles whose
+    bound reaches SAFE_LIMIT are checked. Returns the table of the last pass.
+    """
+    table = src[: x + 1]
+    del src
+    for _ in range(passes):
+        dtype, plan = _tile_plan(table, x, threads)
+        table = table.astype(dtype, copy=False)  # exact: the width holds every entry
+        _shift_add_in_place(table, plan)
+    return table
+
+
+def _r1(x: int) -> np.ndarray:
+    """r_1 counts in int16: 2 at positive perfect squares, 1 at 0."""
     if x < 0:
         raise DomainError(f"limit must be >= 0, got {x}")
     counts = np.zeros(x + 1, dtype=np.int16)
     counts[0] = 1
     roots = np.arange(1, math.isqrt(x) + 1, dtype=np.int64)
     counts[roots * roots] = 2
-    return RepTable(order=1, limit=x, counts=counts)
+    return counts
+
+
+def build_r1(x: int) -> RepTable:
+    """Counts for one square: 2 at positive perfect squares, 1 at 0, in int16."""
+    return RepTable(order=1, limit=x, counts=_r1(x))
 
 
 def _r2_lattice(x: int) -> np.ndarray:
@@ -249,9 +301,7 @@ def build_rk(x: int, k: int, threads: int = 1) -> RepTable:
         raise DomainError(f"order must be >= 1, got {k}")
     if k == 1:
         return build_r1(x)
-    counts = build_r1(x).counts  # r_1 is not kept: each pass holds only its source
-    for _ in range(k - 1):
-        counts = _add_squares(counts, x, threads)
+    counts = _add_squares(_r1(x), x, threads, k - 1)
     return RepTable(order=k, limit=x, counts=counts)
 
 

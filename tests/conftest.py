@@ -1,10 +1,12 @@
-"""Shared pytest hooks: every warning a test of this suite raises is an
-error, acceptance pass/fail lines are echoed in the summary, and every
-hypothesis test runs the same examples on each run and stores none."""
+"""Shared pytest hooks: every warning a test of this suite raises, or the
+import of its module, is an error, acceptance pass/fail lines are echoed in
+the summary, and every hypothesis test runs the same examples on each run and
+stores none."""
 
 import pathlib
 import sys
 import tempfile
+import warnings
 
 import pytest
 from hypothesis import settings
@@ -20,10 +22,24 @@ set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 _HERE = pathlib.Path(__file__).resolve().parent
 
 
-def pytest_collection_modifyitems(items):
+def _ours(node) -> bool:
     # scoped to tests/: perfbench's own tests keep pytest's default filters
+    return _HERE in node.path.resolve().parents
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_make_collect_report(collector):
+    # a warning while a test module imports is a collection error
+    if not (isinstance(collector, pytest.Module) and _ours(collector)):
+        return (yield)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return (yield)
+
+
+def pytest_collection_modifyitems(items):
     for item in items:
-        if _HERE in item.path.resolve().parents:
+        if _ours(item):
             item.add_marker(pytest.mark.filterwarnings("error"))
 
 

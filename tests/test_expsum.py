@@ -4,6 +4,7 @@ import cmath
 import json
 import math
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -194,6 +195,26 @@ def test_v_matches_exact_phase_oracle(x):
         got = expsum.v_sum(beta, x)
         want = v_exact_phase(beta, x)
         assert abs(got - want) <= 1e-12 * abs(want) + 1e-12, (x, beta, got, want)
+
+
+@pytest.mark.parametrize("x", [1, 2, 13, 14, 15, 960, 961])
+def test_weight_matrix_filled_in_chunks_is_bit_identical(x, monkeypatch):
+    # chunks of 7 weights end inside rows and at the matrix's zero tail
+    monkeypatch.setattr(expsum, "_WEIGHT_CHUNK", 7)
+    w = expsum._block_weights.__wrapped__(x)
+    flat = w.ravel()
+    assert flat[0] == 0 and not flat[x + 1 :].any()
+    assert (flat[1 : x + 1] == 1.0 / np.sqrt(np.arange(1, x + 1, dtype=np.float64))).all()
+
+
+def test_weight_matrix_holds_no_matrix_sized_temporary():
+    tracemalloc.start()
+    try:
+        w = expsum._block_weights.__wrapped__(10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= w.nbytes + 2 * 8 * expsum._WEIGHT_CHUNK, peak / w.nbytes
 
 
 def test_v_matches_unblocked_formula_on_major_arc_offsets():

@@ -5,6 +5,7 @@ import math
 import os
 import stat
 import sys
+import threading
 import tracemalloc
 from types import SimpleNamespace
 
@@ -172,6 +173,24 @@ def test_thread_count_does_not_change_results():
     assert (c1.counts == c4.counts).all()
 
 
+def _within(seconds, call):
+    """call() on a daemon thread: its result, or the exception it raised; a
+    call still running after `seconds` fails the test instead of hanging it."""
+    outcome = []
+
+    def run():
+        try:
+            outcome.append(call())
+        except Exception as exc:  # handed to the test, which asserts on it
+            outcome.append(exc)
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(timeout=seconds)
+    assert not worker.is_alive(), f"still running after {seconds} s"
+    return outcome[0]
+
+
 def test_more_threads_than_cores_write_disjoint_tiles(monkeypatch, small_tiles):
     # eight workers on however many cores, switching as often as possible
     monkeypatch.setattr(repcount.os, "cpu_count", lambda: 8)
@@ -182,7 +201,7 @@ def test_more_threads_than_cores_write_disjoint_tiles(monkeypatch, small_tiles):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        many = repcount.build_r3_fold(x, threads=8)
+        many = _within(60, lambda: repcount.build_r3_fold(x, threads=8))
     finally:
         sys.setswitchinterval(interval)
     assert (single.counts == many.counts).all()
@@ -202,6 +221,21 @@ def test_product_overflow_is_detected():
     for src in ([1 << 62, 0], [(1 << 63) - 2, 10]):
         with pytest.raises(CountOverflowError):
             repcount._add_squares(np.array(src, dtype=np.int64), 1, 1)
+
+
+@pytest.mark.parametrize("failing", [4, 3], ids=["top", "below_top"])
+def test_overflow_under_two_workers_raises(failing, small_tiles, monkeypatch):
+    # 2^61 + 1 at n0 and at n0 + 3 meet only at n0 + 4 = n0 + 2^2 = (n0 + 3) + 1^2,
+    # whose doubled sum 2^63 + 4 wraps: only the tile holding n0 fails. Of the
+    # five tiles, worker 0 sums 4, 2, 0 and worker 1 sums 3, 1, so whichever
+    # tile fails, the other worker waits on it and must be woken
+    monkeypatch.setattr(repcount.os, "cpu_count", lambda: 2)
+    tile = _tile(np.int64)
+    x = 5 * tile - 1
+    src = np.zeros(x + 1, np.int64)
+    n0 = failing * tile
+    src[[n0, n0 + 3]] = (1 << 61) + 1
+    assert isinstance(_within(60, lambda: repcount._add_squares(src, x, 2)), CountOverflowError)
 
 
 def test_table_validation():
@@ -415,6 +449,28 @@ def test_tables_keep_their_last_pass_width(build, width, x, tmp_path, monkeypatc
         assert (loaded == table.counts).all()
 
 
+@pytest.mark.parametrize(
+    "build, x, width, per_entry",
+    [
+        (repcount.build_r3_fold, 2 * 10**5, np.int32, 4),
+        (lambda x: repcount.build_rk(x, 8), 10**5, np.int64, 12),
+    ],
+    ids=["fold", "r8"],
+)
+def test_builds_hold_one_table_and_scratch_tiles(build, x, width, per_entry, monkeypatch):
+    # a pass writes over its table: the fold holds its int32 table and one
+    # scratch tile; r_8 holds two copies only while it casts int32 to int64
+    monkeypatch.setattr(repcount, "_TILE_BYTES", 2**15)
+    tracemalloc.start()
+    try:
+        table = build(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.counts.dtype == width
+    assert peak <= per_entry * (x + 1) + 2 * repcount._TILE_BYTES, peak / (x + 1)
+
+
 @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.uint16, np.uint32, np.uint64, np.float64])
 def test_rep_table_holds_other_dtypes_as_int64(dtype):
     table = repcount.RepTable(1, 2, np.array([1, 2, 0], dtype=dtype))
@@ -437,10 +493,13 @@ def _add_squares_case(draw, x):
     return src
 
 
-# with small_tiles: int64 tiles of 512 entries, int32 of 1024, int16 of 2048
-@pytest.mark.parametrize("threads", [1, 2])
+# with small_tiles: int64 tiles of 512 entries, int32 of 1024, int16 of 2048;
+# four workers on however many cores finish their tiles out of order
+@pytest.mark.parametrize("threads", [1, 2, 4])
 @pytest.mark.parametrize("x", [0, 1, 100, 511, 512, 513, 1025, 2049, 3 * 2048 + 7])
-def test_tiled_kernel_matches_untiled_oracle(x, threads, small_tiles):
+def test_tiled_kernel_matches_untiled_oracle(x, threads, small_tiles, monkeypatch):
+    monkeypatch.setattr(repcount.os, "cpu_count", lambda: 8)
+
     @settings(max_examples=25)
     @given(src=_add_squares_case(x))
     def check(src):
@@ -498,9 +557,10 @@ def test_pass_width_edges_match_untiled_oracle(small_tiles):
         wider = {_I16: np.int32, _I32: np.int64}[limit]
         dtype, _ = repcount._tile_plan(src, x, 1)
         assert dtype is (wider if above else narrowest)
+        expected = add_squares_oracle(src, x)  # before the pass, which may write over src
         out = repcount._add_squares(src, x, 1)
         assert out.dtype == dtype
-        assert (out == add_squares_oracle(src, x)).all()
+        assert (out == expected).all()
 
     check()
 
