@@ -23,7 +23,6 @@ import mpmath
 import numpy as np
 
 from .errors import DomainError, NotCoprimeError
-from ._util import SIEVE_BLOCK, multiplicative
 
 
 def _double(form, *args) -> float:
@@ -32,22 +31,57 @@ def _double(form, *args) -> float:
         return float(form(*args))
 
 
+def _totient_at(p, pk):
+    return pk - pk // p
+
+
 def totient_sieve(Q: int) -> np.ndarray:
     """phi(1..Q) exactly, as int32 (phi(q) <= q < 2^31); index 0 is an unused zero.
 
-    One walk of `multiplicative` from phi(p^k) = p^k - p^(k-1): the peak holds
-    p, rest and phi, 12 B per q, and the result 4.
+    Filled from the blocks of `_sieve.multiplicative_blocks`, from phi(p^k) =
+    p^k - p^(k-1): the result holds 4 B per q, and the sieve's table 1 more.
     """
-    return multiplicative(Q, np.int32, lambda p, pk: pk - pk // p)
+    from ._sieve import multiplicative  # local: verify-* load this module for C3 and W_N alone
+
+    return multiplicative(Q, np.int32, _totient_at)
 
 
-def _over_cubes(terms: np.ndarray) -> np.ndarray:
-    """terms[q - 1] / q^3 for q = 1..Q, in place, one block of q^3 at a time."""
-    for lo in range(0, terms.size, SIEVE_BLOCK):
-        q3 = np.arange(lo + 1, min(lo + SIEVE_BLOCK, terms.size) + 1, dtype=np.float64)
-        q3 **= 3
-        terms[lo : lo + q3.size] /= q3
+def _b1_blocks(Q: int, weigh):
+    """Blocks of the float64 B1 terms weigh(phi(q)) / q^3 for q = 1..Q, one
+    block of the totient sieve at a time; weigh(terms, lo) scales the block
+    that starts at q = lo in place."""
+    from ._sieve import multiplicative_blocks  # local: verify-* load this module for C3 and W_N alone
+
+    if Q < 1:
+        raise DomainError(f"Q must be >= 1, got {Q}")
+    return (_over_cubes(phi, lo, weigh) for lo, phi in multiplicative_blocks(Q, np.int32, _totient_at))
+
+
+def _over_cubes(phi, lo, weigh):
+    terms = phi.astype(np.float64)
+    weigh(terms, lo)
+    q3 = np.arange(lo, lo + terms.size, dtype=np.float64)
+    q3 **= 3
+    terms /= q3
     return terms
+
+
+def _magnitude_law(terms, lo):
+    """|S|^6/q^6 times q^3: 1 for odd q, 8 for q divisible by 4, 0 otherwise."""
+    terms[(2 - lo) % 4 :: 4] = 0.0
+    terms[-lo % 4 :: 4] *= 8.0
+
+
+def _euler_weight(terms, lo):
+    """4/3 for odd q, 0 for even q."""
+    terms *= 4.0 / 3.0
+    terms[-lo % 2 :: 2] = 0.0
+
+
+def _b1_sum(Q: int, weigh) -> float:
+    from ._sieve import pairwise_sum  # local: verify-* load this module for C3 and W_N alone
+
+    return pairwise_sum(_b1_blocks(Q, weigh), Q)
 
 
 def b1_terms_direct(Q: int) -> np.ndarray:
@@ -55,32 +89,24 @@ def b1_terms_direct(Q: int) -> np.ndarray:
 
     |S|^6/q^6 is q^{-3} for odd q, 8 q^{-3} for q divisible by 4, 0 otherwise.
     """
-    if Q < 1:
-        raise DomainError(f"Q must be >= 1, got {Q}")
-    terms = totient_sieve(Q)[1:].astype(np.float64)  # index q - 1
-    terms[1::4] = 0.0  # q = 2 mod 4
-    terms[3::4] *= 8.0  # q = 0 mod 4
-    return _over_cubes(terms)
+    return np.concatenate(list(_b1_blocks(Q, _magnitude_law)))
 
 
 def b1_direct(Q: int) -> float:
-    """Partial sum of B1 over q <= Q using the closed magnitude law."""
-    return float(np.sum(b1_terms_direct(Q)))
+    """Partial sum of B1 over q <= Q using the closed magnitude law: np.sum of
+    b1_terms_direct(Q), bit for bit, summed as the sieve yields its blocks."""
+    return _b1_sum(Q, _magnitude_law)
 
 
 def b1_terms_euler(Q: int) -> np.ndarray:
     """Per-q contributions of the odd-q Euler form (4/3) phi(q)/q^3."""
-    if Q < 1:
-        raise DomainError(f"Q must be >= 1, got {Q}")
-    terms = totient_sieve(Q)[1:].astype(np.float64)  # index q - 1
-    terms *= 4.0 / 3.0
-    terms[1::2] = 0.0  # even q
-    return _over_cubes(terms)
+    return np.concatenate(list(_b1_blocks(Q, _euler_weight)))
 
 
 def b1_euler(Q: int) -> float:
-    """Partial sum of B1 in the odd-q Euler form."""
-    return float(np.sum(b1_terms_euler(Q)))
+    """Partial sum of B1 in the odd-q Euler form: np.sum of b1_terms_euler(Q),
+    bit for bit, summed as the sieve yields its blocks."""
+    return _b1_sum(Q, _euler_weight)
 
 
 # Cusp data used by the spectral assembly: label -> (u, w, width, zero-coefficient).

@@ -294,13 +294,33 @@ def r3_point(n: int) -> int:
     return total
 
 
+def _log_mean_bound(x: int, k: int) -> float:
+    """A proven lower bound on the logarithm of the mean of r_k(0..x), or -inf.
+
+    sum over n <= x of r_k(n) counts the lattice points in the k-ball of
+    radius sqrt(x). The unit cubes around them cover the ball of radius
+    sqrt(x) - sqrt(k) / 2, so the sum is at least V_k (sqrt(x) - sqrt(k) / 2)^k,
+    with V_k = pi^(k/2) / Gamma(k/2 + 1), and the largest count is at least
+    that over x + 1.
+    """
+    radius = math.sqrt(x) - math.sqrt(k) / 2
+    if radius <= 0:
+        return -math.inf
+    return (k / 2 * math.log(math.pi) - math.lgamma(k / 2 + 1)
+            + k * math.log(radius) - math.log(x + 1))
+
+
 def build_rk(x: int, k: int, threads: int = 1) -> RepTable:
     """r_k table by iterated convolution against the one-square table: k - 1
-    passes of the square-shift kernel over r_1."""
+    passes of the square-shift kernel over r_1. A limit at which the mean
+    count, and so some count, passes 2^63 (see _log_mean_bound) raises
+    CountOverflowError before any pass."""
     if k < 1:
         raise DomainError(f"order must be >= 1, got {k}")
     if k == 1:
         return build_r1(x)
+    if _log_mean_bound(x, k) > 63 * math.log(2) + 1e-6:  # the margin is far above the float error
+        raise CountOverflowError("count accumulator exceeds 64-bit range")
     counts = _add_squares(_r1(x), x, threads, k - 1)
     return RepTable(order=k, limit=x, counts=counts)
 

@@ -10,10 +10,10 @@ product of the local factors A(p^k, n) over the prime powers p^k exactly
 dividing q (Vaughan, The Hardy-Littlewood Method, 2nd ed., ch. 4). Every local
 factor has a closed form (_local_factor): for odd p in the Legendre symbol and
 the Ramanujan sum, for p = 2 an exact dyadic value, a sign read off
-8n / 2^k mod 8 times 2^{-floor(k/2)}. singular_series builds all Q terms in
-one walk over a smallest-prime-factor sieve, a block of q at a time: each
-block writes its prime powers' local factors, then multiplies every q's
-prime-power factor onto the term of its cofactor from an earlier block.
+8n / 2^k mod 8 times 2^{-floor(k/2)}. series_blocks yields the Q terms a
+block of q at a time from a segmented sieve, which multiplies each q's
+prime-power factors together from the largest prime down; singular_series
+keeps them all.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from ._util import multiplicative
+from ._sieve import multiplicative, multiplicative_blocks
 
 def _legendre(a: int, p: int) -> int:
     """Legendre symbol (a/p) for an odd prime p, by Euler's criterion."""
@@ -107,19 +107,10 @@ def _euler_symbols(n: int, primes: np.ndarray) -> np.ndarray:
     return np.where(t == primes - 1, -1, t)
 
 
-def singular_series(n: int, Q: int) -> SingularTruncation:
-    """Partial sum S3(n, Q) with all Q terms retained, from one sieve walk.
-
-    `multiplicative` builds every term from the local factors A(p^k, n) at the
-    prime powers of each block: A(p, n) = (-n/p)/p for every odd prime from a
-    vectorised Euler criterion, then _local_factor for p = 2 and for the few
-    higher powers (556 entries below 10^7). The float64 terms and the sieve's
-    two int32 arrays, 16 B per q, are the peak.
-    """
-    if Q < 1:
-        raise DomainError(f"Q must be >= 1, got {Q}")
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
+def _local_factors(n: int):
+    """at_prime_powers of the sieve for A(., n): A(p, n) = (-n/p)/p for every
+    odd prime from a vectorised Euler criterion, then _local_factor for p = 2
+    and for the few higher powers (556 entries below 10^7)."""
 
     def at_prime_powers(p, pk):
         p = p.astype(np.int64)
@@ -131,7 +122,29 @@ def singular_series(n: int, Q: int) -> SingularTruncation:
             local[i] = _local_factor(prime, k, n)
         return local
 
-    terms = multiplicative(Q, np.float64, at_prime_powers)[1:]
+    return at_prime_powers
+
+
+def _check(n: int, Q: int) -> None:
+    if Q < 1:
+        raise DomainError(f"Q must be >= 1, got {Q}")
+    if n < 1:
+        raise DomainError(f"n must be >= 1, got {n}")
+
+
+def series_blocks(n: int, Q: int):
+    """The terms A(q, n), q = 1..Q, as (lo, terms) over the blocks of the
+    sieve: terms[i] = A(lo + i, n), one block held at a time."""
+    _check(n, Q)
+    return multiplicative_blocks(Q, np.float64, _local_factors(n))
+
+
+def singular_series(n: int, Q: int) -> SingularTruncation:
+    """Partial sum S3(n, Q) with all Q terms retained, filled from the blocks
+    of series_blocks. The float64 terms, 8 B per q, and the sieve's table of
+    A(P, n) at the primes P <= Q / 2, 2 B per q, are the peak."""
+    _check(n, Q)
+    terms = multiplicative(Q, np.float64, _local_factors(n))[1:]
     return SingularTruncation(n=n, Q=Q, value=float(np.sum(terms)), terms=terms)
 
 

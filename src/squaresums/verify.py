@@ -278,13 +278,19 @@ def singular_truncation_sweep(n: int, Q_grid) -> TruncationSweep:
     if qs[0] < 1:
         raise DomainError("all Q must be >= 1")
     r3 = repcount.r3_point(n)
-    trunc = singular.singular_series(n, qs[-1])
     factor = singular.bateman_factor(n)
     points = []
-    prefix = np.cumsum(trunc.terms)
-    for Q in qs:
-        val = float(factor * prefix[Q - 1])
-        abs_err = abs(val - r3)
-        rel_err = abs_err / r3 if r3 > 0 else math.nan
-        points.append(TruncationPoint(Q=Q, bateman=val, abs_err=abs_err, rel_err=rel_err))
+    todo = iter(qs)
+    Q = next(todo)
+    carry = 0.0  # the prefix sum before the block: np.cumsum's, bit for bit
+    for lo, terms in singular.series_blocks(n, qs[-1]):
+        terms[0] += carry
+        prefix = np.cumsum(terms, out=terms)
+        while Q is not None and Q < lo + prefix.size:
+            val = float(factor * prefix[Q - lo])
+            abs_err = abs(val - r3)
+            rel_err = abs_err / r3 if r3 > 0 else math.nan
+            points.append(TruncationPoint(Q=Q, bateman=val, abs_err=abs_err, rel_err=rel_err))
+            Q = next(todo, None)
+        carry = prefix[-1]
     return TruncationSweep(n=n, r3=r3, points=tuple(points))

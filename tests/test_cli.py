@@ -301,6 +301,7 @@ def test_singular_q_above_cap_fails_before_any_work(monkeypatch, capsys):
         raise AssertionError("singular series started above the cap")
 
     monkeypatch.setattr(singular, "singular_series", refuse)
+    monkeypatch.setattr(singular, "series_blocks", refuse)
     over = str(cli.Q_CAP + 1)
     assert run_cli(["singular", "--n", "1", "--q-max", over, "--dump-terms"]) == 2
     assert run_cli(["singular", "--n", "1", "--q-grid", f"1,{over}"]) == 2
@@ -480,6 +481,22 @@ def test_memory_bound_rejects_builds_before_any_work(monkeypatch, capsys, tmp_pa
     assert run_cli(["tables", "--limit", "1024", "--output", str(tmp_path / "x.csv")]) == 2
     assert capsys.readouterr().err.count("physical memory") == 2
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_a_certain_overflow_fails_before_any_pass(monkeypatch, capsys, tmp_path):
+    """`tables --k 8` and `verify-general --n 8` to 10^7 end, after their
+    progress note, in the in-pass guard's error line and exit status 1, with
+    no pass run."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a pass ran")
+
+    monkeypatch.setattr(repcount, "_add_squares", refuse)
+    limit = ["--limit", str(10**7)]
+    assert run_cli(["tables", "--k", "8", *limit, "--output", str(tmp_path / "r8.csv")]) == 1
+    assert run_cli(["verify-general", "--n", "8", *limit]) == 1
+    err = [line for line in capsys.readouterr().err.splitlines() if not line.startswith("building ")]
+    assert err == ["error: CountOverflowError: count accumulator exceeds 64-bit range"] * 2
+    assert not (tmp_path / "r8.csv").exists()
 
 
 # sha256 of the output of each subcommand and format under --reproducible (the
@@ -961,7 +978,7 @@ def test_imports_load_no_constants_thread_pool_or_numpy(tmp_path):
     """Importing the CLI, --help and usage errors load no numpy and no compute
     module; each subcommand loads only the modules it runs."""
     loaded = "import sys, {}; print(sorted(set({!r}) & set(sys.modules)))".format
-    compute = ["numpy", "squaresums._util", "squaresums.constants", "squaresums.expsum",
+    compute = ["numpy", "squaresums._sieve", "squaresums._util", "squaresums.constants", "squaresums.expsum",
                "squaresums.repcount", "squaresums.singular", "squaresums.verify"]
     assert _child(loaded("squaresums.cli", ["concurrent.futures", "mpmath", *compute])) == "[]\n"
     assert _child(loaded("squaresums", ["numpy"])) == "[]\n"
@@ -971,14 +988,16 @@ def test_imports_load_no_constants_thread_pool_or_numpy(tmp_path):
         (["nonsense"], 2, compute),
         (["verify-mean", "--limit", "0"], 2, compute),
         (["tables", "--limit", "100", "--output", table], 0,
-         ["squaresums.constants", "squaresums.expsum", "squaresums.singular", "squaresums.verify"]),
+         ["squaresums._sieve", "squaresums.constants", "squaresums.expsum", "squaresums.singular",
+          "squaresums.verify"]),
         (["gauss", "--q", "12"], 0, ["squaresums.repcount", "squaresums.singular", "squaresums.verify"]),
         (["weyl-sweep", "--n-terms", "40", "--grid", "0.25"], 0,
          ["squaresums.repcount", "squaresums.singular", "squaresums.verify"]),
         (["verify-mean", "--limit", "1000"], 0, ["squaresums.expsum", "squaresums.singular"]),
-        (["verify-meansquare", "--limit", "1000"], 0, ["squaresums.expsum", "squaresums.singular"]),
+        (["verify-meansquare", "--limit", "1000"], 0,
+         ["squaresums._sieve", "squaresums.expsum", "squaresums.singular"]),
         (["verify-general", "--n", "4", "--limit", "1000"], 0,
-         ["squaresums.expsum", "squaresums.singular"]),
+         ["squaresums._sieve", "squaresums.expsum", "squaresums.singular"]),
     ]:
         assert _child(_LOADED_AFTER_MAIN, json.dumps(argv), json.dumps(unloaded)) == f"{code} []\n", argv
 
@@ -1168,20 +1187,41 @@ def test_a_fold_build_holds_8_bytes_per_entry(peak_tables, command, extra, outpu
 @pytest.mark.parametrize(
     "args, q_flag, per_q",
     [
-        (["constants"], "--b1-euler-q", 14),
-        (["singular", "--n", "5", "--dump-terms", "--format", "text"], "--q-max", 24),
+        (["constants"], "--b1-euler-q", 4),
+        (["singular", "--n", "5", "--dump-terms", "--format", "text"], "--q-max", 13),
+        (["singular", "--n", "5"], "--q-grid", 5),
     ],
-    ids=["constants", "singular-dump"],
+    ids=["constants", "singular-dump", "singular-sweep"],
 )
 def test_a_sieve_holds_its_outputs_and_blocks(tmp_path, args, q_flag, per_q):
     """At Q = 2*10^6 each peaks under `per_q` B per q above the same command at
-    Q = 1: the totients take 4 B (and the float64 B1 terms 8), the singular
-    terms 8 and the sieve's two int32 arrays 8, with no other Q-sized array."""
+    Q = 1. The sieve holds its table of f at the primes up to Q / 2, Q / 4
+    entries (1 B per q for the int32 totients, 2 for the float64 terms), and
+    one block; the dump also holds its float64 terms, 8 B, and the B1 sums and
+    the sweep hold no Q-sized array. Measured on a 2-CPU Xeon: 2.0, 11.2 and
+    2.9 B per q (12.4, 17.0 and 16.5 with a whole-range sieve)."""
     code, _, err, idle = _cli_peak([*args, q_flag, "1", "--reproducible"], tmp_path)
     assert code == 0, err
     code, _, err, peak = _cli_peak([*args, q_flag, str(_PEAK_LIMIT), "--reproducible"], tmp_path)
     assert code == 0, err
     assert peak - idle < per_q * _PEAK_LIMIT, (peak - idle) / _PEAK_LIMIT
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        ("constants --b1-euler-q 10000000", "72a9f1a55e9e1ba97eb0e2ae64d34ad1f33737b1a19e4168c65785a031ab047d"),
+        ("singular --n 5 --q-max 10000000 --dump-terms --format text",
+         "a6f4ba09bd56301c5dae5b3e17a0cd8dc8df048382f9b83c0b5cf7324fb54ffd"),
+    ],
+    ids=["constants", "singular-dump"],
+)
+def test_sieve_outputs_pin_at_the_q_cap(args, digest, capsys):
+    """The B1 sums and S3(5, Q) at Q = 10^7, byte for byte as the whole-range
+    sieve printed them."""
+    assert run_cli([*args.split(), "--reproducible"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 @pytest.mark.slow

@@ -1,14 +1,16 @@
 """Constant evaluations against independent high-precision references."""
 
+import functools
 import math
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import sieve_oracle
-from squaresums import constants
-from squaresums._util import factor_sieve, multiplicative
+from squaresums import _sieve, constants
+from squaresums._sieve import SIEVE_BLOCK, multiplicative, multiplicative_blocks, pairwise_sum
 from squaresums.errors import DomainError, NotCoprimeError
 from squaresums.expsum import gauss_sum
 
@@ -66,14 +68,11 @@ def test_totient_sieve_matches_gcd_count():
 
 
 def test_sieves_match_the_oracle_across_block_edges():
-    """Q at the sieve's 2^16-entry block and at twice it, +-3 each: p, rest and
-    phi equal the oracle's entry for entry, all as int32."""
-    edges = [Q for edge in (2**16, 2**17) for Q in range(edge - 3, edge + 4)]
-    spf, rest, phi = sieve_oracle(edges[-1])
+    """Q at the ends of the sieve's first and second blocks, +-3 each: phi
+    equals the oracle's entry for entry, as int32."""
+    edges = [Q for edge in (SIEVE_BLOCK, 2 * SIEVE_BLOCK) for Q in range(edge - 3, edge + 4)]
+    phi = sieve_oracle(edges[-1])[2]
     for Q in edges:
-        p, r = factor_sieve(Q)
-        assert p.dtype == r.dtype == np.int32
-        assert p.tolist() == spf[: Q + 1] and r.tolist() == rest[: Q + 1], Q
         totients = constants.totient_sieve(Q)
         assert totients.dtype == np.int32 and totients.tolist() == phi[: Q + 1], Q
 
@@ -87,6 +86,35 @@ def _primes_to(Q: int) -> list[int]:
     return np.flatnonzero(sieve).tolist()
 
 
+def _divisor_counts(top: int) -> list[int]:
+    divisors = np.zeros(top + 1, dtype=np.int32)
+    for d in range(1, top + 1):
+        divisors[d::d] += 1
+    return divisors.tolist()
+
+
+def _moebius(top: int) -> list[int]:
+    moebius = np.ones(top + 1, dtype=np.int32)
+    moebius[0] = 0
+    for p in _primes_to(top):
+        moebius[p::p] *= -1
+        moebius[p * p :: p * p] = 0
+    return moebius.tolist()
+
+
+def _exponent(p, pk):
+    return np.array([next(k for k in range(1, 32) if a**k == b)
+                     for a, b in zip(p.tolist(), pk.tolist())], dtype=np.int32)
+
+
+def _divisor_count_at(p, pk):
+    return _exponent(p, pk) + 1
+
+
+def _moebius_at(p, pk):
+    return np.where(pk == p, -1, 0)
+
+
 _MULTIPLICATIVE_QS = (1, 2, 2**16 - 3, 2**16 + 3, 2**17 - 3, 2**17 + 3)
 
 
@@ -94,26 +122,46 @@ def test_multiplicative_builds_the_divisor_count_and_moebius():
     """d(p^k) = k + 1 and mu(p^k) = -1 if k = 1 else 0, against a divisor-count
     sieve and a Moebius sieve over the primes, across the block edges."""
     top = _MULTIPLICATIVE_QS[-1]
-    divisors = np.zeros(top + 1, dtype=np.int32)
-    for d in range(1, top + 1):
-        divisors[d::d] += 1
-    moebius = np.ones(top + 1, dtype=np.int32)
-    moebius[0] = 0
-    for p in _primes_to(top):
-        moebius[p::p] *= -1
-        moebius[p * p :: p * p] = 0
-
-    def exponent(p, pk):
-        return np.array([next(k for k in range(1, 32) if a**k == b)
-                         for a, b in zip(p.tolist(), pk.tolist())], dtype=np.int32)
-
+    divisors, moebius = _divisor_counts(top), _moebius(top)
     for Q in _MULTIPLICATIVE_QS:
-        d = multiplicative(Q, np.int32, lambda p, pk: exponent(p, pk) + 1)
-        mu = multiplicative(Q, np.int32, lambda p, pk: np.where(pk == p, -1, 0))
+        d = multiplicative(Q, np.int32, _divisor_count_at)
+        mu = multiplicative(Q, np.int32, _moebius_at)
         assert d.dtype == mu.dtype == np.int32
         assert d[0] == mu[0] == 0 and d[1] == mu[1] == 1
-        assert d[1:].tolist() == divisors[1 : Q + 1].tolist(), Q
-        assert mu[1:].tolist() == moebius[1 : Q + 1].tolist(), Q
+        assert d[1:].tolist() == divisors[1 : Q + 1], Q
+        assert mu[1:].tolist() == moebius[1 : Q + 1], Q
+
+
+# sqrt(Q) reaches 109, so the primes sieved in the indexed pass (67..109 by
+# default) have squares below Q; a smaller strided split gives them cubes and
+# higher powers too
+_BLOCKS_TOP = 12_000
+
+
+@functools.cache
+def _block_references():
+    return sieve_oracle(_BLOCKS_TOP)[2], _divisor_counts(_BLOCKS_TOP), _moebius(_BLOCKS_TOP)
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_blocks_at_any_block_size_match_the_oracles(data):
+    """For a random Q, block size and split between the strided and the
+    indexed primes, the blocks of phi, d and mu are consecutive, start at
+    q = 1, hold at most the block size each and equal the oracles."""
+    Q = data.draw(st.integers(1, _BLOCKS_TOP), label="Q")
+    block = data.draw(st.integers(max(1, Q // 40), Q + 5), label="block")
+    split = data.draw(st.sampled_from([1, 2, 10, _sieve._STRIDED_TOP]), label="strided top")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_sieve, "_STRIDED_TOP", split)
+        for at_prime_powers, want in zip((constants._totient_at, _divisor_count_at, _moebius_at),
+                                         _block_references()):
+            got, start = [0], 1
+            for lo, f in multiplicative_blocks(Q, np.int32, at_prime_powers, block):
+                assert lo == start and 1 <= f.size <= block and f.dtype == np.int32
+                got += f.tolist()
+                start += f.size
+            assert got == want[: Q + 1], (Q, block, split)
 
 
 def test_multiplicative_asks_for_each_prime_power_once():
@@ -162,6 +210,38 @@ def test_b1_magnitude_law_route_matches_literal_gauss_sums():
 def test_b1_partial_sums_nondecreasing():
     for terms in (constants.b1_terms_direct(600), constants.b1_terms_euler(600)):
         assert (terms >= 0).all()
+
+
+def _split(values, rng):
+    """values cut at random places into consecutive blocks, one of them
+    sometimes empty, as a stream of float64 arrays."""
+    cuts = np.sort(rng.integers(0, values.size + 1, rng.integers(0, 12)))
+    return iter(np.split(values, cuts))
+
+
+@pytest.mark.parametrize("sizes", [range(1, 301), (2**16 - 8, 2**16 + 8, 999983, 10**6)],
+                         ids=["1-300", "large"])
+def test_pairwise_sum_is_np_sum_bit_for_bit(sizes):
+    """Signed values across 32 binades, cut into random blocks, and into the
+    sieve's blocks: the same float as np.sum over the whole array."""
+    rng = np.random.default_rng(2005)
+    for n in sizes:
+        values = rng.standard_normal(n) * np.exp2(rng.integers(-16, 16, n))
+        want = float(np.sum(values))
+        for _ in range(3):
+            assert pairwise_sum(_split(values, rng), n) == want, n
+        blocks = (values[lo : lo + SIEVE_BLOCK] for lo in range(0, n, SIEVE_BLOCK))
+        assert pairwise_sum(blocks, n) == want, n
+    assert pairwise_sum(iter(()), 0) == 0.0
+
+
+def test_b1_sums_are_np_sum_of_their_terms():
+    for Q in (1, 7, 4096, SIEVE_BLOCK, SIEVE_BLOCK + 1, 10**5 + 3):
+        assert constants.b1_direct(Q) == float(np.sum(constants.b1_terms_direct(Q))), Q
+        assert constants.b1_euler(Q) == float(np.sum(constants.b1_terms_euler(Q))), Q
+    for route in (constants.b1_direct, constants.b1_euler, constants.b1_terms_direct):
+        with pytest.raises(DomainError):
+            route(0)
 
 
 def test_mean_square_constant_identities():

@@ -223,6 +223,37 @@ def test_product_overflow_is_detected():
             repcount._add_squares(np.array(src, dtype=np.int64), 1, 1)
 
 
+def test_log_mean_bound_is_below_the_exact_mean():
+    """The bound against the exact mean of r_k(0..x), summed in Python ints by
+    k passes over r_0, for every order up to 40."""
+    x = 400
+    squares = [m * m for m in range(1, math.isqrt(x) + 1)]
+    counts = [1] + [0] * x  # r_0
+    for k in range(1, 41):
+        nxt = counts[:]
+        for sq in squares:
+            for n in range(sq, x + 1):
+                nxt[n] += 2 * counts[n - sq]
+        counts = nxt
+        for top in (0, 1, 5, 50, 200, 400):
+            exact = math.log(sum(counts[: top + 1]) / (top + 1))
+            assert repcount._log_mean_bound(top, k) <= exact, (k, top)
+
+
+def test_a_certain_overflow_is_refused_before_any_pass(monkeypatch):
+    """r_8 to 10^7 fails with the guard's own error before any pass; r_8 to
+    5*10^5, which fits in int64, is not refused."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a pass ran")
+
+    monkeypatch.setattr(repcount, "_add_squares", refuse)
+    with pytest.raises(CountOverflowError, match="^count accumulator exceeds 64-bit range$"):
+        repcount.build_rk(10**7, 8)
+    assert repcount._log_mean_bound(5 * 10**5, 8) < 63 * math.log(2)
+    with pytest.raises(AssertionError, match="a pass ran"):
+        repcount.build_rk(5 * 10**5, 8)
+
+
 @pytest.mark.parametrize("failing", [4, 3], ids=["top", "below_top"])
 def test_overflow_under_two_workers_raises(failing, small_tiles, monkeypatch):
     # 2^61 + 1 at n0 and at n0 + 3 meet only at n0 + 4 = n0 + 2^2 = (n0 + 3) + 1^2,

@@ -207,9 +207,9 @@ def test_truncation_terms_match_a_term():
         assert t == a_term(i + 1, 5), i + 1
 
 
-# Q past two of the sieve's 2^16-entry blocks; the n cover a multiple of
-# 65537 (a prime above sqrt(Q), at a block edge) and two n = 7 mod 8, one of
-# them beyond int64
+# Q past four of the sieve's 2^15-entry blocks, which start at q = 1; the n
+# cover a multiple of 65537 (a prime above sqrt(Q) that opens the third block)
+# and two n = 7 mod 8, one of them beyond int64
 _EDGE_Q = 2**17 + 3
 _EDGE_NS = (5, 3 * 65537, 10**8 - 1, 2**64 + 7)
 
@@ -250,7 +250,7 @@ def a_term(q: int, n: int) -> float:
 
 
 def test_truncation_terms_match_a_term_across_block_edges():
-    edges = {2**j for j in range(18)} | {3 * 2**16, _EDGE_Q}
+    edges = {2**j for j in range(18)} | {3 * 2**15, _EDGE_Q}
     qs = sorted({q for e in edges for q in range(e - 3, e + 4) if 1 <= q <= _EDGE_Q})
     for n in _EDGE_NS:
         terms = _edge_terms(n)
