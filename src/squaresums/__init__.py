@@ -9,8 +9,8 @@ Submodules:
     cli        command-line frontend (entry point: squaresums)
 
 Submodules are imported on use (`from squaresums import repcount`), not by
-this package, so a process loads only what it runs: mpmath, for one, loads
-only with `constants`. Nothing here imports numpy, so `cli` can set up the
+this package, so a process loads only what it runs: mpmath loads only in
+`constants`, for Gamma. Nothing here imports numpy, so `cli` can set up the
 environment numpy reads at import.
 """
 

@@ -30,7 +30,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 from .errors import InsufficientPointsError, SquaresumsError
 
 LIMIT_CAP = 10**8
-Q_CAP = 10**7  # --dump-terms holds 10 B per q: 127 MiB peak RSS at the cap; a sweep 51 MiB
+Q_CAP = 10**7  # peak RSS at the cap: --dump-terms 127 MiB as CSV or JSON, 50 MiB as text; a sweep 51 MiB
 N_TERMS_CAP = 10**7  # weyl_sum holds about 40 B per term: about 0.4 GB at the cap
 GRID_POINTS_CAP = 10**6  # weyl-sweep evaluates ceil(1 / --grid) points
 WEYL_TERMS_CAP = 10**9  # --n-terms times the points: weyl_sum takes about 65 ns a term, 65 s at the cap
@@ -385,7 +385,7 @@ def _flatten(obj: dict, prefix: str = ""):
 
 
 def _handle_constants(args) -> Result:
-    from . import constants  # local: mpmath loads only where a constant is evaluated
+    from . import constants  # local: as every handler's; mpmath loads with phi(s), not with the module
 
     obj = constants.constants_report(args.b1_direct_q, args.b1_euler_q, args.w_orders)
     if args.precision == "extended":
@@ -400,6 +400,12 @@ def _handle_singular(args) -> Result:
     if args.dump_terms:
         from . import singular
 
+        if args.output_format == "text":  # S3(n, Q) alone: the terms summed as the sieve yields them
+            from ._sieve import pairwise_sum
+
+            blocks = (terms for _, terms in singular.series_blocks(args.n, args.q_max))
+            value = pairwise_sum(blocks, args.q_max)  # np.sum of all Q terms, bit for bit
+            return Result(("q", "A_q_n"), (), lambda: [f"S3(n={args.n}, Q={args.q_max}) = {_cell(value)}"])
         trunc = singular.singular_series(args.n, args.q_max)
 
         def csv_body():  # one % per block of terms, rendered as _CsvLines renders rows
@@ -409,9 +415,8 @@ def _handle_singular(args) -> Result:
                 yield ("%d,%.17g\n" * size) % tuple(chain.from_iterable(cells))
             yield "total,%.17g\n" % trunc.value
 
-        text = lambda: [f"S3(n={trunc.n}, Q={trunc.Q}) = {_cell(trunc.value)}"]
         extras = {"n": trunc.n, "Q": trunc.Q, "value": trunc.value, "terms": trunc.terms}
-        return Result(("q", "A_q_n"), (), text, extras=extras, csv_body=csv_body)
+        return Result(("q", "A_q_n"), (), lambda: (), extras=extras, csv_body=csv_body)  # text returned above
     from . import verify
 
     sweep = verify.singular_truncation_sweep(args.n, args.q_grid or [1, 10, 100, 1000])

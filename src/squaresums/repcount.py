@@ -30,8 +30,8 @@ TableFile is the one reader of either format. It takes a limit and reads the
 rows 0..limit once, as int64 blocks in row order: a CSV parsed _CSV_BLOCK
 bytes at a time, a binary body read _BIN_CHUNK counts at a time into one
 reused buffer. So a sum over a file holds one block at any limit
-(verify-meansquare --table r3.bin peaks at 33 MiB at 10^6 and at 10^7,
-against 29 MiB for a run that loads numpy and does no work).
+(verify-meansquare --table r3.bin peaks at 30.5 MiB at 10^6 and at 10^7,
+against 29.2 MiB for a run that loads numpy and does no work).
 """
 
 from __future__ import annotations

@@ -15,12 +15,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import repcount
 from .errors import DomainError, InsufficientPointsError, TableTooShortError
 from ._util import SAFE_LIMIT
+
+if TYPE_CHECKING:  # at run time only the sweep uses repcount, and imports it: fit loads no table code
+    from . import repcount
 
 _SUM_BLOCK = 2**16  # entries per block of an exact prefix sum
 _OBJECT_BLOCK = 2**12  # entries per Python-int sub-block
@@ -192,7 +195,7 @@ def mean_value_series(table: repcount.RepTable | repcount.TableFile, checkpoints
 
 def mean_square_series(table: repcount.RepTable | repcount.TableFile, checkpoints) -> list[Checkpoint]:
     """Sum of r_3(n)^2 over 1 <= n <= x against C3 x^2."""
-    from .constants import mean_square_constant  # local: mpmath loads only where C3 is used
+    from .constants import mean_square_constant  # local: the sweep and fit need no constant
 
     xs = _validate_grid(table, checkpoints, order=3)
     c3 = mean_square_constant()
@@ -203,7 +206,7 @@ def mean_square_general(N: int, table: repcount.RepTable | repcount.TableFile, c
     """Sum of r_N(n)^2 over 1 <= n <= x against W_N x^{N-1}, for N > 3."""
     if N <= 3:
         raise DomainError(f"mean_square_general requires N > 3, got {N}")
-    from .constants import w_constant  # local: mpmath loads only where W_N is used
+    from .constants import w_constant  # local: the sweep and fit need no constant
 
     xs = _validate_grid(table, checkpoints, order=N)
     wn = w_constant(N)
@@ -270,7 +273,7 @@ def read_series(path) -> list[SimpleNamespace]:
 
 def singular_truncation_sweep(n: int, Q_grid) -> TruncationSweep:
     """Truncated count formula 2 pi sqrt(n) S3(n, Q) against exact r_3(n)."""
-    from . import singular  # local: the verify-* subcommands never load it
+    from . import repcount, singular  # local: the verify-* subcommands never load singular
 
     qs = sorted({int(Q) for Q in Q_grid})
     if not qs:

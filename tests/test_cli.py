@@ -982,7 +982,8 @@ def test_imports_load_no_constants_thread_pool_or_numpy(tmp_path):
                "squaresums.repcount", "squaresums.singular", "squaresums.verify"]
     assert _child(loaded("squaresums.cli", ["concurrent.futures", "mpmath", *compute])) == "[]\n"
     assert _child(loaded("squaresums", ["numpy"])) == "[]\n"
-    table = str(tmp_path / "t.csv")
+    table, series = str(tmp_path / "t.csv"), tmp_path / "series.csv"
+    series.write_text("x,abs_err\n100,3.5\n1000,20.25\n10000,130.0\n")
     for argv, code, unloaded in [
         (["--help"], 0, compute),
         (["nonsense"], 2, compute),
@@ -995,9 +996,11 @@ def test_imports_load_no_constants_thread_pool_or_numpy(tmp_path):
          ["squaresums.repcount", "squaresums.singular", "squaresums.verify"]),
         (["verify-mean", "--limit", "1000"], 0, ["squaresums.expsum", "squaresums.singular"]),
         (["verify-meansquare", "--limit", "1000"], 0,
-         ["squaresums._sieve", "squaresums.expsum", "squaresums.singular"]),
+         ["mpmath", "squaresums._sieve", "squaresums.expsum", "squaresums.singular"]),
         (["verify-general", "--n", "4", "--limit", "1000"], 0,
-         ["squaresums._sieve", "squaresums.expsum", "squaresums.singular"]),
+         ["mpmath", "squaresums._sieve", "squaresums.expsum", "squaresums.singular"]),
+        (["fit", "--input", str(series)], 0,
+         ["mpmath", "squaresums.constants", "squaresums.repcount", "squaresums.singular"]),
     ]:
         assert _child(_LOADED_AFTER_MAIN, json.dumps(argv), json.dumps(unloaded)) == f"{code} []\n", argv
 
@@ -1059,14 +1062,13 @@ for argv in json.loads(sys.argv[1]):
 
 
 @pytest.mark.parametrize("last", [
-    "verify-meansquare --limit 30000 --format csv",
-    "verify-general --n 4 --limit 2000 --checkpoints 100,300,1000,2000 --format csv",
     "constants --w-orders 3,4 --format csv",
     "constants --precision extended --digits 20 --w-orders 3,4 --format text",
 ])
 def test_only_a_constant_loads_mpmath(last, tmp_path):
-    """In one fresh process, every subcommand that evaluates no constant runs
-    without mpmath; then `last` loads it on demand. Stdout keeps its pins."""
+    """In one fresh process, every other subcommand runs without mpmath, C3
+    and W_N in verify-meansquare and verify-general included; then `last`
+    loads it on demand, for Gamma. Stdout keeps its pins."""
     runs = [
         "tables --limit 400 --k 3 --output TABLE",
         "verify-mean --limit 400 --checkpoints 100,400 --format csv --table TABLE",
@@ -1075,6 +1077,8 @@ def test_only_a_constant_loads_mpmath(last, tmp_path):
         "singular --n 1 --format csv",
         "gauss --q 12 --format csv",
         "weyl-sweep --n-terms 40 --grid 0.25 --format csv",
+        "verify-meansquare --limit 30000 --format csv",
+        "verify-general --n 4 --limit 2000 --checkpoints 100,300,1000,2000 --format csv",
         last,
     ]
     files = {"TABLE": str(tmp_path / "t.csv"), "SERIES": str(tmp_path / "series.csv")}
@@ -1136,14 +1140,16 @@ def peak_tables(tmp_path_factory):
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
 def test_reading_a_table_holds_one_block(peak_tables):
-    """verify-mean --table at 2*10^6 entries, from CSV and from binary, peaks
-    under 2 MiB above an idle run: the file is summed one block at a time."""
+    """verify-mean and verify-meansquare --table at 2*10^6 entries, from CSV
+    and from binary, peak under 2 MiB above an idle run: the file is summed
+    one block at a time, and C3 is a double without mpmath (2.9 MiB)."""
     folder, idle = peak_tables
-    for name in ("r3.csv", "r3.bin"):
-        args = ["verify-mean", "--limit", str(_PEAK_LIMIT), "--table", str(folder / name), "--reproducible"]
-        code, _, err, peak = _cli_peak(args, folder)
-        assert code == 0, err
-        assert peak - idle < 2 << 20, (name, (peak - idle) / 2**20)
+    for command in ("verify-mean", "verify-meansquare"):
+        for name in ("r3.csv", "r3.bin"):
+            args = [command, "--limit", str(_PEAK_LIMIT), "--table", str(folder / name), "--reproducible"]
+            code, _, err, peak = _cli_peak(args, folder)
+            assert code == 0, err
+            assert peak - idle < 2 << 20, (command, name, (peak - idle) / 2**20)
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
@@ -1188,7 +1194,7 @@ def test_a_fold_build_holds_8_bytes_per_entry(peak_tables, command, extra, outpu
     "args, q_flag, per_q",
     [
         (["constants"], "--b1-euler-q", 4),
-        (["singular", "--n", "5", "--dump-terms", "--format", "text"], "--q-max", 13),
+        (["singular", "--n", "5", "--dump-terms", "--format", "text"], "--q-max", 5),
         (["singular", "--n", "5"], "--q-grid", 5),
     ],
     ids=["constants", "singular-dump", "singular-sweep"],
@@ -1197,9 +1203,10 @@ def test_a_sieve_holds_its_outputs_and_blocks(tmp_path, args, q_flag, per_q):
     """At Q = 2*10^6 each peaks under `per_q` B per q above the same command at
     Q = 1. The sieve holds its table of f at the primes up to Q / 2, Q / 4
     entries (1 B per q for the int32 totients, 2 for the float64 terms), and
-    one block; the dump also holds its float64 terms, 8 B, and the B1 sums and
-    the sweep hold no Q-sized array. Measured on a 2-CPU Xeon: 2.0, 11.2 and
-    2.9 B per q (12.4, 17.0 and 16.5 with a whole-range sieve)."""
+    one block; the B1 sums, the text dump (S3(n, Q) alone) and the sweep hold
+    no Q-sized array. Measured on a 2-CPU Xeon: 2.0, 3.1 and 2.9 B per q
+    (12.4, 17.0 and 16.5 with a whole-range sieve; the text dump 11.2 when it
+    held its float64 terms)."""
     code, _, err, idle = _cli_peak([*args, q_flag, "1", "--reproducible"], tmp_path)
     assert code == 0, err
     code, _, err, peak = _cli_peak([*args, q_flag, str(_PEAK_LIMIT), "--reproducible"], tmp_path)

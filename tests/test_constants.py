@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import sieve_oracle
 from squaresums import _sieve, constants
+from squaresums.cli import W_ORDER_CAP
 from squaresums._sieve import SIEVE_BLOCK, multiplicative, multiplicative_blocks, pairwise_sum
 from squaresums.errors import DomainError, NotCoprimeError
 from squaresums.expsum import gauss_sum
@@ -20,8 +21,16 @@ C3_REFERENCE = 30.870606090503587384     # 8 pi^4 / (21 zeta(3))
 
 
 def zeta(s: float) -> float:
-    """Riemann zeta at 53 bits, by the route every double closed form takes."""
-    return constants._double(mpmath.zeta, s)
+    """Riemann zeta by mpmath at 53 bits."""
+    with mpmath.workprec(53):
+        return float(mpmath.zeta(s))
+
+
+def mpmath53(form, *args) -> float:
+    """A closed form evaluated by mpmath at 53 bits: the reference of the
+    int-based double route."""
+    with mpmath.workprec(53):
+        return float(form(mpmath, *args))
 
 
 def b1_direct_via_sums(Q: int) -> float:
@@ -42,9 +51,10 @@ def b1_direct_via_sums(Q: int) -> float:
 
 
 def test_zeta_matches_classical_values():
-    assert zeta(2.0) == pytest.approx(math.pi**2 / 6, abs=1e-14)
-    assert zeta(4.0) == pytest.approx(math.pi**4 / 90, abs=1e-14)
-    assert zeta(3.0) == pytest.approx(ZETA_3, abs=1e-14)
+    for route in (zeta, lambda s: float(constants._zeta53(int(s)))):
+        assert route(2.0) == pytest.approx(math.pi**2 / 6, abs=1e-14)
+        assert route(4.0) == pytest.approx(math.pi**4 / 90, abs=1e-14)
+        assert route(3.0) == pytest.approx(ZETA_3, abs=1e-14)
 
 
 def test_zeta_matches_mpmath_off_integers():
@@ -53,6 +63,68 @@ def test_zeta_matches_mpmath_off_integers():
         with mpmath.workdps(50):
             want = float(mpmath.zeta(s))
         assert zeta(s) == pytest.approx(want, rel=1e-15), s
+
+
+def test_closed_form_doubles_are_mpmath_at_53_bits_bit_for_bit():
+    """B1, C3 and every W_N the CLI accepts, against the same forms evaluated
+    by mpmath at 53 bits of working precision."""
+    assert constants.b1_closed() == mpmath53(constants._b1)
+    assert constants.mean_square_constant() == mpmath53(constants._c3)
+    for N in range(3, W_ORDER_CAP + 1):
+        assert constants.w_constant(N) == mpmath53(constants._w, N), N
+
+
+def test_zeta53_is_correctly_rounded():
+    """zeta(s) for every s that a W_N up to W_ORDER_CAP uses, against mpmath
+    at 400 bits rounded once to a double."""
+    for s in range(2, W_ORDER_CAP + 2):
+        with mpmath.workprec(400):
+            want = float(mpmath.zeta(s))
+        assert float(constants._zeta53(s)) == want, s
+
+
+# doubles m 2^e with |e| <= 400: every product, quotient and difference of two
+# is zero or a normal double, where the float operation rounds once at 53 bits
+_DOUBLES = st.builds(math.ldexp, st.integers(-(2**53) + 1, 2**53 - 1), st.integers(-400, 400))
+# ints up to 2^1000, and odd 54-bit ints shifted: exactly halfway between two doubles
+_INTS = st.one_of(
+    st.integers(-(2**1000), 2**1000),
+    st.builds(lambda m, k, sign: sign * (2 * m + 1) << k,
+              st.integers(2**52, 2**53 - 1), st.integers(0, 900), st.sampled_from([-1, 1])),
+)
+
+
+def binary53(x: float):
+    num, den = x.as_integer_ratio()
+    return constants._Binary53(num, 1 - den.bit_length())
+
+
+@settings(max_examples=300)
+@given(a=_DOUBLES, b=_DOUBLES)
+def test_binary53_operations_round_as_floats_do(a, b):
+    x, y = binary53(a), binary53(b)
+    assert float(x * y) == a * b and float(x - y) == a - b
+    if b:
+        assert float(x / y) == a / b
+    for n in (0, 1, 7, -3):  # an int operand, on either side
+        assert float(x * n) == float(n * x) == a * n
+        assert float(x - n) == a - n and float(n - x) == n - a
+        if a:
+            assert float(n / x) == n / a
+
+
+@settings(max_examples=300)
+@given(n=_INTS)
+def test_binary53_rounds_an_int_as_float_does(n):
+    assert float(constants._Binary53.mpf(n)) == float(n)
+
+
+def test_binary53_ties_go_to_even():
+    top = 2**53
+    for n, want in [(top + 1, top), (top + 3, top + 4), (-(top + 1), -top), ((top + 1) << 70, 2.0**123)]:
+        assert float(constants._Binary53.mpf(n)) == want, n
+    third = constants._Binary53.mpf(1) / 3
+    assert float(third) == 1 / 3 and float(1 - third) == 1 - 1 / 3
 
 
 def test_totient_sieve_matches_gcd_count():
@@ -340,7 +412,7 @@ def test_constants_report_contents():
 def test_constants_report_rejects_inconsistency(monkeypatch, form, message):
     constants.constants_report(b1_direct_Q=64, b1_euler_Q=64, w_orders=(3,))
     original = getattr(constants, form)
-    monkeypatch.setattr(constants, form, lambda: original() * 1.5)
+    monkeypatch.setattr(constants, form, lambda num: original(num) * 3 / 2)
     with pytest.raises(DomainError, match=message):
         constants.constants_report(b1_direct_Q=64, b1_euler_Q=64, w_orders=(3,))
 
