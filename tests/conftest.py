@@ -1,6 +1,7 @@
 """Shared pytest hooks: every warning a test of this suite raises, or the
-import of its module, is an error, acceptance pass/fail lines are echoed in
-the summary, and every hypothesis test runs the same examples on each run and
+import of its module, is an error (but not one raised while pytest and its
+plugins make a test's report), acceptance pass/fail lines are echoed in the
+summary, and every hypothesis test runs the same examples on each run and
 stores none."""
 
 import pathlib
@@ -11,6 +12,8 @@ import warnings
 import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
+
+pytest_plugins = ("pytester",)
 
 settings.register_profile("squaresums", derandomize=True, deadline=None, database=None)
 settings.load_profile("squaresums")
@@ -41,6 +44,18 @@ def pytest_collection_modifyitems(items):
     for item in items:
         if _ours(item):
             item.add_marker(pytest.mark.filterwarnings("error"))
+
+
+@pytest.hookimpl(wrapper=True, tryfirst=True)
+def pytest_runtest_makereport(item, call):
+    # The "error" filter above spans the whole test protocol, reports too. When
+    # a property fails, hypothesis's report imports libcst, whose import warns
+    # (DeprecationWarning from mypy_extensions); as an error that would end the
+    # session. Reports are made under the default filters: a warning there is
+    # listed in the summary, not raised.
+    with warnings.catch_warnings():
+        warnings.resetwarnings()
+        return (yield)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -1005,8 +1005,12 @@ def test_imports_load_no_constants_thread_pool_or_numpy(tmp_path):
         assert _child(_LOADED_AFTER_MAIN, json.dumps(argv), json.dumps(unloaded)) == f"{code} []\n", argv
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux") or (os.cpu_count() or 1) < 2,
-                    reason="reads /proc/self/task; OpenBLAS starts no worker on one CPU")
+_NEEDS_BLAS_WORKERS = pytest.mark.skipif(
+    not sys.platform.startswith("linux") or (os.cpu_count() or 1) < 2,
+    reason="reads /proc/self/task; OpenBLAS starts no worker on one CPU")
+
+
+@_NEEDS_BLAS_WORKERS
 def test_cli_runs_openblas_on_one_thread_unless_told_otherwise():
     # numpy starts the OpenBLAS pool as it loads, and a handler loads it after `cli`
     probe = ("import os, {}; print(len(os.listdir('/proc/self/task')), "
@@ -1018,10 +1022,11 @@ def test_cli_runs_openblas_on_one_thread_unless_told_otherwise():
     assert _child(probe("squaresums.expsum"), env=env).split()[1] == "None"  # library: untouched
 
 
-# Prints the CPU seconds that every thread but the main one spends during 50
-# v_sum calls at x = 10^6, once import-time thread start-up has settled.
+# Prints the CPU seconds that every thread but the main one spends during
+# argv[2] v_sum calls at x = argv[1], once import-time thread start-up has
+# settled, and then v(0) at that x.
 _WORKER_CPU_OF_V_SUM = """
-import os, time
+import os, sys, time
 from squaresums import expsum
 
 def workers_cpu():
@@ -1033,20 +1038,43 @@ def workers_cpu():
             ticks += int(utime) + int(stime)
     return ticks / os.sysconf("SC_CLK_TCK")
 
+x, calls = int(sys.argv[1]), int(sys.argv[2])
 time.sleep(0.5)
 before = workers_cpu()
-for i in range(50):
-    expsum.v_sum(i / 2e5, 10**6)
-print(workers_cpu() - before)
+for i in range(calls):
+    expsum.v_sum(i / 2e5, x)
+print(workers_cpu() - before, expsum.v_sum(0.0, x).real)
 """
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux") or (os.cpu_count() or 1) < 2,
-                    reason="reads /proc/self/task; OpenBLAS starts no worker on one CPU")
+@_NEEDS_BLAS_WORKERS
 def test_library_v_sum_wakes_no_blas_worker():
     """With OpenBLAS on its default thread count, v_sum leaves its workers idle."""
     env = {k: v for k, v in _child_env().items() if k != "OPENBLAS_NUM_THREADS"}
-    assert float(_child(_WORKER_CPU_OF_V_SUM, env=env)) < 0.02
+    assert float(_child(_WORKER_CPU_OF_V_SUM, str(10**6), "50", env=env).split()[0]) < 0.02
+
+
+@_NEEDS_BLAS_WORKERS
+def test_library_v_sum_at_2e8_is_small_and_single_threaded(tmp_path):
+    """At x = 2*10^8, where a row of the blocks is 14143 long, v_sum peaks
+    under 64 MiB above the same process at x = 1, leaves OpenBLAS's workers
+    idle, and sums v(0) as Euler-Maclaurin does."""
+    env = {k: v for k, v in _child_env().items() if k != "OPENBLAS_NUM_THREADS"}
+    x = 2 * 10**8
+    out, err = tmp_path / "out.txt", tmp_path / "err.txt"
+    peaks = {}
+    for n in (1, x):
+        argv = [sys.executable, "-c", _WORKER_CPU_OF_V_SUM, str(n), "20"]
+        code, peaks[n] = map(int, _child(_PEAK_SPAWNER, "300", str(out), str(err), *argv,
+                                         env=env, timeout=360).split())
+        assert code == 0, err.read_text()
+    worker_cpu, v0 = map(float, out.read_text().split())
+    assert peaks[x] - peaks[1] < 64 << 20, (peaks[x] - peaks[1]) / 2**20
+    assert worker_cpu < 0.02, worker_cpu
+    # sum_{m<=x} m^{-1/2} = 2 sqrt(x) + zeta(1/2) + x^{-1/2}/2 - x^{-3/2}/24 + O(x^{-7/2})
+    zeta_half = -1.4603545088095868
+    want = 0.5 * (2 * math.sqrt(x) + zeta_half + 0.5 / math.sqrt(x))
+    assert abs(v0 - want) <= 1e-12 * want, (v0, want)
 
 
 _RUN_IN_CHILD = """

@@ -1,6 +1,7 @@
 """Exponential sums against naive cmath evaluation and closed-form laws."""
 
 import cmath
+import functools
 import json
 import math
 import pathlib
@@ -77,6 +78,35 @@ def v_sum_unblocked(beta: float, x: int) -> complex:
     w = 1.0 / np.sqrt(np.arange(1, x + 1, dtype=np.float64))
     m = np.arange(1, x + 1, dtype=np.float64)
     return complex(0.5 * (w * np.exp((2j * np.pi * beta) * m)).sum())
+
+
+@functools.lru_cache(maxsize=2)
+def dense_weights(x: int) -> np.ndarray:
+    """m^{-1/2} at row i, column j of m = B i + j, B = isqrt(x) + 1, with
+    zeros at m = 0 and beyond x."""
+    B = math.isqrt(x) + 1
+    w = np.zeros((x // B + 1) * B)
+    w[1 : x + 1] = 1.0 / np.sqrt(np.arange(1, x + 1, dtype=np.float64))
+    return w.reshape(-1, B)
+
+
+def v_blocked_matrix(beta: float, x: int) -> complex:
+    """v(beta) in v_sum's blocks m = B i + j, B = isqrt(x) + 1, without its
+    interpolation: row sums over a dense (rows x B) matrix of every weight
+    m^{-1/2}, with the phases beta j and beta B i reduced mod 1 in Python ints."""
+    beta -= round(beta)
+    num, den = abs(beta).as_integer_ratio()
+    w = dense_weights(x)
+    rows, B = w.shape
+
+    def phases(ks):
+        return np.exp(2j * np.pi * np.array([num * k % den / den for k in ks]))
+
+    inner = phases(range(B))
+    parts = np.vecdot(w[:, None, :], np.stack((inner.real, inner.imag)))
+    outer = phases(range(0, rows * B, B))
+    v = complex(0.5 * (outer * (parts[:, 0] + 1j * parts[:, 1])).sum())
+    return v.conjugate() if beta < 0 else v
 
 
 def test_gauss_known_values():
@@ -190,31 +220,80 @@ V_BETAS = sorted(
 @pytest.mark.parametrize("x", [1, 2, 3, 4, 5, 960, 961, 962, 2 * 10**4])
 def test_v_matches_exact_phase_oracle(x):
     # x = k^2 - 1, k^2, k^2 + 1 (k = 2, 31) move the block width and the
-    # zero padding at the tail of the weight matrix across each edge
+    # length of the directly summed last row across each edge
     for beta in V_BETAS:
         got = expsum.v_sum(beta, x)
         want = v_exact_phase(beta, x)
         assert abs(got - want) <= 1e-12 * abs(want) + 1e-12, (x, beta, got, want)
 
 
-@pytest.mark.parametrize("x", [1, 2, 13, 14, 15, 960, 961])
-def test_weight_matrix_filled_in_chunks_is_bit_identical(x, monkeypatch):
-    # chunks of 7 weights end inside rows and at the matrix's zero tail
-    monkeypatch.setattr(expsum, "_WEIGHT_CHUNK", 7)
-    w = expsum._block_weights.__wrapped__(x)
-    flat = w.ravel()
-    assert flat[0] == 0 and not flat[x + 1 :].any()
-    assert (flat[1 : x + 1] == 1.0 / np.sqrt(np.arange(1, x + 1, dtype=np.float64))).all()
+@settings(max_examples=150)
+@given(
+    beta=st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(min_value=-1.0, max_value=1.0),
+        st.floats(min_value=-(2.0**-12), max_value=2.0**-12),
+    ),
+    x=st.integers(1, 3000),
+)
+@example(beta=0.1234567, x=53**2 - 1)
+@example(beta=-1 / 3, x=53**2)
+@example(beta=2.5e-7, x=53**2 + 1)
+@example(beta=0.5 - 2.0**-40, x=15)
+@example(beta=0.0, x=16)
+@example(beta=-(2.0**-13) / 3, x=17)
+def test_v_matches_exact_phase_oracle_everywhere(beta, x):
+    # the examples put x at k^2 - 1, k^2 and k^2 + 1, where the block width
+    # steps and the directly summed last row is full, two or three long
+    got = expsum.v_sum(beta, x)
+    want = v_exact_phase(beta, x)
+    assert abs(got - want) <= 1e-12 * abs(want) + 1e-12, (got, want)
 
 
-def test_weight_matrix_holds_no_matrix_sized_temporary():
+def test_v_matches_blocked_matrix_oracle():
+    x = 2 * 10**5
+    for beta in V_BETAS:
+        got = expsum.v_sum(beta, x)
+        want = v_blocked_matrix(beta, x)
+        assert abs(got - want) <= 1e-12 * abs(want) + 1e-12, (beta, got, want)
+
+
+def test_v_matches_blocked_matrix_oracle_on_major_arc_offsets():
+    # every positive offset of the frozen major-arc grid (the negative ones
+    # are conjugates under both evaluations)
+    cfg = FROZEN["major_arc"]
+    N, x = cfg["n_terms"], cfg["x"]
+    grid = np.linspace(-1.0, 1.0, cfg["betas_per_pair"])
+    for beta in [g / (4 * q * N) for q in range(1, cfg["q_max"] + 1) for g in grid if g > 0]:
+        got = expsum.v_sum(float(beta), x)
+        want = v_blocked_matrix(float(beta), x)
+        assert abs(got - want) <= 1e-12 * abs(want) + 1e-12, (beta, got, want)
+
+
+@pytest.mark.parametrize("x", [1, 2, 13, 14, 15, 960, 961, 10**6])
+def test_row_kernels_reproduce_the_weights(x):
+    # x = 13, 14 and 961 put two or three weights on the last row, 15 and 960 fill it
+    P, C = expsum._row_kernels(x)
+    weights = dense_weights(x)
+    (rows, B), K = weights.shape, expsum._CHEB_TERMS
+    assert P.shape == (K + 2, B) and C.shape == (max(rows - 2, 0), K)
+    assert (P[K] == weights[0]).all() and (P[K + 1] == weights[-1]).all()
+    full = np.vecdot(C[:, None, :], P[:K].T[None, :, :])  # row i of the interpolants at every j
+    # 5e-16 is the rounding of long double coefficients; a double long double rounds 10 times worse
+    tol = 1e-15 if np.finfo(np.longdouble).nmant > 52 else 1e-14
+    assert (abs(full - weights[1:-1]) <= tol * weights[1:-1]).all()
+
+
+def test_cold_v_sum_allocates_a_fraction_of_the_weights():
+    # the dense weights at 10^6 would take 8 MB; the kernels take 0.4 MB
+    expsum._row_kernels.cache_clear()
     tracemalloc.start()
     try:
-        w = expsum._block_weights.__wrapped__(10**6)
+        expsum.v_sum(2.5e-7, 10**6)  # the Python-int phases: den > 2^64
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= w.nbytes + 2 * 8 * expsum._WEIGHT_CHUNK, peak / w.nbytes
+    assert peak <= 2 << 20, peak / 2**20
 
 
 def test_v_matches_unblocked_formula_on_major_arc_offsets():
