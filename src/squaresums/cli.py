@@ -159,13 +159,12 @@ def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
         _require(args.limit <= LIMIT_CAP or args.override_limit, over)
         _require(args.threads >= 1, "--threads must be >= 1")
         # The memory check covers builds only: a --table read holds one block of the
-        # file at any limit. A pass writes over its table, so a build's peak RSS
-        # above a CLI process that has loaded numpy and the package but done no
-        # work (29 MiB; a bare --help is 16 MiB), measured at 10^7, is 4.1 B per
-        # entry for the fold's tables and 4.5 B for verify-meansquare (the int32
-        # table), 6 B for r_3 and r_4 by convolution (the int16 to int32 cast) and
-        # 12 B for r_8, the widest cast (int32 to int64). 16 B per entry covers
-        # every route.
+        # file at any limit. A pass writes over its table, widening it inside r_1's
+        # buffer, so a build's peak RSS above a CLI process that has loaded numpy
+        # and the package but done no work (29 MiB; a bare --help is 16 MiB) is, at
+        # 10^7, 4.1 B per entry for the fold's tables, 4.5 B for verify-meansquare
+        # and 4.0 B for r_3 and r_4 by convolution (int32 tables), and 7.2 B for
+        # r_8 at 5*10^5 (int64). 16 B per entry covers every route.
         if not getattr(args, "table_path", None):
             need = 16 * (args.limit + 1)
             ram = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")

@@ -10,15 +10,16 @@ at m = 0 and 2 at m >= 1. The fold's input is the lattice-enumerated r_2,
 never the r_1 convolution chain, so the two routes still check each other.
 The kernel writes each pass over its table in place: it sums cache-sized
 tiles (_TILE_BYTES each) from the top of the table down, into one scratch
-tile per worker, so a pass holds one table and a tile per worker, and a pass
-that widens holds the narrow and the wide copy only while it casts (the fold
-peaks at 4 B per entry, r_3 by convolution at 6 B, r_8 at 12 B). All
-arithmetic is exact: each pass runs in the narrowest of int16, int32 and
-int64 that holds its a-priori bound on every partial sum, so a narrow pass
-cannot overflow and runs unchecked. In int64, a tile whose bound stays below
-SAFE_LIMIT runs unchecked, any other checks each add and the doubling and
-raises instead of wrapping. Tiles are dealt to threads in turn; threads are
-capped at the CPU count.
+tile per worker, and a pass that widens the table widens it inside r_1's
+buffer, which build_rk reserves at the final width; so a build holds one
+table at its final width and a tile per worker (4 B per entry for the fold
+and for r_3 and r_4 by convolution, 8 B for r_8). All arithmetic is exact:
+each pass runs in the narrowest of int16, int32 and int64 that holds its
+a-priori bound on every partial sum, so a narrow pass cannot overflow and
+runs unchecked. In int64, a tile whose bound stays below SAFE_LIMIT runs
+unchecked, any other checks each add and the doubling and raises instead of
+wrapping. Tiles are dealt to workers in turn, and workers
+are capped at the CPU count.
 
 Table files: a CSV is any `#` lines, the header `n,count`, then one row per n
 from 0 up, both cells unsigned decimal without leading zeros, each line ended
@@ -96,6 +97,11 @@ class RepTable:
         return iter((self.counts,))
 
 
+def _width(need: float):
+    """The narrowest of int16, int32 and int64 whose maximum is above need."""
+    return next((t for t in (np.int16, np.int32) if need < np.iinfo(t).max), np.int64)
+
+
 def _tile_plan(src: np.ndarray, x: int, threads: int):
     """The width and output tiles of one _add_squares pass: (dtype, workers),
     where workers holds one list of tiles (lo, hi, guarded) for each of
@@ -111,9 +117,11 @@ def _tile_plan(src: np.ndarray, x: int, threads: int):
     narrowest of int16, int32 and int64 whose maximum is above both the last
     tile's bound, the largest, and max(src[0:x + 1]), so casting src to it is
     exact; a tile, and each worker's scratch tile, holds _TILE_BYTES of that
-    width. A narrow pass cannot overflow and is never guarded; an int64 tile
-    is unguarded only when its bound stays below SAFE_LIMIT. The maxima are kept running over blocks of one int64 tile, so
-    no x-sized array is made.
+    width, so a pass holds its table, widened in place (see _add_squares),
+    and a tile per worker. A narrow pass cannot overflow and is never guarded;
+    an int64 tile is unguarded only when its bound stays below SAFE_LIMIT. The
+    maxima are kept running over blocks of one int64 tile, so no x-sized array
+    is made.
     """
     block = _TILE_BYTES // 8  # an int64 tile; narrower tiles span 2 or 4 blocks
     tops = np.maximum.accumulate(
@@ -124,8 +132,7 @@ def _tile_plan(src: np.ndarray, x: int, threads: int):
         top = float(tops[(hi - 1) // block])
         return (1 + 2 * math.isqrt(hi - 1)) * top * 1.01
 
-    need = max(bound(x + 1), float(tops[-1]))
-    dtype = next((t for t in (np.int16, np.int32) if need < np.iinfo(t).max), np.int64)
+    dtype = _width(max(bound(x + 1), float(tops[-1])))
     size = _TILE_BYTES // np.dtype(dtype).itemsize
     tiles = []
     for lo in range(0, x + 1, size):
@@ -170,11 +177,13 @@ def _shift_add_in_place(table: np.ndarray, plan) -> None:
     written back only once every tile above it has been summed: `frontier` is
     the lowest tile that has been summed with every tile above it. The worker
     of the tile just below the frontier never waits, so the workers cannot
-    deadlock. A worker that raises wakes the others, which stop before their
-    next write-back; the table is then left part-updated.
+    deadlock. The calling thread is the first worker, and the others are
+    threads joined before the pass returns. A worker that raises wakes the
+    others, which stop before their next write-back; then the first exception
+    is raised again, and the table is left part-updated.
     """
     size = _TILE_BYTES // table.itemsize
-    frontier, failed = (table.size - 1) // size + 1, False
+    frontier, failed, errors = (table.size - 1) // size + 1, False, []
     turn = threading.Condition()
 
     def run(tiles):
@@ -191,47 +200,70 @@ def _shift_add_in_place(table: np.ndarray, plan) -> None:
                     frontier -= 1
                     turn.notify_all()
                 table[lo:hi] = tile
-        except BaseException:
+        except BaseException as exc:  # raised again once every worker has stopped
             with turn:
                 failed = True
+                errors.append(exc)
                 turn.notify_all()
-            raise
 
-    if len(plan) == 1:
-        run(plan[0])
-        return
-    from concurrent.futures import ThreadPoolExecutor  # local: only a multi-worker pass uses it
-
-    with ThreadPoolExecutor(max_workers=len(plan)) as pool:
-        for fut in [pool.submit(run, tiles) for tiles in plan]:
-            fut.result()
+    workers = [threading.Thread(target=run, args=(tiles,)) for tiles in plan[1:]]
+    for worker in workers:
+        worker.start()
+    run(plan[0])
+    for worker in workers:
+        worker.join()
+    if errors:
+        raise errors[0]
 
 
 def _add_squares(src: np.ndarray, x: int, threads: int, passes: int = 1) -> np.ndarray:
     """`passes` times over, exact src[n] + 2 * sum over 1 <= m, m^2 <= n of
     src[n - m^2] for n <= x, written over src[0:x + 1]: src convolved with r_1.
 
-    Each pass runs at its own width (see _tile_plan): the narrowest of int16,
-    int32 and int64 that holds its bound. A pass whose width is the table's
-    updates it in place; any other first casts the table to its width and lets
-    the old copy go, so only a cast holds two copies (src itself is freed only
-    if the caller holds no other reference to it). Only the int64 tiles whose
-    bound reaches SAFE_LIMIT are checked. Returns the table of the last pass.
+    Each pass runs at its own width (see _tile_plan), the narrowest of int16,
+    int32 and int64 that holds its bound. src must start the buffer under it
+    (table.base), which it lends to wider passes: a pass that widens the table
+    widens it inside that buffer when it has room, as _r1 reserves it, one
+    tile at a time from the top down. Wide chunk [lo, lo + step) covers only
+    narrow entries at or above lo, so none is overwritten before it is cast
+    (through a temporary: numpy 2.4 writes zeros in an overlapping casting
+    assignment). So a build holds one table, at its final width, and a scratch
+    tile per worker. Any other cast copies the table: a narrowing pass (the
+    fold's int16 pass over its int32 lattice, up to about 3*10^4) or a
+    widening one without room (a caller's array of x + 1 entries, or a fold
+    that needs int64, far past the CLI's limit cap). Only the int64 tiles whose
+    bound reaches SAFE_LIMIT are checked. Returns the last pass's table.
     """
     table = src[: x + 1]
     del src
     for _ in range(passes):
         dtype, plan = _tile_plan(table, x, threads)
-        table = table.astype(dtype, copy=False)  # exact: the width holds every entry
+        buf, width = table.base, np.dtype(dtype).itemsize
+        if width <= table.itemsize or buf is None or buf.nbytes < table.size * width:
+            table = table.astype(dtype, copy=False)
+        else:
+            wide, step = np.frombuffer(buf, dtype, table.size), _TILE_BYTES // width
+            for lo in reversed(range(0, table.size, step)):
+                wide[lo : lo + step] = table[lo : lo + step].astype(dtype)
+            table = wide
         _shift_add_in_place(table, plan)
     return table
 
 
-def _r1(x: int) -> np.ndarray:
-    """r_1 counts in int16: 2 at positive perfect squares, 1 at 0."""
+def _r1(x: int, passes: int = 0) -> np.ndarray:
+    """r_1 counts in int16: 2 at positive perfect squares, 1 at 0, at the start
+    of a zeroed buffer of x + 1 entries as wide as `passes` passes over it can
+    reach. A pass over counts of maximum M needs (1 + 2 * isqrt(x)) * M * 1.01
+    (see _tile_plan), so 2 * ((1 + 2 * isqrt(x)) * 1.01)^passes bounds the
+    last: int32 for r_3 at 10^6, int64 for r_8 at 5*10^5, as their passes
+    reach, and int64 for r_4 past about 2.6*10^5, which reaches int32. The
+    pages of a large buffer that no pass reaches hold no memory."""
     if x < 0:
         raise DomainError(f"limit must be >= 0, got {x}")
-    counts = np.zeros(x + 1, dtype=np.int16)
+    need = 2.0
+    for _ in range(passes):  # a float product: far past int64 it reaches inf, not an error
+        need *= (1 + 2 * math.isqrt(x)) * 1.01
+    counts = np.zeros(x + 1, dtype=_width(need)).view(np.int16)[: x + 1]
     counts[0] = 1
     roots = np.arange(1, math.isqrt(x) + 1, dtype=np.int64)
     counts[roots * roots] = 2
@@ -312,7 +344,8 @@ def _log_mean_bound(x: int, k: int) -> float:
 
 def build_rk(x: int, k: int, threads: int = 1) -> RepTable:
     """r_k table by iterated convolution against the one-square table: k - 1
-    passes of the square-shift kernel over r_1. A limit at which the mean
+    passes of the square-shift kernel over r_1, reserved at their widest
+    width (see _r1). A limit at which the mean
     count, and so some count, passes 2^63 (see _log_mean_bound) raises
     CountOverflowError before any pass."""
     if k < 1:
@@ -321,7 +354,7 @@ def build_rk(x: int, k: int, threads: int = 1) -> RepTable:
         return build_r1(x)
     if _log_mean_bound(x, k) > 63 * math.log(2) + 1e-6:  # the margin is far above the float error
         raise CountOverflowError("count accumulator exceeds 64-bit range")
-    counts = _add_squares(_r1(x), x, threads, k - 1)
+    counts = _add_squares(_r1(x, k - 1), x, threads, k - 1)
     return RepTable(order=k, limit=x, counts=counts)
 
 

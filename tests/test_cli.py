@@ -991,6 +991,9 @@ def test_imports_load_no_constants_thread_pool_or_numpy(tmp_path):
         (["tables", "--limit", "100", "--output", table], 0,
          ["squaresums._sieve", "squaresums.constants", "squaresums.expsum", "squaresums.singular",
           "squaresums.verify"]),
+        # two int32 tiles of 2^17 entries: two workers where there are two CPUs
+        (["tables", "--limit", "300000", "--threads", "2", "--output", table], 0,
+         ["concurrent.futures", "squaresums.verify"]),
         (["gauss", "--q", "12"], 0, ["squaresums.repcount", "squaresums.singular", "squaresums.verify"]),
         (["weyl-sweep", "--n-terms", "40", "--grid", "0.25"], 0,
          ["squaresums.repcount", "squaresums.singular", "squaresums.verify"]),
@@ -1219,6 +1222,29 @@ def test_a_fold_build_holds_8_bytes_per_entry(peak_tables, command, extra, outpu
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
 @pytest.mark.parametrize(
+    "extra, limit, per_entry",
+    [
+        (["--builder", "convolution"], _PEAK_LIMIT, 4.5),
+        (["--k", "8"], 5 * 10**5, 9),
+    ],
+    ids=["convolution", "r8"],
+)
+def test_a_convolution_build_widens_in_place(peak_tables, extra, limit, per_entry):
+    """tables --table-format binary by convolution peaks under `per_entry` B
+    per entry above an idle run: r_1's buffer is reserved at the final width
+    (int32 for r_3 at 2*10^6, int64 for r_8 at 5*10^5) and each widening pass
+    widens the table inside it. Measured on a 2-CPU Xeon: 3.8 and 7.1 B per
+    entry (5.5 and 11.2 when a widening pass cast a copy)."""
+    folder, idle = peak_tables
+    args = ["tables", "--limit", str(limit), "--table-format", "binary", *extra,
+            "--reproducible", "--output", str(folder / "out.bin")]
+    code, _, err, peak = _cli_peak(args, folder)
+    assert code == 0, err
+    assert peak - idle < per_entry * (limit + 1), (peak - idle) / (limit + 1)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
+@pytest.mark.parametrize(
     "args, q_flag, per_q",
     [
         (["constants"], "--b1-euler-q", 4),
@@ -1274,6 +1300,20 @@ def test_reading_a_10_7_table_holds_one_block(tmp_path):
     assert code == 0, err
     assert peak - idle < 4 << 20, (peak - idle) / 2**20
     assert out == _cli_peak([*args, "--limit", str(10**7)], tmp_path)[1]
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
+def test_a_10_7_convolution_build_widens_in_place(tmp_path):
+    """tables --builder convolution --limit 10^7 peaks under 4.5 B per entry
+    above an idle run: the int16 r_2 widens to int32 inside r_1's buffer."""
+    code, _, err, idle = _cli_peak(["verify-mean", "--limit", "100", "--reproducible"], tmp_path)
+    assert code == 0, err
+    args = ["tables", "--builder", "convolution", "--limit", str(10**7), "--table-format", "binary",
+            "--reproducible", "--output", str(tmp_path / "r3c.bin")]
+    code, _, err, peak = _cli_peak(args, tmp_path, timeout=600)
+    assert code == 0, err
+    assert peak - idle < 4.5 * (10**7 + 1), (peak - idle) / (10**7 + 1)
 
 
 @pytest.mark.slow

@@ -6,6 +6,7 @@ import os
 import stat
 import sys
 import threading
+import time
 import tracemalloc
 from types import SimpleNamespace
 
@@ -254,6 +255,37 @@ def test_a_certain_overflow_is_refused_before_any_pass(monkeypatch):
         repcount.build_rk(5 * 10**5, 8)
 
 
+@pytest.mark.parametrize("failing", [4, 3, None], ids=["top", "below_top", "none"])
+def test_a_worker_error_ends_the_pass_and_no_worker_outlives_it(failing, small_tiles, monkeypatch):
+    # an error other than overflow, in either worker's tile, ends the pass
+    # with that error; on success or failure, every thread the pass started
+    # has ended when it returns. Of the five tiles, worker 0 sums 4, 2, 0 and
+    # worker 1 sums 3, 1, each 50 ms late, so a pass that returned at tile
+    # 4's error without joining would leave worker 1 running
+    monkeypatch.setattr(repcount.os, "cpu_count", lambda: 2)
+    tile = _tile(np.int16)
+    x = 5 * tile - 1
+    add = repcount._add_tile
+
+    def add_or_fail(out, lo, src, guarded):
+        if failing is not None and lo == failing * tile:
+            raise RuntimeError(f"tile {failing} failed")
+        if lo // tile % 2:
+            time.sleep(0.05)
+        add(out, lo, src, guarded)
+
+    monkeypatch.setattr(repcount, "_add_tile", add_or_fail)
+    src = np.ones(x + 1, np.int16)
+    expected = add_squares_oracle(src, x)
+    before = set(threading.enumerate())
+    outcome = _within(60, lambda: repcount._add_squares(src, x, 2))
+    assert set(threading.enumerate()) == before
+    if failing is None:
+        assert (outcome == expected).all()
+    else:
+        assert isinstance(outcome, RuntimeError) and str(outcome) == f"tile {failing} failed"
+
+
 @pytest.mark.parametrize("failing", [4, 3], ids=["top", "below_top"])
 def test_overflow_under_two_workers_raises(failing, small_tiles, monkeypatch):
     # 2^61 + 1 at n0 and at n0 + 3 meet only at n0 + 4 = n0 + 2^2 = (n0 + 3) + 1^2,
@@ -444,6 +476,29 @@ def test_r8_passes_widen_as_their_bounds_grow(r8_passes):
     assert (table.counts == r8_jacobi_oracle(table.limit)).all()
 
 
+def test_the_reserved_width_holds_every_pass(r8_passes, monkeypatch):
+    # the width _r1 reserves, from the limit and the pass count alone, is
+    # never narrower than a pass: at 5*10^5 it is r_8's last width, and no
+    # build_rk pass casts a copy
+    _, passes = r8_passes
+    assert repcount._r1(500_000, 7).base.dtype == passes[-1][0] == np.int64
+    plan, widths = repcount._tile_plan, []
+
+    def record(*args):
+        dtype, workers = plan(*args)
+        widths.append(np.dtype(dtype).itemsize)
+        return dtype, workers
+
+    monkeypatch.setattr(repcount, "_tile_plan", record)
+    for x in (0, 1, 100, 2000, 30_000):
+        for k in range(2, 9):
+            widths.clear()
+            table = repcount.build_rk(x, k)
+            reserved = repcount._r1(x, k - 1).base.itemsize
+            assert max(widths) <= reserved, (x, k)
+            assert table.counts.base.nbytes == (x + 1) * reserved  # r_1's buffer, not a copy
+
+
 @pytest.mark.parametrize("x", [2000, 100_000])
 @pytest.mark.parametrize(
     "build, width",
@@ -484,13 +539,17 @@ def test_tables_keep_their_last_pass_width(build, width, x, tmp_path, monkeypatc
     "build, x, width, per_entry",
     [
         (repcount.build_r3_fold, 2 * 10**5, np.int32, 4),
-        (lambda x: repcount.build_rk(x, 8), 10**5, np.int64, 12),
+        (lambda x: repcount.build_rk(x, 3), 2 * 10**5, np.int32, 4),
+        (lambda x: repcount.build_rk(x, 8), 10**5, np.int64, 8),
     ],
-    ids=["fold", "r8"],
+    ids=["fold", "rk3", "r8"],
 )
 def test_builds_hold_one_table_and_scratch_tiles(build, x, width, per_entry, monkeypatch):
     # a pass writes over its table: the fold holds its int32 table and one
-    # scratch tile; r_8 holds two copies only while it casts int32 to int64
+    # scratch tile; by convolution, r_1's buffer is reserved at the final
+    # width and each widening pass widens inside it, through one tile-sized
+    # temporary, so r_3 holds 4 B per entry and r_8 8 B (6 and 12 when a
+    # widening pass cast a copy)
     monkeypatch.setattr(repcount, "_TILE_BYTES", 2**15)
     tracemalloc.start()
     try:
@@ -534,15 +593,61 @@ def test_tiled_kernel_matches_untiled_oracle(x, threads, small_tiles, monkeypatc
     @settings(max_examples=25)
     @given(src=_add_squares_case(x))
     def check(src):
+        # a caller's own int64 array, which lends no room, and the same counts
+        # at their narrowest width at the start of an int64 buffer, as _r1
+        # reserves r_1: a wider pass widens them in place, chunk by chunk
+        reserved = np.zeros(x + 1, np.int64).view(repcount._width(int(src.max())))[: x + 1]
+        reserved[:] = src
         try:
             expected = add_squares_oracle(src, x)
         except CountOverflowError:
-            with pytest.raises(CountOverflowError):
-                repcount._add_squares(src, x, threads)
+            for source in (src, reserved):
+                with pytest.raises(CountOverflowError):
+                    repcount._add_squares(source, x, threads)
             return
         assert (repcount._add_squares(src, x, threads) == expected).all()
+        out = repcount._add_squares(reserved, x, threads)
+        assert np.shares_memory(out, reserved)
+        assert (out == expected).all()
 
     check()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("x", [1025, 2049, 3 * 2048 + 7])
+def test_passes_widen_in_place_as_the_oracle_sums(x, threads, small_tiles, monkeypatch):
+    # three passes over int16 counts in an int64 buffer: int32, int32, then
+    # int64, each widening pass written top-down over chunks that the limit
+    # does not fill (int32 chunks of 1024 entries, int64 of 512)
+    monkeypatch.setattr(repcount.os, "cpu_count", lambda: 8)
+    plan, widths = repcount._tile_plan, []
+
+    def record(*args):
+        dtype, workers = plan(*args)
+        widths.append(dtype)
+        return dtype, workers
+
+    monkeypatch.setattr(repcount, "_tile_plan", record)
+    counts = np.random.default_rng(x).integers(0, 2**15, x + 1)
+    src = np.zeros(x + 1, np.int64).view(np.int16)[: x + 1]
+    src[:] = counts
+    out = repcount._add_squares(src, x, threads, 3)
+    assert widths == [np.int32, np.int32, np.int64]
+    assert out.dtype == np.int64 and np.shares_memory(out, src)
+    for _ in range(3):
+        counts = add_squares_oracle(counts, x)
+    assert (out == counts).all()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_narrowing_fold_pass_copies_as_the_oracle_sums(threads, small_tiles):
+    # to about 3*10^4 the fold's pass is int16, over its int32 lattice: a
+    # narrowing cast copies rather than writing over the lattice
+    x = 2000
+    expected = add_squares_oracle(repcount._r2_lattice(x).astype(np.int64), x)
+    table = repcount.build_r3_fold(x, threads)
+    assert table.counts.dtype == np.int16
+    assert (table.counts == expected).all()
 
 
 def _need(x, top):
