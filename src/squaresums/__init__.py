@@ -9,9 +9,10 @@ Submodules:
     cli        command-line frontend (entry point: squaresums)
 
 Submodules are imported on use (`from squaresums import repcount`), not by
-this package, so a process loads only what it runs: mpmath loads only in
-`constants`, for Gamma. Nothing here imports numpy, so `cli` can set up the
-environment numpy reads at import.
+this package, so a process loads only what it runs. The constants need no
+mpmath: `_binary` evaluates them, at any precision, in Python ints. Nothing
+here imports numpy, so `cli` can set up the environment numpy reads at
+import.
 """
 
 from .errors import (

@@ -35,9 +35,9 @@ N_TERMS_CAP = 10**7  # weyl_sum holds about 40 B per term: about 0.4 GB at the c
 GRID_POINTS_CAP = 10**6  # weyl-sweep evaluates ceil(1 / --grid) points
 WEYL_TERMS_CAP = 10**9  # --n-terms times the points: weyl_sum takes about 65 ns a term, 65 s at the cap
 GAUSS_Q_CAP = 2**16  # listing S(q, a) for every coprime a costs O(q^2)
-B1_Q_CAP = 10**7  # the B1 totient sieves: 0.8 s and 45 MiB peak RSS at the cap
+B1_Q_CAP = 10**7  # the B1 totient sieves: 0.6 s and 40 MiB peak RSS at the cap
 W_ORDER_CAP = 198  # bounds --w-orders, and --k and --n (an order-k build is k - 1 passes)
-DIGITS_CAP = 1000  # every W_N up to W_ORDER_CAP to 1000 digits takes about 5 s
+DIGITS_CAP = 1000  # every W_N up to W_ORDER_CAP to 1000 digits: about 0.55 s and 32 MiB peak RSS
 
 
 class CliUsageError(Exception):
@@ -300,7 +300,7 @@ def _emit(args, result: Result) -> int:
                 for chunk in chunks:
                     fh.writelines(_json_floats(arrays[chunk]) if chunk in arrays else (chunk,))
             else:
-                while batch := "".join(islice(chunks, 1 << 16)):  # bounded memory, few writes
+                while batch := "".join(islice(chunks, 1 << 10)):  # bounded memory, few writes
                     fh.write(batch)
             fh.write("\n")
         else:
@@ -384,7 +384,7 @@ def _flatten(obj: dict, prefix: str = ""):
 
 
 def _handle_constants(args) -> Result:
-    from . import constants  # local: as every handler's; mpmath loads with phi(s), not with the module
+    from . import constants  # local: as every handler's
 
     obj = constants.constants_report(args.b1_direct_q, args.b1_euler_q, args.w_orders)
     if args.precision == "extended":

@@ -10,15 +10,17 @@ muller_assembly() built from Eisenstein scattering entries at s = 3/2.
 
 Each closed form (B1, C3, W_N, phi_{infty,iota}(s) and the spectral assembly)
 is written once, as a private function of its number system: a namespace with
-pi, mpf, ldexp and zeta (and sqrt, gamma and fsum where Gamma is needed), and
-numbers whose operations round. constants_extended passes mpmath, with 15
-guard digits beyond the digits it prints. The doubles of B1, C3 and W_N need
-zeta only at integers: they pass _Binary53, which rounds every operation once
-to 53 bits, as mpmath does at 53 bits of working precision, in plain Python
-ints. phi(s) and the assembly need Gamma at non-integer s and are evaluated by
-mpmath at 53 bits. mpmath is imported only by the functions that use it, so a
-process that needs only B1, C3 or W_N (verify-meansquare, verify-general)
-never loads it.
+pi, mpf, ldexp, zeta, sqrt, gamma and fsum, and numbers whose operations
+round. That number system is `_binary.Binary(P)`, binary floats with P-bit
+mantissas in Python ints, which rounds every operation and every primitive
+once, to nearest-even, as mpmath does at P bits of working precision. The
+doubles are the forms at P = 53; constants_extended evaluates them at the
+precision at which mpmath keeps 15 guard digits beyond the digits printed,
+and prints them as mpmath.nstr does. No module of the package imports mpmath.
+`_binary` is imported by the functions that use it. constants_report runs the
+B1 sieves first, and verify's series take their constant after the table's
+sums, so a CLI process holds that module's compiled code or those blocks,
+not both.
 """
 
 from __future__ import annotations
@@ -30,144 +32,12 @@ import numpy as np
 from .errors import DomainError, NotCoprimeError
 
 
-class _Binary53:
-    """The binary float m * 2^e, with int m and e, and the number system of the
-    double closed forms of B1, C3 and W_N.
-
-    `*`, `/`, `-` and `**` by an int round the exact result once, to nearest
-    with ties to even at 53 bits, with no bound on the exponent. That is what
-    the same float operation does where the result is a normal double, and
-    what mpmath does at 53 bits of working precision for every operation the
-    forms make; the tests check each form against mpmath bit for bit. An int
-    operand enters exactly, as in mpmath. As a number system: pi is
-    math.pi exactly, mpf(n) rounds the int n, ldexp(x, k) is exact, and
-    zeta(s) is correctly rounded (_zeta53).
-    """
-
-    __slots__ = ("m", "e")
-
-    def __init__(self, m: int, e: int = 0):
-        self.m, self.e = m, e
-
-    def __float__(self) -> float:
-        return math.ldexp(self.m, self.e)
-
-    @staticmethod
-    def _exact(x):
-        if isinstance(x, _Binary53):
-            return x
-        return _Binary53(x) if isinstance(x, int) else None
-
-    def __mul__(self, other):
-        if (o := self._exact(other)) is None:
-            return NotImplemented
-        return _rounded(self.m * o.m, 1, self.e + o.e)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if (o := self._exact(other)) is None:
-            return NotImplemented
-        return _rounded(self.m, o.m, self.e - o.e)
-
-    def __rtruediv__(self, other):
-        if (o := self._exact(other)) is None:
-            return NotImplemented
-        return _rounded(o.m, self.m, o.e - self.e)
-
-    def __sub__(self, other):
-        if (o := self._exact(other)) is None:
-            return NotImplemented
-        e = min(self.e, o.e)
-        return _rounded((self.m << (self.e - e)) - (o.m << (o.e - e)), 1, e)
-
-    def __rsub__(self, other):
-        if (o := self._exact(other)) is None:
-            return NotImplemented
-        return o - self
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return _rounded(1, self.m**-n, self.e * n)
-        return _rounded(self.m**n, 1, self.e * n)
-
-    @staticmethod
-    def mpf(n: int):
-        return _rounded(n, 1, 0)
-
-    @staticmethod
-    def ldexp(x, k: int):
-        return _Binary53(x.m, x.e + k)
-
-    @staticmethod
-    def zeta(s: int):
-        return _zeta53(s)
-
-
-def _rounded(num: int, den: int, e: int) -> _Binary53:
-    """num / den * 2^e rounded once to 53 bits, ties to even."""
-    if not den:
-        raise ZeroDivisionError("division by zero")
-    if den < 0:
-        num, den = -num, -den
-    if not num:
-        return _Binary53(0)
-    mag = abs(num)
-    shift = 55 - mag.bit_length() + den.bit_length()  # the quotient has 55 or 56 bits
-    q, rest = divmod(mag << max(shift, 0), den << max(-shift, 0))
-    drop = q.bit_length() - 53
-    m, low, half = q >> drop, q & ((1 << drop) - 1), 1 << (drop - 1)
-    if low > half or (low == half and (rest or m & 1)):
-        m += 1  # 2^53 at most, still exact
-    return _Binary53(-m if num < 0 else m, e - shift + drop)
-
-
-_Binary53.pi = _rounded(*math.pi.as_integer_ratio(), 0)  # exact: math.pi is a double
-
-
-def _zeta53(s: int) -> _Binary53:
-    """zeta(s) for an int s >= 2, correctly rounded to 53 bits.
-
-    Borwein's series (An efficient algorithm for the Riemann zeta function,
-    CMS Conf. Proc. 27 (2000), Algorithm 2): with
-    d_k = n sum_{i<=k} (n+i-1)! 4^i / ((n-i)! (2i)!), integers,
-        zeta(s) = 2^(s-1) / (d_n (2^(s-1) - 1)) sum_{k<n} (-1)^k (d_n - d_k) / (k+1)^s + g_n,
-    |g_n| <= 3 / ((3 + sqrt 8)^n (1 - 2^(1-s))) < 6 (5/29)^n for real s >= 2.
-    At P fractional bits, n = 2P/5 + 2 terms, each floored, and the final
-    division floored, give an integer Z with |zeta(s) 2^P - Z| < R =
-    1 + ceil(n 2^(s-1) / (d_n (2^(s-1) - 1))) + ceil(6 (5/29)^n 2^P), so R is
-    about 3 at any P. Both ends of [Z - R, Z + R] / 2^P are rounded; if they
-    round to the same double, that is zeta(s), correctly rounded; if not, P
-    doubles, from 64. This ends unless zeta(s) is exactly halfway between two
-    doubles; zeta(53), within 3^-53 of such a point, takes P = 128.
-    """
-    bits = 64
-    while True:
-        n = 2 * bits // 5 + 2
-        d, term = [1], 1
-        for i in range(1, n + 1):
-            term = term * 2 * (n + i - 1) * (n - i + 1) // (i * (2 * i - 1))
-            d.append(d[-1] + term)
-        total = sum((-1) ** k * (((d[n] - d[k]) << bits) // (k + 1) ** s) for k in range(n))
-        half = 1 << (s - 1)
-        den = d[n] * (half - 1)
-        z = total * half // den
-        radius = 1 - (-n * half // den) - ((-6 * 5**n << bits) // 29**n)  # ceilings
-        lo, hi = _rounded(z - radius, 1, -bits), _rounded(z + radius, 1, -bits)
-        if float(lo) == float(hi):
-            return lo
-        bits *= 2
-
-
 def _double(form, *args) -> float:
-    """`form(mpmath, *args)` at 53 bits: each step rounds as the same float
-    operation would. For the forms that need Gamma at non-integer s."""
-    import mpmath  # local: B1, C3 and W_N are doubles without it
+    """`form(BINARY53, *args)`: each step rounds as the same float operation
+    would where its result is a normal double, and as mpmath at 53 bits."""
+    from ._binary import BINARY53  # local: see the module docstring
 
-    with mpmath.workprec(53):
-        return float(form(mpmath, *args))
+    return float(form(BINARY53, *args))
 
 
 def _totient_at(p, pk):
@@ -185,6 +55,12 @@ def totient_sieve(Q: int) -> np.ndarray:
     return multiplicative(Q, np.int32, _totient_at)
 
 
+# Half the sieve's default block. The B1 sieve at Q = 10^6 is the peak of the
+# `constants` step: with 2^14 blocks it peaks 1 MiB lower at the same speed,
+# and at Q = 10^7 1 MiB lower and 0.08 s (15 %) slower.
+_B1_BLOCK = 1 << 14
+
+
 def _b1_blocks(Q: int, weigh):
     """Blocks of the float64 B1 terms weigh(phi(q)) / q^3 for q = 1..Q, one
     block of the totient sieve at a time; weigh(terms, lo) scales the block
@@ -193,7 +69,8 @@ def _b1_blocks(Q: int, weigh):
 
     if Q < 1:
         raise DomainError(f"Q must be >= 1, got {Q}")
-    return (_over_cubes(phi, lo, weigh) for lo, phi in multiplicative_blocks(Q, np.int32, _totient_at))
+    blocks = multiplicative_blocks(Q, np.int32, _totient_at, _B1_BLOCK)
+    return (_over_cubes(phi, lo, weigh) for lo, phi in blocks)
 
 
 def _over_cubes(phi, lo, weigh):
@@ -306,12 +183,12 @@ def _assembly(num):
 
 def b1_closed() -> float:
     """B1 in closed form: 8 zeta(2) / (7 zeta(3))."""
-    return float(_b1(_Binary53))
+    return _double(_b1)
 
 
 def mean_square_constant() -> float:
     """C3 = 8 pi^4 / (21 zeta(3)), the x^2 coefficient of sum r_3(n)^2."""
-    return float(_c3(_Binary53))
+    return _double(_c3)
 
 
 def w_constant(N: int) -> float:
@@ -319,19 +196,25 @@ def w_constant(N: int) -> float:
     1/((N-1)(1-2^{-N})) * pi^N / Gamma(N/2)^2 * zeta(N-1)/zeta(N)."""
     if N < 3:
         raise DomainError(f"w_constant requires N >= 3, got {N}")
-    return float(_w(_Binary53, int(N)))
+    return _double(_w, int(N))
+
+
+_PHI_S_CAP = 1024  # phi(s) < 4^-s sqrt(pi) is 0.0 as a double from s = 540
 
 
 def eisenstein_phi(iota: str, s: float) -> float:
-    """Scattering entry phi_{infty,iota}(s) for the cusp class "1", "1/2" or "1/4".
+    """Scattering entry phi_{infty,iota}(s) for the cusp class "1", "1/2" or "1/4",
+    at an integer or half-integer s with 1 < s <= 1024 (3/2 is the one the
+    assembly uses), where every Gamma and zeta value it needs is at an integer
+    or a half-integer.
 
     The 1/4 cusp carries 2^{1-4s}/(1-2^{-2s}), the cusps 1 and 1/2 both carry
     2^{-2s}(1-2^{1-2s})/(1-2^{-2s}), times the shared factor
     sqrt(pi) Gamma(s-1/2) zeta(2s-1) / (Gamma(s) zeta(2s)).
     """
     s = float(s)
-    if not s > 1.0:
-        raise DomainError(f"eisenstein_phi requires s > 1, got {s}")
+    if not (1.0 < s <= _PHI_S_CAP and (2 * s).is_integer()):
+        raise DomainError(f"eisenstein_phi requires an integer or half-integer s in (1, {_PHI_S_CAP}], got {s}")
     if not (isinstance(iota, str) and iota in _CUSPS):
         raise DomainError(f"unknown cusp label {iota!r}; use '1', '1/2' or '1/4'")
     return _double(_phi, iota, s)
@@ -366,13 +249,12 @@ def constants_report(
     """Every double-precision constant, nested as the `constants` subcommand
     prints it. Raises DomainError unless both constants are positive, C3 agrees
     with 2 pi^2 B1 to 1e-12 relative and the spectral route agrees with C3 to 1e-10."""
+    direct, euler = b1_direct(b1_direct_Q), b1_euler(b1_euler_Q)  # before _binary loads
     b1, c3 = b1_closed(), mean_square_constant()
     if not (b1 > 0.0 and c3 > 0.0):
         raise DomainError("constants must be positive")
     if abs(c3 - 2.0 * math.pi**2 * b1) > 1e-12 * c3:
         raise DomainError("c3 and 2 pi^2 B1 disagree")
-    # the sieves run before Gamma loads mpmath (2.9 MiB): a process holds one or the other
-    direct, euler = b1_direct(b1_direct_Q), b1_euler(b1_euler_Q)
     spectral = muller_assembly()
     if abs(spectral - c3) > 1e-10:
         raise DomainError("spectral-route constant disagrees with c3")
@@ -397,13 +279,16 @@ def constants_report(
 def constants_extended(digits: int = 30, w_orders=(3, 4, 5, 6)) -> dict[str, str]:
     """The closed-form constants to `digits` significant digits.
 
-    Truncated sums stay in the double-precision report.
+    The forms are evaluated at P = round((digits + 16) log2(10)) bits, the
+    precision mpmath works at with 15 guard digits (its dps_to_prec(digits +
+    15)), and printed as mpmath.nstr prints them. Truncated sums stay in the
+    double-precision report.
     """
     if digits < 1:
         raise DomainError("digits must be >= 1")
-    import mpmath  # local: the double report loads it only for Gamma
+    from ._binary import Binary, nstr  # local: see the module docstring
 
-    with mpmath.workdps(digits + 15):
-        values = {"b1_closed": _b1(mpmath), "c3": _c3(mpmath), "muller_b": _assembly(mpmath)}
-        values.update((f"w_{N}", _w(mpmath, int(N))) for N in w_orders)
-        return {key: mpmath.nstr(value, digits) for key, value in values.items()}
+    num = Binary(round((digits + 16) * 3.3219280948873626))
+    values = {"b1_closed": _b1(num), "c3": _c3(num), "muller_b": _assembly(num)}
+    values.update((f"w_{N}", _w(num, int(N))) for N in w_orders)
+    return {key: nstr(value, digits) for key, value in values.items()}

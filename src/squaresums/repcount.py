@@ -350,6 +350,8 @@ def build_rk(x: int, k: int, threads: int = 1) -> RepTable:
     CountOverflowError before any pass."""
     if k < 1:
         raise DomainError(f"order must be >= 1, got {k}")
+    if x < 0:  # before _log_mean_bound, which takes sqrt(x)
+        raise DomainError(f"limit must be >= 0, got {x}")
     if k == 1:
         return build_r1(x)
     if _log_mean_bound(x, k) > 63 * math.log(2) + 1e-6:  # the margin is far above the float error

@@ -168,11 +168,21 @@ def _prefix_at(blocks, xs: list[int], square: bool) -> dict[int, int]:
     return out
 
 
-def _series(table, xs, main_of, square: bool) -> list[Checkpoint]:
+def _constants():
+    from . import constants  # local: the sweep and fit need no constant
+
+    return constants
+
+
+def _series(table, xs, square: bool, constant, power) -> list[Checkpoint]:
+    """The checkpoints at xs against the main term constant() * x^power.
+    constant() runs after the sums, so the module that computes it loads once
+    the table's blocks are gone: a process holds the one or the other."""
     sums = _prefix_at(table.blocks(), xs, square)
+    c = constant()
     cps = []
     for x in xs:
-        main = main_of(x)
+        main = c * float(x) ** power
         ps = sums[x]
         abs_err = abs(ps - main)
         cps.append(
@@ -190,27 +200,21 @@ def _series(table, xs, main_of, square: bool) -> list[Checkpoint]:
 def mean_value_series(table: repcount.RepTable | repcount.TableFile, checkpoints) -> list[Checkpoint]:
     """Sum of r_3(n) over 1 <= n <= x against the main term (4/3) pi x^{3/2}."""
     xs = _validate_grid(table, checkpoints, order=3)
-    return _series(table, xs, lambda x: (4.0 / 3.0) * math.pi * x**1.5, square=False)
+    return _series(table, xs, False, lambda: (4.0 / 3.0) * math.pi, 1.5)
 
 
 def mean_square_series(table: repcount.RepTable | repcount.TableFile, checkpoints) -> list[Checkpoint]:
     """Sum of r_3(n)^2 over 1 <= n <= x against C3 x^2."""
-    from .constants import mean_square_constant  # local: the sweep and fit need no constant
-
     xs = _validate_grid(table, checkpoints, order=3)
-    c3 = mean_square_constant()
-    return _series(table, xs, lambda x: c3 * float(x) ** 2, square=True)
+    return _series(table, xs, True, lambda: _constants().mean_square_constant(), 2)
 
 
 def mean_square_general(N: int, table: repcount.RepTable | repcount.TableFile, checkpoints) -> list[Checkpoint]:
     """Sum of r_N(n)^2 over 1 <= n <= x against W_N x^{N-1}, for N > 3."""
     if N <= 3:
         raise DomainError(f"mean_square_general requires N > 3, got {N}")
-    from .constants import w_constant  # local: the sweep and fit need no constant
-
     xs = _validate_grid(table, checkpoints, order=N)
-    wn = w_constant(N)
-    return _series(table, xs, lambda x: wn * float(x) ** (N - 1), square=True)
+    return _series(table, xs, True, lambda: _constants().w_constant(N), N - 1)
 
 
 def fit_error_exponent(checkpoints) -> FitResult:

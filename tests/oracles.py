@@ -1,10 +1,13 @@
-"""Test-side references for the count tables and the singular series. None of
-them calls repcount or singular, so a defect in their kernels cannot hide in a
-comparison with one of these."""
+"""Test-side references for the count tables, the singular series and the
+scattering entries. None of them calls repcount or singular, so a defect in
+their kernels cannot hide in a comparison with one of these; the scattering
+entry evaluates the package's closed form in mpmath, off the half-integers
+too."""
 
 import itertools
 import math
 
+import mpmath
 import numpy as np
 
 from squaresums.errors import CountOverflowError
@@ -191,3 +194,13 @@ def a_profile(q: int) -> np.ndarray:
     real = np.ascontiguousarray(profile.real)
     real.setflags(write=False)
     return real
+
+
+def eisenstein_phi_mpmath(iota: str, s: float) -> float:
+    """phi_{infty,iota}(s) at any real s > 1: the package's closed form of
+    the scattering entry, evaluated by mpmath (Gamma and zeta off the
+    integers too) at 53 bits of working precision."""
+    from squaresums import constants
+
+    with mpmath.workprec(53):
+        return float(constants._phi(mpmath, iota, s))

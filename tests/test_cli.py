@@ -1,6 +1,7 @@
 """Command-line behavior: formats, exit codes, reproducibility."""
 
 import argparse
+import ast
 import contextlib
 import hashlib
 import io
@@ -978,7 +979,8 @@ def test_imports_load_no_constants_thread_pool_or_numpy(tmp_path):
     """Importing the CLI, --help and usage errors load no numpy and no compute
     module; each subcommand loads only the modules it runs."""
     loaded = "import sys, {}; print(sorted(set({!r}) & set(sys.modules)))".format
-    compute = ["numpy", "squaresums._sieve", "squaresums._util", "squaresums.constants", "squaresums.expsum",
+    compute = ["numpy", "squaresums._binary", "squaresums._sieve", "squaresums._util", "squaresums.constants",
+               "squaresums.expsum",
                "squaresums.repcount", "squaresums.singular", "squaresums.verify"]
     assert _child(loaded("squaresums.cli", ["concurrent.futures", "mpmath", *compute])) == "[]\n"
     assert _child(loaded("squaresums", ["numpy"])) == "[]\n"
@@ -1004,6 +1006,10 @@ def test_imports_load_no_constants_thread_pool_or_numpy(tmp_path):
          ["mpmath", "squaresums._sieve", "squaresums.expsum", "squaresums.singular"]),
         (["fit", "--input", str(series)], 0,
          ["mpmath", "squaresums.constants", "squaresums.repcount", "squaresums.singular"]),
+        (["constants", "--w-orders", "3,4", "--b1-euler-q", "1000"], 0,
+         ["mpmath", "squaresums._util", "squaresums.repcount", "squaresums.singular", "squaresums.verify"]),
+        (["constants", "--precision", "extended", "--digits", "30"], 0,
+         ["mpmath", "squaresums._util", "squaresums.repcount", "squaresums.singular", "squaresums.verify"]),
     ]:
         assert _child(_LOADED_AFTER_MAIN, json.dumps(argv), json.dumps(unloaded)) == f"{code} []\n", argv
 
@@ -1092,14 +1098,27 @@ for argv in json.loads(sys.argv[1]):
 """
 
 
+def test_no_package_module_imports_mpmath():
+    """mpmath is a test dependency: no module of the package imports it, at
+    module level or inside a function."""
+    package = pathlib.Path(cli.__file__).resolve().parent
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = [alias.name for alias in node.names] if isinstance(node, ast.Import) else (
+                [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            assert not [n for n in names if n.split(".")[0] == "mpmath"], (path.name, node.lineno)
+
+
 @pytest.mark.parametrize("last", [
     "constants --w-orders 3,4 --format csv",
     "constants --precision extended --digits 20 --w-orders 3,4 --format text",
 ])
 def test_only_a_constant_loads_mpmath(last, tmp_path):
-    """In one fresh process, every other subcommand runs without mpmath, C3
-    and W_N in verify-meansquare and verify-general included; then `last`
-    loads it on demand, for Gamma. Stdout keeps its pins."""
+    """In one fresh process every subcommand runs without loading mpmath, C3
+    and W_N in verify-meansquare and verify-general included; then `last`, a
+    constants report, runs without it too, Gamma and the extended digits
+    included. The name is kept from when `last` loaded mpmath for Gamma; now
+    no run does. Stdout keeps its pins."""
     runs = [
         "tables --limit 400 --k 3 --output TABLE",
         "verify-mean --limit 400 --checkpoints 100,400 --format csv --table TABLE",
@@ -1116,7 +1135,7 @@ def test_only_a_constant_loads_mpmath(last, tmp_path):
     argvs = [[files.get(arg, arg) for arg in run.split()] for run in runs]
     report = [json.loads(line) for line in _child(_RUN_IN_CHILD, json.dumps(argvs)).splitlines()]
     assert [code for code, _, _ in report] == [0] * len(runs)
-    assert [loaded for _, loaded, _ in report] == [False] * (len(runs) - 1) + [True]
+    assert [loaded for _, loaded, _ in report] == [False] * len(runs)
     pins = {args: digest for args, _, digest in PINNED}
     keys = [run.replace(" --table TABLE", "") for run in runs]
     pinned = [(key, digest) for key, (_, _, digest) in zip(keys, report) if key in pins]
@@ -1199,6 +1218,20 @@ def test_a_short_limit_reads_only_its_rows(peak_tables):
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
+def test_json_is_written_in_bounded_batches(peak_tables):
+    """gauss --q 4096 as JSON, about 41 000 encoder chunks, peaks within
+    0.5 MiB of the same rows as CSV: the chunks are joined and written 1024
+    at a time. Peaks on a 2-CPU Xeon, medians of 7: JSON 29.49 MiB, CSV
+    29.52, and JSON 31.5 while every write joined up to 65 536 chunks."""
+    folder, idle = peak_tables
+    peaks = {}
+    for fmt in ("json", "csv"):
+        code, _, err, peaks[fmt] = _cli_peak(["gauss", "--q", "4096", "--format", fmt, "--reproducible"], folder)
+        assert code == 0, err
+    assert peaks["json"] - peaks["csv"] < 1 << 19, {fmt: (peak - idle) / 2**20 for fmt, peak in peaks.items()}
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
 @pytest.mark.parametrize(
     "command, extra, output",
     [
@@ -1258,9 +1291,9 @@ def test_a_sieve_holds_its_outputs_and_blocks(tmp_path, args, q_flag, per_q):
     Q = 1. The sieve holds its table of f at the primes up to Q / 2, Q / 4
     entries (1 B per q for the int32 totients, 2 for the float64 terms), and
     one block; the B1 sums, the text dump (S3(n, Q) alone) and the sweep hold
-    no Q-sized array. Measured on a 2-CPU Xeon: 2.0, 3.1 and 2.9 B per q
-    (12.4, 17.0 and 16.5 with a whole-range sieve; the text dump 11.2 when it
-    held its float64 terms)."""
+    no Q-sized array. Measured on a 2-CPU Xeon: 1.0 (the B1 sums sieve in
+    2^14 blocks), 3.1 and 2.9 B per q (12.4, 17.0 and 16.5 with a whole-range
+    sieve; the text dump 11.2 when it held its float64 terms)."""
     code, _, err, idle = _cli_peak([*args, q_flag, "1", "--reproducible"], tmp_path)
     assert code == 0, err
     code, _, err, peak = _cli_peak([*args, q_flag, str(_PEAK_LIMIT), "--reproducible"], tmp_path)

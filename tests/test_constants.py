@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import sieve_oracle
-from squaresums import _sieve, constants
+from oracles import eisenstein_phi_mpmath, sieve_oracle
+from squaresums import _binary, _sieve, constants
 from squaresums.cli import W_ORDER_CAP
 from squaresums._sieve import SIEVE_BLOCK, multiplicative, multiplicative_blocks, pairwise_sum
 from squaresums.errors import DomainError, NotCoprimeError
@@ -51,7 +51,7 @@ def b1_direct_via_sums(Q: int) -> float:
 
 
 def test_zeta_matches_classical_values():
-    for route in (zeta, lambda s: float(constants._zeta53(int(s)))):
+    for route in (zeta, lambda s: float(_binary.BINARY53.zeta(int(s)))):
         assert route(2.0) == pytest.approx(math.pi**2 / 6, abs=1e-14)
         assert route(4.0) == pytest.approx(math.pi**4 / 90, abs=1e-14)
         assert route(3.0) == pytest.approx(ZETA_3, abs=1e-14)
@@ -66,12 +66,17 @@ def test_zeta_matches_mpmath_off_integers():
 
 
 def test_closed_form_doubles_are_mpmath_at_53_bits_bit_for_bit():
-    """B1, C3 and every W_N the CLI accepts, against the same forms evaluated
-    by mpmath at 53 bits of working precision."""
+    """B1, C3, every W_N the CLI accepts, phi(3/2) at each cusp, b_plus and the
+    assembly, against the same forms evaluated by mpmath at 53 bits of
+    working precision."""
     assert constants.b1_closed() == mpmath53(constants._b1)
     assert constants.mean_square_constant() == mpmath53(constants._c3)
     for N in range(3, W_ORDER_CAP + 1):
         assert constants.w_constant(N) == mpmath53(constants._w, N), N
+    for iota in ("1", "1/2", "1/4"):
+        assert constants.eisenstein_phi(iota, 1.5) == mpmath53(constants._phi, iota, 1.5), iota
+    assert constants.muller_assembly() == mpmath53(constants._assembly)
+    assert constants._double(constants._b_plus) == mpmath53(constants._b_plus) == 1.0
 
 
 def test_zeta53_is_correctly_rounded():
@@ -80,7 +85,7 @@ def test_zeta53_is_correctly_rounded():
     for s in range(2, W_ORDER_CAP + 2):
         with mpmath.workprec(400):
             want = float(mpmath.zeta(s))
-        assert float(constants._zeta53(s)) == want, s
+        assert float(_binary.BINARY53.zeta(s)) == want, s
 
 
 # doubles m 2^e with |e| <= 400: every product, quotient and difference of two
@@ -96,7 +101,7 @@ _INTS = st.one_of(
 
 def binary53(x: float):
     num, den = x.as_integer_ratio()
-    return constants._Binary53(num, 1 - den.bit_length())
+    return _binary.Float(num, 1 - den.bit_length(), 53)
 
 
 @settings(max_examples=300)
@@ -116,15 +121,151 @@ def test_binary53_operations_round_as_floats_do(a, b):
 @settings(max_examples=300)
 @given(n=_INTS)
 def test_binary53_rounds_an_int_as_float_does(n):
-    assert float(constants._Binary53.mpf(n)) == float(n)
+    assert float(_binary.BINARY53.mpf(n)) == float(n)
 
 
 def test_binary53_ties_go_to_even():
     top = 2**53
     for n, want in [(top + 1, top), (top + 3, top + 4), (-(top + 1), -top), ((top + 1) << 70, 2.0**123)]:
-        assert float(constants._Binary53.mpf(n)) == want, n
-    third = constants._Binary53.mpf(1) / 3
+        assert float(_binary.BINARY53.mpf(n)) == want, n
+    third = _binary.BINARY53.mpf(1) / 3
     assert float(third) == 1 / 3 and float(1 - third) == 1 - 1 / 3
+
+
+def _mpf(x) -> mpmath.mpf:
+    """A Float as an mpmath float, exactly."""
+    with mpmath.workprec(max(abs(x.m).bit_length(), 2)):
+        return mpmath.mpf((x.m, x.e))
+
+
+def _same(ours, theirs) -> bool:
+    """Equal as numbers, compared exactly (not at the context precision)."""
+    with mpmath.workprec(abs(ours.m).bit_length() + 8):
+        return _mpf(ours) == theirs
+
+
+# the precisions the forms run at: 53 for the doubles, up to 3375 for 1000 digits
+_PRECS = st.integers(53, 3400)
+
+
+@st.composite
+def _floats_at(draw, prec):
+    """A float of the system at prec bits: prec-bit mantissas (or shorter,
+    with trailing zeros) and exponents wide of the double range."""
+    m = draw(st.integers(-(2**prec) + 1, 2**prec - 1))
+    return _binary.Float(m, draw(st.integers(-4000, 4000)), prec)
+
+
+@settings(max_examples=200)
+@given(data=st.data(), prec=_PRECS)
+def test_binary_operations_are_mpmath_at_p_bits_bit_for_bit(data, prec):
+    """*, /, -, **, mpf, ldexp and fsum at a random precision P, each against
+    the same operation of mpmath at P bits of working precision."""
+    x, y = data.draw(_floats_at(prec)), data.draw(_floats_at(prec))
+    n = data.draw(st.integers(-(2**prec), 2**prec))
+    f = data.draw(st.floats(allow_nan=False, allow_infinity=False))
+    k = data.draw(st.integers(-60, 60))
+    num = _binary.Binary(prec)
+    mx, my = _mpf(x), _mpf(y)
+    with mpmath.workprec(prec):
+        cases = [
+            (x * y, mx * my), (x - y, mx - my), (y - x, my - mx),
+            (x * n, mx * n), (n * x, n * mx), (x - n, mx - n), (n - x, n - mx),
+            (x * f, mx * f), (x - f, mx - f),
+            (num.mpf(n), mpmath.mpf(n)), (num.mpf(f), mpmath.mpf(f)),
+            (num.ldexp(x, k), mpmath.ldexp(mx, k)),
+            (num.fsum([x, y, n, f]), mpmath.fsum([mx, my, n, f])),
+        ]
+        if y.m:
+            cases += [(x / y, mx / my), (n / y, n / my)]
+        if x.m:
+            short = _binary.Float(x.m >> max(abs(x.m).bit_length() - 40, 0), x.e % 64, prec)
+            cases += [(short**k, _mpf(short) ** k),
+                      (short ** num.mpf(-k), _mpf(short) ** mpmath.mpf(-k))]
+    for i, (ours, theirs) in enumerate(cases):
+        assert _same(ours, theirs), (i, prec)
+
+
+@settings(max_examples=30)
+@given(prec=_PRECS, s=st.integers(2, W_ORDER_CAP + 1), n=st.integers(0, 40), data=st.data())
+def test_binary_primitives_are_mpmath_at_p_bits_bit_for_bit(prec, s, n, data):
+    """pi, zeta(s), sqrt, Gamma at an integer and at a half-integer at a
+    random precision P, each against mpmath at P bits. (mpmath's zeta may
+    return P + 20 bits, from an Euler product; unary + rounds it to P.)"""
+    num = _binary.Binary(prec)
+    x = data.draw(_floats_at(prec).filter(lambda x: x.m > 0))
+    with mpmath.workprec(prec):
+        cases = [
+            (num.pi, +mpmath.pi), (num.zeta(s), +mpmath.zeta(s)),
+            (num.sqrt(x), mpmath.sqrt(_mpf(x))), (num.sqrt(num.pi), mpmath.sqrt(mpmath.pi)),
+            (num.gamma(n + 1), mpmath.gamma(n + 1)),
+            (num.gamma(n + 0.5), mpmath.gamma(mpmath.mpf(n) + 0.5)),
+        ]
+    for i, (ours, theirs) in enumerate(cases):
+        assert _same(ours, theirs), (i, prec, s, n)
+
+
+def test_binary_primitives_reject_what_they_do_not_evaluate():
+    num = _binary.Binary(53)
+    for x in (0, -1, 1.25, 0.0, -0.5):
+        with pytest.raises(DomainError):
+            num.gamma(x)
+    for s in (1, 0, num.mpf(2.5)):
+        with pytest.raises(DomainError):
+            num.zeta(s)
+    with pytest.raises(DomainError):
+        num.sqrt(-2)
+    assert num.zeta(54).m == 1 << 52 and num.zeta(10**6).e == -52  # 1 from s > P on
+
+
+def _nstr_cases():
+    """(mantissa, exponent) pairs: tiny, huge, exact ints, trailing zeros and
+    runs of nines that round up into a new leading digit."""
+    yield from [(1, 0), (10, 0), (5, 1), (3, -1), (1, -3400), (3, 3300), (123450000, 0), (1, 100)]
+    for digits in (1, 3, 15):  # 0.99...96 and 99...96 at digits + 1 digits
+        yield from [(10 ** (digits + 1) - 4, 0), ((10 ** (digits + 1) - 4) * 5**40, -40)]
+    yield from [(2**70 - 1, -75), (-(2**60) - 7, -3000), (10**30, -1)]
+
+
+@settings(max_examples=300)
+@given(m=st.integers(-(2**3400), 2**3400), e=st.integers(-3400, 0), digits=st.integers(1, 1000))
+def test_nstr_is_mpmath_nstr(m, e, digits):
+    x = _binary.Float(m, e, 3400)
+    assert _binary.nstr(x, digits) == mpmath.nstr(_mpf(x) if m else mpmath.mpf(0), digits)
+
+
+def test_nstr_edge_cases_are_mpmath_nstr():
+    for m, e in _nstr_cases():
+        x = _binary.Float(m, e, 4000)
+        for digits in (1, 2, 3, 5, 6, 7, 15, 16, 30, 100, 1000):
+            assert _binary.nstr(x, digits) == mpmath.nstr(_mpf(x), digits), (m, e, digits)
+    assert _binary.nstr(_binary.Float(0, 5, 53), 7) == mpmath.nstr(mpmath.mpf(0), 7) == "0.0"
+    with pytest.raises(DomainError):
+        _binary.nstr(_binary.Float(1, 3600, 53), 10)
+
+
+def _extended_by_mpmath(digits: int, w_orders) -> dict[str, str]:
+    """The closed forms in mpmath with 15 guard digits, printed by mpmath.nstr:
+    what constants_extended printed while it ran on mpmath."""
+    with mpmath.workdps(digits + 15):
+        values = {"b1_closed": constants._b1(mpmath), "c3": constants._c3(mpmath),
+                  "muller_b": constants._assembly(mpmath)}
+        values.update((f"w_{N}", constants._w(mpmath, N)) for N in w_orders)
+        return {key: mpmath.nstr(value, digits) for key, value in values.items()}
+
+
+@pytest.mark.parametrize("digits", [1, 15, 20, 30, 100])
+def test_constants_extended_is_mpmath_to_the_digit(digits):
+    orders = range(3, W_ORDER_CAP + 1)
+    assert constants.constants_extended(digits, orders) == _extended_by_mpmath(digits, orders)
+
+
+@pytest.mark.slow
+def test_constants_extended_at_the_digit_cap_is_mpmath():
+    from squaresums.cli import DIGITS_CAP
+
+    orders = range(3, W_ORDER_CAP + 1)
+    assert constants.constants_extended(DIGITS_CAP, orders) == _extended_by_mpmath(DIGITS_CAP, orders)
 
 
 def test_totient_sieve_matches_gcd_count():
@@ -361,8 +502,17 @@ def test_eisenstein_phi_special_values():
     for label in ("1/3", 0.25, [1]):
         with pytest.raises(DomainError):
             constants.eisenstein_phi(label, 1.5)
-    with pytest.raises(DomainError):
-        constants.eisenstein_phi("1", 1.0)
+    for s in (1.0, 0.5, 1.25, 2.1, 1024.5, float("nan")):
+        with pytest.raises(DomainError):
+            constants.eisenstein_phi("1", s)
+
+
+def test_eisenstein_phi_is_the_general_form_at_half_integers():
+    """At integers and half-integers s > 1 the entry is the general-s form of
+    the reference, evaluated by mpmath at 53 bits, bit for bit."""
+    for s in (1.5, 2, 2.5, 3, 4.5, 7, 20.5, 100, 1024):
+        for iota in ("1", "1/2", "1/4"):
+            assert constants.eisenstein_phi(iota, s) == eisenstein_phi_mpmath(iota, s), (iota, s)
 
 
 def test_cusp_zero_coeff_values():

@@ -317,6 +317,16 @@ def test_table_validation():
         repcount.r3_point(-1)
 
 
+@pytest.mark.parametrize("k", range(1, 9))
+def test_a_negative_limit_is_a_domain_error_at_every_order(k):
+    """build_rk(-1, k) raises the DomainError that build_r1 and build_r3_fold
+    raise, not the math domain error of the overflow bound's square root."""
+    with pytest.raises(DomainError, match="limit must be >= 0"):
+        repcount.build_rk(-1, k)
+    with pytest.raises(DomainError, match="limit must be >= 0"):
+        repcount.build_r3_fold(-1)
+
+
 def test_counts_are_frozen(t3_fold):
     with pytest.raises(ValueError):
         t3_fold.counts[0] = 99
