@@ -162,9 +162,10 @@ def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
         # file at any limit. A pass writes over its table, widening it inside r_1's
         # buffer, so a build's peak RSS above a CLI process that has loaded numpy
         # and the package but done no work (29 MiB; a bare --help is 16 MiB) is, at
-        # 10^7, 4.1 B per entry for the fold's tables, 4.5 B for verify-meansquare
-        # and 4.0 B for r_3 and r_4 by convolution (int32 tables), and 7.2 B for
-        # r_8 at 5*10^5 (int64). 16 B per entry covers every route.
+        # 10^7, 3.5 B per entry for the fold's tables (its int32 class layout),
+        # 3.6 B for verify-meansquare, 4.0 B for r_3 and r_4 by convolution
+        # (int32 tables), and 7.2 B for r_8 at 5*10^5 (int64). 16 B per entry
+        # covers every route.
         if not getattr(args, "table_path", None):
             need = 16 * (args.limit + 1)
             ram = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")

@@ -4,16 +4,19 @@ k squares of integers (signs and order both count, so r_2(1) = 4).
 Tables are built by independent routes so they can be cross-checked entry by
 entry: a direct lattice enumeration for one and two squares, an exact integer
 convolution that stacks tables, and a two-square fold for k = 3. Every builder
-is made of passes of one square-shift kernel (_add_squares), the convolution
-with r_1: it adds copies of a table shifted by the squares m^2, with weight 1
-at m = 0 and 2 at m >= 1. The fold's input is the lattice-enumerated r_2,
-never the r_1 convolution chain, so the two routes still check each other.
-The kernel writes each pass over its table in place: it sums cache-sized
-tiles (_TILE_BYTES each) from the top of the table down, into one scratch
-tile per worker, and a pass that widens the table widens it inside r_1's
-buffer, which build_rk reserves at the final width; so a build holds one
-table at its final width and a tile per worker (4 B per entry for the fold
-and for r_3 and r_4 by convolution, 8 B for r_8). All arithmetic is exact:
+is made of passes of one square-shift kernel (_shift_add_in_place), the
+convolution with r_1: it adds copies of a table shifted by the squares m^2,
+with weight 1 at m = 0 and 2 at m >= 1. The fold's input is the
+lattice-enumerated r_2, never the r_1 convolution chain, and only the fold
+uses the 2-adic identities of r_2 and r_3, so the two routes still check each
+other. A pass runs over a table in natural order, or over the fold's class
+layout (see _fold): seven rows of n mod 8, of which it sums five. The kernel
+writes each pass over its table in place: it sums cache-sized tiles
+(_TILE_BYTES each) from the top of the table down, into one scratch tile per
+worker, and a pass that widens the table widens it inside r_1's buffer, which
+build_rk reserves at the final width; so a build holds one table at its
+final width and a tile per worker (3.5 B per entry for the fold, 4 B for r_3
+and r_4 by convolution, 8 B for r_8). All arithmetic is exact:
 each pass runs in the narrowest of int16, int32 and int64 that holds its
 a-priori bound on every partial sum, so a narrow pass cannot overflow and
 runs unchecked. In int64, a tile whose bound stays below SAFE_LIMIT runs
@@ -25,14 +28,15 @@ Table files: a CSV is any `#` lines, the header `n,count`, then one row per n
 from 0 up, both cells unsigned decimal without leading zeros, each line ended
 by LF or CRLF (the last may lack it); a binary file is a 16-byte header, then
 little-endian int64 counts. A built table keeps the width of its last pass
-(a fold table to 10^8 is int32, 4 B per entry): save_binary widens it to
-int64 one chunk at a time, and save_csv formats each chunk at its own width.
+(a fold table to 10^8 is int32, 3.5 B per entry). Both writers read it in
+natural order through RepTable.blocks: save_binary widens it to int64 one
+chunk at a time, and save_csv formats each chunk at its own width.
 TableFile is the one reader of either format. It takes a limit and reads the
 rows 0..limit once, as int64 blocks in row order: a CSV parsed _CSV_BLOCK
 bytes at a time, a binary body read _BIN_CHUNK counts at a time into one
 reused buffer. So a sum over a file holds one block at any limit
-(verify-meansquare --table r3.bin peaks at 30.5 MiB at 10^6 and at 10^7,
-against 29.2 MiB for a run that loads numpy and does no work).
+(verify-meansquare --table r3.bin peaks at 30.1 MiB at 10^6 and at 10^7,
+against 29.4 MiB for a run that loads numpy and builds a table to 100).
 """
 
 from __future__ import annotations
@@ -51,50 +55,64 @@ from ._util import SAFE_LIMIT, atomic_write
 
 _I64_MAX = (1 << 63) - 1
 _TILE_BYTES = 2**19  # bytes per shift-add output tile, resident in L2
-_CSV_CHUNK = 2**14  # table rows formatted per write
-_BIN_CHUNK = 2**16  # counts per binary write, and per block read
+_CSV_CHUNK = 2**13  # table rows formatted per write, and per block of a built table
+_BIN_CHUNK = 2**16  # counts per block read from a binary file
 _CSV_BLOCK = 2**16  # bytes of a CSV table parsed at a time
 
 _BINARY_MAGIC = b"RKTB"
 _HEADER = struct.Struct("<4sIQ")
 
 
-@dataclass(frozen=True, eq=False)
 class RepTable:
-    """Immutable counts r_k(n) for 0 <= n <= limit.
+    """Immutable counts r_k(n) for 0 <= n <= limit, in natural order (limit + 1
+    entries) or in the fold's class layout (see _fold), shape (7, limit // 8 + 1).
 
     Counts of int16, int32 or int64 keep their width: a built table holds the
-    output of its last _add_squares pass, with no int64 copy, and a caller's
-    array is shared through a read-only view (the caller's stays writable).
-    Any other dtype is converted to int64. A reader that squares or sums the
-    counts must widen them first (verify._chunk_sum widens one chunk at a time).
+    output of its last pass, with no int64 copy, and a caller's array is
+    shared through a read-only view (the caller's stays writable). Any other
+    dtype is converted to int64. A reader that squares or sums the counts
+    must widen them first (verify._chunk_sum widens one chunk at a time).
     """
 
-    order: int
-    limit: int
-    counts: np.ndarray
+    __slots__ = ("order", "limit", "_held")
 
-    def __post_init__(self):
-        if self.order < 1:
-            raise DomainError(f"order must be >= 1, got {self.order}")
-        if self.limit < 0:
-            raise DomainError(f"limit must be >= 0, got {self.limit}")
-        c = np.asarray(self.counts)
+    def __init__(self, order: int, limit: int, counts):
+        if order < 1:
+            raise DomainError(f"order must be >= 1, got {order}")
+        if limit < 0:
+            raise DomainError(f"limit must be >= 0, got {limit}")
+        c = np.asarray(counts)
         if c.dtype not in (np.int16, np.int32, np.int64):
             c = c.astype(np.int64)
-        if c.shape != (self.limit + 1,):
-            raise DomainError(
-                f"counts length {c.shape} does not match limit {self.limit}"
-            )
+        if c.shape not in ((limit + 1,), (7, limit // 8 + 1)):
+            raise DomainError(f"counts shape {c.shape} does not match limit {limit}")
         if c.size and int(c.min()) < 0:
             raise DomainError("counts must be non-negative")
         c = c.view()
         c.setflags(write=False)
-        object.__setattr__(self, "counts", c)
+        for name, value in zip(self.__slots__, (order, limit, c)):
+            object.__setattr__(self, name, value)
 
-    def blocks(self) -> Iterator[np.ndarray]:
-        """The counts as one block, as TableFile.blocks gives a file's."""
-        return iter((self.counts,))
+    def __setattr__(self, name, value):
+        raise AttributeError(f"RepTable is immutable: cannot set {name}")
+
+    @property
+    def counts(self) -> np.ndarray:
+        """The counts in natural order, read-only: a class layout's are a copy."""
+        counts = next(self.blocks(8 * self.limit + 8))
+        counts.setflags(write=False)
+        return counts
+
+    def blocks(self, size: int = _CSV_CHUNK) -> Iterator[np.ndarray]:
+        """The counts in natural order, as TableFile.blocks gives a file's,
+        `size` (a multiple of 8) at a time: views of natural counts, or a
+        class layout's written into one reused buffer (_fold.natural_blocks)."""
+        held = self._held
+        if held.ndim == 2:
+            from ._fold import natural_blocks  # loaded by the fold that built the table
+
+            return natural_blocks(held, self.limit, size // 8)
+        return (held[lo : lo + size] for lo in range(0, held.size, size))
 
 
 def _width(need: float):
@@ -102,104 +120,133 @@ def _width(need: float):
     return next((t for t in (np.int16, np.int32) if need < np.iinfo(t).max), np.int64)
 
 
-def _tile_plan(src: np.ndarray, x: int, threads: int):
-    """The width and output tiles of one _add_squares pass: (dtype, workers),
-    where workers holds one list of tiles (lo, hi, guarded) for each of
-    min(threads, tiles, os.cpu_count()) workers, dealt round-robin from the
-    bottom; each worker sums its tiles from the top down.
+# The classes a pass over a table of modulus `mod` sums, in phases: a natural
+# table is one class (mod 1); the fold's class layout sums r_3 in classes 3,
+# then 2 and 6, then 1 and 5 (mod 8), and derives 0 and 4 (see _fold.fill_4n).
+# Each phase's classes are read only by that phase and the ones before it.
+_PHASES = {1: ((0,),), 8: ((3,), (2, 6), (1, 5))}
 
-    Work per entry grows with the number of squares below it, so dealing tiles
+
+def _tile_plan(table: np.ndarray, threads: int, mod: int = 1):
+    """The width and output tiles of one pass over table, of shape (classes,
+    rows), where row i of class c holds n = mod * i + c: (dtype, workers),
+    where workers holds one list of tiles (lo, hi, guarded), rows lo..hi - 1
+    of every output class, for each of min(threads, tiles, os.cpu_count())
+    workers, dealt round-robin from the bottom; each worker sums its tiles
+    from the top down.
+
+    Work per row grows with the number of squares below it, so dealing tiles
     in turn balances the workers where contiguous halves would not, and
     neighbouring tiles, which the in-place write-back order makes wait on one
-    another, go to different workers. An entry n < hi adds 1 + 2 * isqrt(hi - 1)
-    weighted copies of src at most, so that count times max(src[0:hi]) times
-    1.01 bounds every partial sum written into the tile. The pass runs in the
-    narrowest of int16, int32 and int64 whose maximum is above both the last
-    tile's bound, the largest, and max(src[0:x + 1]), so casting src to it is
-    exact; a tile, and each worker's scratch tile, holds _TILE_BYTES of that
-    width, so a pass holds its table, widened in place (see _add_squares),
-    and a tile per worker. A narrow pass cannot overflow and is never guarded;
-    an int64 tile is unguarded only when its bound stays below SAFE_LIMIT. The
-    maxima are kept running over blocks of one int64 tile, so no x-sized array
-    is made.
+    another, go to different workers. An entry n < mod * hi adds 1 + 2 *
+    isqrt(mod * hi - 1) weighted copies of the table's rows below hi at most,
+    so that count times their maximum times 1.01 bounds every partial sum
+    written into the tile. The pass runs in the narrowest of int16, int32 and
+    int64 whose maximum is above both the last tile's bound, the largest, and
+    the table's maximum, so casting the table to it is exact; a tile, and each
+    worker's scratch tile, holds _TILE_BYTES of that width across the classes
+    of a phase (see _PHASES), so a pass holds its table and a tile per worker
+    (a natural-order tile of 2^17 int32 entries, a fold tile of 2^16 rows of
+    two classes). A narrow pass cannot overflow and is never guarded; an int64
+    tile is unguarded only when its bound stays below SAFE_LIMIT. The maxima
+    are kept running over blocks of rows, so no table-sized array is made.
     """
-    block = _TILE_BYTES // 8  # an int64 tile; narrower tiles span 2 or 4 blocks
+    rows, block = table.shape[1], _TILE_BYTES // 8
     tops = np.maximum.accumulate(
-        np.maximum.reduceat(src[: x + 1], np.arange(0, x + 1, block))
+        np.maximum.reduceat(table, np.arange(0, rows, block), axis=1).max(axis=0)
     )
 
     def bound(hi):
         top = float(tops[(hi - 1) // block])
-        return (1 + 2 * math.isqrt(hi - 1)) * top * 1.01
+        return (1 + 2 * math.isqrt(mod * hi - 1)) * top * 1.01
 
-    dtype = _width(max(bound(x + 1), float(tops[-1])))
-    size = _TILE_BYTES // np.dtype(dtype).itemsize
+    dtype = _width(max(bound(rows), float(tops[-1])))
+    size = _TILE_BYTES // (max(map(len, _PHASES[mod])) * np.dtype(dtype).itemsize)
     tiles = []
-    for lo in range(0, x + 1, size):
-        hi = min(lo + size, x + 1)
+    for lo in range(0, rows, size):
+        hi = min(lo + size, rows)
         tiles.append((lo, hi, not bound(hi) < SAFE_LIMIT))
     workers = max(1, min(int(threads), len(tiles), os.cpu_count() or 1))
     return dtype, [tiles[i::workers] for i in range(workers)]
 
 
-def _add_tile(tile, lo, src, guarded: bool) -> None:
-    """Fill the tile, which holds entries lo.. of the output, with
-    src[n] + 2 * sum over 1 <= m, m^2 <= n of src[n - m^2].
+def _terms(sources, mod, c, hi):
+    """The (source class row, shift) of each m >= 1 that output class c takes
+    below row hi: entry n = mod * i + c adds 2 * source[i - shift], where
+    n - m^2 = mod * (i - shift) + s for the source class s = (c - m^2) mod mod.
+    The shift is ceil((m^2 - c) / mod). A natural-order table is its one
+    class, s = 0; in the fold, a class s = 3 mod 4 holds r_2(n) = 0 and is
+    skipped."""
+    for m in range(1, math.isqrt(mod * (hi - 1) + c) + 1):
+        s = (c - m * m) % mod
+        if s % 4 != 3:
+            yield sources[s], (m * m - c + s) // mod
+
+
+def _add_tile(tile, lo, terms, centre, guarded: bool) -> None:
+    """Fill the tile, which holds rows lo.. of an output class, with
+    centre[i] + 2 * sum over the (source, shift) of terms of source[i - shift],
+    for each row i of the tile with i >= shift.
 
     Each shifted segment is summed straight into the zeroed tile, which is
-    then doubled once and the m = 0 segment added. A guarded tile checks every
-    add and the doubling: terms are non-negative, so a wrap shows as a negative
+    then doubled once and the centre added. A guarded tile checks every add
+    and the doubling: terms are non-negative, so a wrap shows as a negative
     entry right after the add that caused it.
     """
     hi = lo + tile.size
     tile.fill(0)
-    for m in range(1, math.isqrt(hi - 1) + 1):
-        sq = m * m
-        start = max(lo, sq)
-        dst = tile[start - lo :]
-        dst += src[start - sq : hi - sq]
+    for src, shift in terms:
+        dst = tile[shift - lo :] if shift > lo else tile
+        dst += src[max(lo - shift, 0) : hi - shift]
         if guarded and int(dst.min()) < 0:
             raise CountOverflowError("count accumulator exceeds 64-bit range")
     if guarded and int(tile.max()) > _I64_MAX // 2:
         raise CountOverflowError("doubled count exceeds 64-bit range")
     tile *= 2
-    tile += src[lo:hi]
+    tile += centre[lo:hi]
     if guarded and int(tile.min()) < 0:
         raise CountOverflowError("count accumulator exceeds 64-bit range")
 
 
-def _shift_add_in_place(table: np.ndarray, plan) -> None:
-    """One pass of _add_squares over table, written over it, for the tiles of
-    plan (see _tile_plan).
+def _shift_add_in_place(table: np.ndarray, plan, mod: int = 1) -> None:
+    """One pass over table, of shape (classes, rows), written over it, for the
+    tiles of plan (see _tile_plan): each class c of _PHASES[mod] becomes its
+    m = 0 term, table[c], plus twice its _terms: r_1 convolved with the table.
+    (The fold's class 3 takes its m = 0 term from r_2's class 3, all zero.)
 
-    A tile reads only entries below its top, so the tiles are summed from the
-    top of the table down, each into its worker's scratch tile, and a tile is
-    written back only once every tile above it has been summed: `frontier` is
-    the lowest tile that has been summed with every tile above it. The worker
-    of the tile just below the frontier never waits, so the workers cannot
-    deadlock. The calling thread is the first worker, and the others are
+    A tile reads only rows below its top, so the tiles are summed from the
+    top of the table down, a phase at a time, each into its worker's scratch
+    tile, and a tile's phase p is written back only once phase p of every
+    tile above it has been summed: frontier[p] is the lowest row of the tiles
+    summed in phase p with every tile above them. As a phase's classes are
+    read only by that phase and the ones before it, every term reads the
+    table as it was before the pass. The worker of the tile just below a
+    frontier never waits, so the workers cannot deadlock. The calling thread
+    is the first worker, and the others are
     threads joined before the pass returns. A worker that raises wakes the
     others, which stop before their next write-back; then the first exception
     is raised again, and the table is left part-updated.
     """
-    size = _TILE_BYTES // table.itemsize
-    frontier, failed, errors = (table.size - 1) // size + 1, False, []
+    phases = _PHASES[mod]
+    frontier, failed, errors = [table.shape[1]] * len(phases), False, []
     turn = threading.Condition()
 
     def run(tiles):
-        nonlocal frontier, failed
-        scratch = np.empty(size, dtype=table.dtype)
+        nonlocal failed
+        sources = list(table)
+        scratch = np.empty((max(map(len, phases)), max(hi - lo for lo, hi, _ in tiles)), table.dtype)
         try:
             for lo, hi, guarded in reversed(tiles):
-                tile = scratch[: hi - lo]
-                _add_tile(tile, lo, table, guarded)
-                with turn:
-                    turn.wait_for(lambda: frontier == lo // size + 1 or failed)
-                    if failed:
-                        return
-                    frontier -= 1
-                    turn.notify_all()
-                table[lo:hi] = tile
+                for p, classes in enumerate(phases):
+                    for tile, c in zip(scratch[:, : hi - lo], classes):
+                        _add_tile(tile, lo, _terms(sources, mod, c, hi), sources[c], guarded)
+                    with turn:
+                        turn.wait_for(lambda: frontier[p] == hi or failed)
+                        if failed:
+                            return
+                        frontier[p] = lo
+                        turn.notify_all()
+                    table[classes, lo:hi] = scratch[: len(classes), : hi - lo]
         except BaseException as exc:  # raised again once every worker has stopped
             with turn:
                 failed = True
@@ -228,16 +275,15 @@ def _add_squares(src: np.ndarray, x: int, threads: int, passes: int = 1) -> np.n
     narrow entries at or above lo, so none is overwritten before it is cast
     (through a temporary: numpy 2.4 writes zeros in an overlapping casting
     assignment). So a build holds one table, at its final width, and a scratch
-    tile per worker. Any other cast copies the table: a narrowing pass (the
-    fold's int16 pass over its int32 lattice, up to about 3*10^4) or a
-    widening one without room (a caller's array of x + 1 entries, or a fold
-    that needs int64, far past the CLI's limit cap). Only the int64 tiles whose
-    bound reaches SAFE_LIMIT are checked. Returns the last pass's table.
+    tile per worker. Any other cast copies the table: a narrowing pass, or a
+    widening one without room (a caller's array of x + 1 entries). Only the
+    int64 tiles whose bound reaches SAFE_LIMIT are checked. Returns the last
+    pass's table.
     """
     table = src[: x + 1]
     del src
     for _ in range(passes):
-        dtype, plan = _tile_plan(table, x, threads)
+        dtype, plan = _tile_plan(table[None], threads)
         buf, width = table.base, np.dtype(dtype).itemsize
         if width <= table.itemsize or buf is None or buf.nbytes < table.size * width:
             table = table.astype(dtype, copy=False)
@@ -246,7 +292,7 @@ def _add_squares(src: np.ndarray, x: int, threads: int, passes: int = 1) -> np.n
             for lo in reversed(range(0, table.size, step)):
                 wide[lo : lo + step] = table[lo : lo + step].astype(dtype)
             table = wide
-        _shift_add_in_place(table, plan)
+        _shift_add_in_place(table[None], plan)
     return table
 
 
@@ -275,32 +321,18 @@ def build_r1(x: int) -> RepTable:
     return RepTable(order=1, limit=x, counts=_r1(x))
 
 
-def _r2_lattice(x: int) -> np.ndarray:
-    """r_2 counts by direct enumeration, one lattice row at a time, in int32.
-
-    Every nonzero pair turns by quarter turns into exactly one pair (a, b) with
-    a >= 1 and b >= 0, so row a adds 4 at a^2 + b^2 for each b; the origin
-    counts 1. r_2(n) <= 4 d(n) stays far below 2^31.
-    """
-    counts = np.zeros(x + 1, dtype=np.int32)
-    counts[0] = 1
-    squares = np.arange(math.isqrt(x) + 1, dtype=np.int64) ** 2
-    for a in range(1, squares.size):
-        # the indices of one row are distinct, so the buffered += adds each 4
-        counts[a * a + squares[: math.isqrt(x - a * a) + 1]] += 4
-    return counts
-
-
 def build_r3_fold(x: int, threads: int = 1) -> RepTable:
-    """Three-square counts via r_3(n) = sum over m^2 <= n of r_2(n - m^2).
+    """Three-square counts via r_3(n) = sum over m^2 <= n of r_2(n - m^2), in
+    the class layout of _fold, with its 2-adic cuts (see _fold.fold): a build
+    holds 3.5 B per entry and a scratch tile per worker.
 
     The r_2 input comes from lattice enumeration, not from convolving r_1
-    tables, so this builder and build_rk cross-validate each other.
+    tables, and build_rk uses no 2-adic identity, so the two builders
+    cross-validate each other.
     """
-    if x < 0:
-        raise DomainError(f"limit must be >= 0, got {x}")
-    counts = _add_squares(_r2_lattice(x), x, threads)
-    return RepTable(order=3, limit=x, counts=counts)
+    from ._fold import fold
+
+    return RepTable(order=3, limit=x, counts=fold(x, threads))
 
 
 def r3_point(n: int) -> int:
@@ -366,12 +398,10 @@ def save_csv(table: RepTable, path, header_comment: str | None = None) -> None:
     if header_comment and ("\r" in header_comment or "\n" in header_comment):
         raise DomainError("a header comment must be one line, without CR or LF")
     with atomic_write(path, binary=True) as fh:
-        counts = np.asarray(table.counts)
         if header_comment:
             fh.write(f"# {header_comment}\n".encode())
         fh.write(b"n,count\n")
-        for lo in range(0, counts.size, _CSV_CHUNK):
-            chunk = counts[lo : lo + _CSV_CHUNK]
+        for lo, chunk in zip(range(0, table.limit + 1, _CSV_CHUNK), table.blocks()):
             wn, wc = len(str(lo + chunk.size - 1)), len(str(int(chunk.max())))
             rows = np.zeros((chunk.size, wn + wc + 2), dtype=np.uint8)
             rows[:, wn], rows[:, -1] = ord(","), ord("\n")
@@ -535,12 +565,10 @@ class TableFile:
 
 def save_binary(table: RepTable, path) -> None:
     """Compact dump, written atomically: 16-byte header (magic, k, x), then
-    little-endian 64-bit counts, widened _BIN_CHUNK counts at a time."""
+    little-endian 64-bit counts, widened a block (_CSV_CHUNK counts) at a time."""
     with atomic_write(path, binary=True) as fh:
-        counts = np.asarray(table.counts)
         fh.write(_HEADER.pack(_BINARY_MAGIC, table.order, table.limit))
         # counts are non-negative, so their int64 bytes are their uint64 bytes;
         # a chunk already in <i8 is written as it is, without a copy
-        for lo in range(0, counts.size, _BIN_CHUNK):
-            fh.write(np.ascontiguousarray(counts[lo : lo + _BIN_CHUNK], dtype="<i8").data)
-
+        for block in table.blocks():
+            fh.write(np.ascontiguousarray(block, dtype="<i8").data)

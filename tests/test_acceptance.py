@@ -49,7 +49,7 @@ def test_01_cross_builder_exactness(r3_10k_fold):
     point_mismatch = sum(
         1 for n in samples if repcount.r3_point(n) != r3_10k_fold.counts[n]
     )
-    # the builders share _add_squares; the class-number oracle shares nothing
+    # the builders share the square-shift kernel; the class-number oracle shares nothing
     big = 10**5
     oracle = r3_class_number_oracle(big)
     oracle_mismatch = sum(

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from squaresums import repcount
+from squaresums import _fold, repcount
 from squaresums._util import SAFE_LIMIT
 from squaresums.errors import CountOverflowError, DomainError, SquaresumsError, TableTooShortError
 
@@ -44,15 +44,22 @@ def t3_conv():
 
 
 def _tile(dtype) -> int:
-    """Entries per output tile of a pass at this width."""
+    """Entries per output tile of a natural-order pass at this width."""
     return repcount._TILE_BYTES // np.dtype(dtype).itemsize
+
+
+def _natural_r2(x):
+    """The lattice's r_2 to x in natural order."""
+    return repcount.RepTable(2, x, _fold.r2_lattice(x)).counts
 
 
 @pytest.fixture
 def small_tiles(monkeypatch):
-    """Tiles of 4 KiB (512 int64 entries), so small tables cross tile edges
-    at every width."""
+    """Tiles of 4 KiB (512 int64 entries; the fold's, of two class rows,
+    1024 int16 or 512 int32 rows), so small tables cross tile edges at every
+    width, and the fold's classes 0 and 4 derived 32 rows at a time."""
     monkeypatch.setattr(repcount, "_TILE_BYTES", 2**12)
+    monkeypatch.setattr(_fold, "_FILL_ROWS", 32)
 
 
 def test_small_values_match_classical_table(t3_fold):
@@ -143,10 +150,11 @@ def jacobi_r2(x: int) -> np.ndarray:
 
 @pytest.mark.parametrize("x", [0, 1, 2, 4, 5, 25, 10001])
 def test_r2_lattice_matches_jacobi(x):
-    r2 = repcount._r2_lattice(x)
-    assert r2.dtype == np.int32
-    assert r2.shape == (x + 1,)
-    assert (r2 == jacobi_r2(x)).all()
+    classes = _fold.r2_lattice(x)
+    assert classes.dtype == np.int32
+    assert classes.shape == (7, x // 8 + 1)
+    assert not classes[3].any()  # r_2 vanishes at n = 3 mod 4
+    assert (_natural_r2(x) == jacobi_r2(x)).all()
 
 
 def test_monotone_mass_equals_ball_count():
@@ -195,8 +203,8 @@ def _within(seconds, call):
 def test_more_threads_than_cores_write_disjoint_tiles(monkeypatch, small_tiles):
     # eight workers on however many cores, switching as often as possible
     monkeypatch.setattr(repcount.os, "cpu_count", lambda: 8)
-    x = 9 * _tile(np.int16) + 5
-    _, workers = repcount._tile_plan(repcount._r2_lattice(x), x, 8)
+    x = 60_000  # int32 class tiles of 512 rows: 15 tiles
+    _, workers = repcount._tile_plan(_fold.r2_lattice(x), 8, 8)
     assert len(workers) == 8
     single = repcount.build_r3_fold(x, threads=1)
     interval = sys.getswitchinterval()
@@ -267,12 +275,12 @@ def test_a_worker_error_ends_the_pass_and_no_worker_outlives_it(failing, small_t
     x = 5 * tile - 1
     add = repcount._add_tile
 
-    def add_or_fail(out, lo, src, guarded):
+    def add_or_fail(out, lo, *args):
         if failing is not None and lo == failing * tile:
             raise RuntimeError(f"tile {failing} failed")
         if lo // tile % 2:
             time.sleep(0.05)
-        add(out, lo, src, guarded)
+        add(out, lo, *args)
 
     monkeypatch.setattr(repcount, "_add_tile", add_or_fail)
     src = np.ones(x + 1, np.int16)
@@ -403,7 +411,7 @@ def test_csv_round_trip_in_blocks_of_a_few_bytes(tmp_path, monkeypatch):
 def test_tile_plan_caps_threads_at_cpu_count(monkeypatch):
     # only the plan is inspected; no thread is started
     def plan(entries, threads):
-        dtype, workers = repcount._tile_plan(np.zeros(entries, np.int64), entries - 1, threads)
+        dtype, workers = repcount._tile_plan(np.zeros((1, entries), np.int64), threads)
         assert dtype is np.int16  # a zero source needs the narrowest width
         return workers
 
@@ -425,7 +433,7 @@ def test_tile_plan_caps_threads_at_cpu_count(monkeypatch):
 def test_tile_plan_deals_tiles_round_robin(monkeypatch):
     monkeypatch.setattr(repcount.os, "cpu_count", lambda: 2)
     tile = _tile(np.int16)
-    dtype, workers = repcount._tile_plan(np.zeros(5 * tile), 5 * tile - 1, 2)
+    dtype, workers = repcount._tile_plan(np.zeros((1, 5 * tile)), 2)
     assert dtype is np.int16
     assert [[lo // tile for lo, _, _ in tiles] for tiles in workers] == [[0, 2, 4], [1, 3]]
 
@@ -438,7 +446,7 @@ def test_tile_bound_reads_every_earlier_tile():
     top = int(SAFE_LIMIT) // 600
     src = np.zeros(3 * tile + 1, np.int64)
     src[0] = top
-    dtype, (tiles,) = repcount._tile_plan(src, 3 * tile, 1)
+    dtype, (tiles,) = repcount._tile_plan(src[None], 1)
     assert dtype is np.int64
     assert [g for _, _, g in tiles] == [False, True, True, True]
     out = repcount._add_squares(src, 3 * tile, 1)
@@ -548,18 +556,18 @@ def test_tables_keep_their_last_pass_width(build, width, x, tmp_path, monkeypatc
 @pytest.mark.parametrize(
     "build, x, width, per_entry",
     [
-        (repcount.build_r3_fold, 2 * 10**5, np.int32, 4),
+        (repcount.build_r3_fold, 2 * 10**5, np.int32, 3.5),
         (lambda x: repcount.build_rk(x, 3), 2 * 10**5, np.int32, 4),
         (lambda x: repcount.build_rk(x, 8), 10**5, np.int64, 8),
     ],
     ids=["fold", "rk3", "r8"],
 )
 def test_builds_hold_one_table_and_scratch_tiles(build, x, width, per_entry, monkeypatch):
-    # a pass writes over its table: the fold holds its int32 table and one
-    # scratch tile; by convolution, r_1's buffer is reserved at the final
-    # width and each widening pass widens inside it, through one tile-sized
-    # temporary, so r_3 holds 4 B per entry and r_8 8 B (6 and 12 when a
-    # widening pass cast a copy)
+    # a pass writes over its table: the fold holds its int32 class layout,
+    # 3.5 B per entry, and one scratch tile; by convolution, r_1's buffer is
+    # reserved at the final width and each widening pass widens inside it,
+    # through one tile-sized temporary, so r_3 holds 4 B per entry and r_8
+    # 8 B (6 and 12 when a widening pass cast a copy)
     monkeypatch.setattr(repcount, "_TILE_BYTES", 2**15)
     tracemalloc.start()
     try:
@@ -654,7 +662,7 @@ def test_a_narrowing_fold_pass_copies_as_the_oracle_sums(threads, small_tiles):
     # to about 3*10^4 the fold's pass is int16, over its int32 lattice: a
     # narrowing cast copies rather than writing over the lattice
     x = 2000
-    expected = add_squares_oracle(repcount._r2_lattice(x).astype(np.int64), x)
+    expected = add_squares_oracle(_natural_r2(x), x)
     table = repcount.build_r3_fold(x, threads)
     assert table.counts.dtype == np.int16
     assert (table.counts == expected).all()
@@ -701,7 +709,7 @@ def test_pass_width_edges_match_untiled_oracle(small_tiles):
         src = np.full(x + 1, top, dtype=np.int64)
         narrowest = {_I16: np.int16, _I32: np.int32}[limit]
         wider = {_I16: np.int32, _I32: np.int64}[limit]
-        dtype, _ = repcount._tile_plan(src, x, 1)
+        dtype, _ = repcount._tile_plan(src[None], 1)
         assert dtype is (wider if above else narrowest)
         expected = add_squares_oracle(src, x)  # before the pass, which may write over src
         out = repcount._add_squares(src, x, 1)
@@ -719,7 +727,7 @@ def test_builders_agree_at_random_limits(threads):
         r3 = repcount.build_r3_fold(x, threads).counts
         assert (r3 == repcount.build_rk(x, 3, threads).counts).all()
         r2 = repcount.build_rk(x, 2, threads).counts
-        assert (r2 == repcount._r2_lattice(x)).all()
+        assert (r2 == _natural_r2(x)).all()
         # zero-coordinate classification, against an r* that shares no code
         # with repcount; at n = 0 the all-zero tuple is dropped
         rhs = 8 * rstar_counts(x) + 3 * r2 - 3 * repcount.build_r1(x).counts
@@ -728,15 +736,50 @@ def test_builders_agree_at_random_limits(threads):
     check()
 
 
-class _FailingCounts:
-    """Counts whose reading fails once a writer has started the file."""
+# with small_tiles, and cpu_count patched to 8 so that four workers run
+@pytest.mark.parametrize("threads", [1, 2, 4])
+def test_class_layout_fold_is_the_convolution(threads, small_tiles, monkeypatch):
+    """The fold, which derives classes 0 and 4 and skips the zero classes,
+    against build_rk, which uses no 2-adic identity: at every limit to 64,
+    and at drawn limits to 5*10^4 (int16 passes to about 3*10^4, then int32),
+    with its natural blocks of several sizes."""
+    monkeypatch.setattr(repcount.os, "cpu_count", lambda: 8)
+    for x in range(65):
+        assert (repcount.build_r3_fold(x, threads).counts == repcount.build_rk(x, 3).counts).all(), x
 
-    def __iter__(self):
-        yield 1
-        raise OSError(28, "No space left on device")
+    @settings(max_examples=20)
+    @given(x=st.integers(0, 5 * 10**4))
+    @example(x=8 * 1024 * 2 - 1)  # 2048 rows: two whole int16 class tiles
+    @example(x=5 * 10**4)
+    def check(x):
+        table = repcount.build_r3_fold(x, threads)
+        expected = repcount.build_rk(x, 3).counts
+        assert (table.counts == expected).all()
+        for size in (8, 24, 2**14):
+            blocks = [block.copy() for block in table.blocks(size)]
+            assert all(block.size == size for block in blocks[:-1])
+            assert (np.concatenate(blocks) == expected).all()
 
-    def __array__(self, *args, **kwargs):
-        raise OSError(28, "No space left on device")
+    check()
+
+
+@pytest.mark.parametrize("x", [0, 7, 8, 9, 2**14 - 1, 2**14, 2**14 + 8, 2**16 - 1, 2**16, 2**16 + 1, 70_001])
+def test_a_fold_table_writes_the_bytes_of_its_natural_counts(x, tmp_path):
+    """Both writers read a fold table through its natural blocks: the files
+    are those of the same counts held in natural order, across the CSV and
+    binary chunk edges."""
+    fold = repcount.build_r3_fold(x)
+    natural = repcount.RepTable(3, x, fold.counts.copy())
+    for save in (repcount.save_csv, repcount.save_binary):
+        save(fold, tmp_path / "fold")
+        save(natural, tmp_path / "natural")
+        assert (tmp_path / "fold").read_bytes() == (tmp_path / "natural").read_bytes()
+
+
+def _failing_blocks(size=None):
+    """Blocks whose reading fails once a writer has started the file."""
+    raise OSError(28, "No space left on device")
+    yield
 
 
 @pytest.mark.parametrize("save", [repcount.save_csv, repcount.save_binary])
@@ -745,7 +788,7 @@ def test_table_writers_replace_the_target_atomically(tmp_path, save):
     target.write_bytes(b"previous table")
     target.chmod(0o600)
     with pytest.raises(OSError):
-        save(SimpleNamespace(order=3, limit=1, counts=_FailingCounts()), target)
+        save(SimpleNamespace(order=3, limit=1, blocks=_failing_blocks), target)
     assert target.read_bytes() == b"previous table"
     assert os.listdir(tmp_path) == ["table.out"]
     save(repcount.build_r1(4), target)
