@@ -1,7 +1,7 @@
 """The multiplicative sieve, and the pairwise sum that adds its float blocks
 as np.sum adds one array.
 
-Only the B1 sums, the totients and the singular series load this module.
+Only the B1 sums and the singular series load this module.
 """
 
 from __future__ import annotations
@@ -145,16 +145,6 @@ def multiplicative_blocks(Q: int, dtype, at_prime_powers, block: int = SIEVE_BLO
             yield lo, f
 
     return blocks()
-
-
-def multiplicative(Q: int, dtype, at_prime_powers) -> np.ndarray:
-    """f(0..Q) of a multiplicative f, given at prime powers (see
-    multiplicative_blocks), filled block by block; index 0 is an unused zero."""
-    blocks = multiplicative_blocks(Q, dtype, at_prime_powers)
-    f = np.zeros(Q + 1, dtype=dtype)
-    for lo, block in blocks:
-        f[lo : lo + block.size] = block
-    return f
 
 
 _PAIRWISE_LEAF = 128  # numpy's PW_BLOCKSIZE: a run this short is summed by one unrolled loop

@@ -30,7 +30,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 from .errors import InsufficientPointsError, SquaresumsError
 
 LIMIT_CAP = 10**8
-Q_CAP = 10**7  # peak RSS at the cap: --dump-terms 127 MiB as CSV or JSON, 50 MiB as text; a sweep 51 MiB
+Q_CAP = 10**7  # peak RSS at the cap: --dump-terms 54 MiB as CSV, 55 as JSON, 51 as text; a sweep 51 MiB
 N_TERMS_CAP = 10**7  # weyl_sum holds about 40 B per term: about 0.4 GB at the cap
 GRID_POINTS_CAP = 10**6  # weyl-sweep evaluates ceil(1 / --grid) points
 WEYL_TERMS_CAP = 10**9  # --n-terms times the points: weyl_sum takes about 65 ns a term, 65 s at the cap
@@ -49,10 +49,14 @@ class Result:
     """One subcommand's output as data. `rows` (one value per column) is read
     once, by the CSV or the JSON writer, so it may be lazy; JSON lists them as
     objects under `json_key` (if set) beside the top-level `extras`, leaving out
-    columns that are extras keys. `text` returns the text lines. `csv_body`, if
-    set, returns the CSV lines below the header, rendered in chunks, in place of
-    `rows`. A `failure` is printed to stderr after the output and makes the exit
-    status 1."""
+    columns that are extras keys. `text` returns the text lines. `terms`, if
+    set, streams a series in place of `rows`, as singular.truncation does:
+    terms(write) calls write(lo, block) on each float64 block of the terms,
+    block[i] the term at q = lo + i from q = 1, and returns their sum. CSV
+    writes a row (q, term) for each term and a `total` row of the sum, JSON
+    the terms under `terms` and the sum under `value`, after the extras, whose
+    keys sort before both. A `failure` is printed to stderr after the output
+    and makes the exit status 1."""
 
     columns: tuple[str, ...]
     rows: Iterable[tuple]
@@ -60,7 +64,7 @@ class Result:
     json_key: str | None = None
     extras: dict = field(default_factory=dict)
     failure: str | None = None
-    csv_body: Callable[[], Iterable[str]] | None = None
+    terms: Callable[[Callable], float] | None = None
 
 
 def _require(ok, message: str) -> None:
@@ -235,27 +239,6 @@ class _CsvLines(dict):
         return line
 
 
-_BLOCK = 1 << 16  # array entries rendered per chunk by the dump's CSV and JSON forms
-
-
-def _json_floats(values) -> Iterable[str]:
-    """A 1-D float64 array as the indent-2 encoder writes a list that is a value
-    of the top-level object, one block at a time: a finite float's text is its
-    repr, as in the encoder, and json.dumps spells NaN and the infinities."""
-    import numpy as np
-
-    if not values.size:
-        yield "[]"
-        return
-    sep = ",\n    "
-    yield "[\n    "
-    for lo in range(0, values.size, _BLOCK):
-        block = values[lo : lo + _BLOCK]
-        spell = float.__repr__ if np.isfinite(block).all() else json.dumps
-        yield ("" if lo == 0 else sep) + sep.join(map(spell, block.tolist()))
-    yield "\n  ]"
-
-
 def _emit(args, result: Result) -> int:
     """Render `result` in the requested format only, write it, return the exit status."""
     stamp = None if args.reproducible else _timestamp()
@@ -270,24 +253,20 @@ def _emit(args, result: Result) -> int:
             if stamp:
                 fh.write(f"# generated {stamp}\n")
             fh.write(",".join(result.columns) + "\n")
-            if result.csv_body:
-                fh.writelines(result.csv_body())
+            if result.terms:
+
+                def write_rows(lo, block):  # one % per block, rendered as _CsvLines renders rows
+                    cells = zip(range(lo, lo + block.size), block.tolist())
+                    fh.write(("%d,%.17g\n" * block.size) % tuple(chain.from_iterable(cells)))
+
+                fh.write("total,%.17g\n" % result.terms(write_rows))
             else:
                 rows = iter(result.rows)
                 lines = _CsvLines()
                 while chunk := list(islice(rows, 4096)):  # one write per chunk, not per line
                     fh.write("".join([lines[tuple(map(type, row))] % row for row in chunk]))
         elif args.output_format == "json":
-            import numpy as np
-
-            obj, arrays = {}, {}
-            for k, v in result.extras.items():
-                if isinstance(v, np.ndarray):  # _json_floats renders it where its placeholder is
-                    assert v.dtype == np.float64 and v.ndim == 1, k
-                    token = f"\0{k}"
-                    arrays[json.dumps(token)] = v
-                    v = token
-                obj[k] = v
+            obj = dict(result.extras)
             if result.json_key:
                 cols = [(i, c) for i, c in enumerate(result.columns) if c not in obj]
                 obj[result.json_key] = [
@@ -296,11 +275,22 @@ def _emit(args, result: Result) -> int:
                 ]
             if stamp:
                 obj["generated"] = stamp
-            chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(obj)
-            if arrays:  # a placeholder is one chunk; the other extras are a few chunks
-                for chunk in chunks:
-                    fh.writelines(_json_floats(arrays[chunk]) if chunk in arrays else (chunk,))
+            if result.terms:  # the indent-2 encoder's text, with `terms` written a block at a time
+                import numpy as np
+
+                first = True
+
+                def write_items(lo, block):  # a finite float's text is its repr, as in the encoder
+                    nonlocal first
+                    spell = float.__repr__ if np.isfinite(block).all() else json.dumps
+                    fh.write(("\n    " if first else ",\n    ") + ",\n    ".join(map(spell, block.tolist())))
+                    first = False
+
+                fh.write(json.dumps(obj, indent=2, sort_keys=True)[:-2] + ',\n  "terms": [')  # less "\n}"
+                value = result.terms(write_items)
+                fh.write(("]" if first else "\n  ]") + ',\n  "value": ' + json.dumps(value) + "\n}")
             else:
+                chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(obj)
                 while batch := "".join(islice(chunks, 1 << 10)):  # bounded memory, few writes
                     fh.write(batch)
             fh.write("\n")
@@ -400,23 +390,9 @@ def _handle_singular(args) -> Result:
     if args.dump_terms:
         from . import singular
 
-        if args.output_format == "text":  # S3(n, Q) alone: the terms summed as the sieve yields them
-            from ._sieve import pairwise_sum
-
-            blocks = (terms for _, terms in singular.series_blocks(args.n, args.q_max))
-            value = pairwise_sum(blocks, args.q_max)  # np.sum of all Q terms, bit for bit
-            return Result(("q", "A_q_n"), (), lambda: [f"S3(n={args.n}, Q={args.q_max}) = {_cell(value)}"])
-        trunc = singular.singular_series(args.n, args.q_max)
-
-        def csv_body():  # one % per block of terms, rendered as _CsvLines renders rows
-            for lo in range(0, trunc.Q, _BLOCK):
-                size = min(_BLOCK, trunc.Q - lo)
-                cells = zip(range(lo + 1, lo + size + 1), trunc.terms[lo : lo + _BLOCK].tolist())
-                yield ("%d,%.17g\n" * size) % tuple(chain.from_iterable(cells))
-            yield "total,%.17g\n" % trunc.value
-
-        extras = {"n": trunc.n, "Q": trunc.Q, "value": trunc.value, "terms": trunc.terms}
-        return Result(("q", "A_q_n"), (), lambda: (), extras=extras, csv_body=csv_body)  # text returned above
+        terms = lambda write=None: singular.truncation(args.n, args.q_max, write)
+        text = lambda: [f"S3(n={args.n}, Q={args.q_max}) = {_cell(terms())}"]
+        return Result(("q", "A_q_n"), (), text, extras={"n": args.n, "Q": args.q_max}, terms=terms)
     from . import verify
 
     sweep = verify.singular_truncation_sweep(args.n, args.q_grid or [1, 10, 100, 1000])

@@ -3,10 +3,11 @@ two independent routes.
 
 B1 = sum over q of phi(q) |S(q,.)|^6 / q^6 is computed from the magnitude law
 (b1_direct), as (4/3) sum over odd q of phi(q)/q^3 (b1_euler), and in closed
-form 8 zeta(2)/(7 zeta(3)) (b1_closed). The mean-square constant is
-C3 = 8 pi^4 / (21 zeta(3)) = 2 pi^2 B1, which must also equal both the
-general-order value w_constant(3) and the spectral-route assembly
-muller_assembly() built from Eisenstein scattering entries at s = 3/2.
+form 8 zeta(2)/(7 zeta(3)) (b1_closed). The two truncated sums take phi one
+block of the segmented totient sieve at a time and keep no term. The
+mean-square constant is C3 = 8 pi^4 / (21 zeta(3)) = 2 pi^2 B1, which must
+also equal both the general-order value w_constant(3) and the spectral-route
+assembly muller_assembly() built from Eisenstein scattering entries at s = 3/2.
 
 Each closed form (B1, C3, W_N, phi_{infty,iota}(s) and the spectral assembly)
 is written once, as a private function of its number system: a namespace with
@@ -42,17 +43,6 @@ def _double(form, *args) -> float:
 
 def _totient_at(p, pk):
     return pk - pk // p
-
-
-def totient_sieve(Q: int) -> np.ndarray:
-    """phi(1..Q) exactly, as int32 (phi(q) <= q < 2^31); index 0 is an unused zero.
-
-    Filled from the blocks of `_sieve.multiplicative_blocks`, from phi(p^k) =
-    p^k - p^(k-1): the result holds 4 B per q, and the sieve's table 1 more.
-    """
-    from ._sieve import multiplicative  # local: verify-* load this module for C3 and W_N alone
-
-    return multiplicative(Q, np.int32, _totient_at)
 
 
 # Half the sieve's default block. The B1 sieve at Q = 10^6 is the peak of the
@@ -100,28 +90,16 @@ def _b1_sum(Q: int, weigh) -> float:
     return pairwise_sum(_b1_blocks(Q, weigh), Q)
 
 
-def b1_terms_direct(Q: int) -> np.ndarray:
-    """Per-q contributions phi(q) |S(q,.)|^6 / q^6 via the magnitude law.
-
-    |S|^6/q^6 is q^{-3} for odd q, 8 q^{-3} for q divisible by 4, 0 otherwise.
-    """
-    return np.concatenate(list(_b1_blocks(Q, _magnitude_law)))
-
-
 def b1_direct(Q: int) -> float:
-    """Partial sum of B1 over q <= Q using the closed magnitude law: np.sum of
-    b1_terms_direct(Q), bit for bit, summed as the sieve yields its blocks."""
+    """Partial sum of B1 over q <= Q using the closed magnitude law
+    (_magnitude_law): np.sum of the terms phi(q) |S(q,.)|^6 / q^6, bit for
+    bit, summed as the sieve yields its blocks."""
     return _b1_sum(Q, _magnitude_law)
 
 
-def b1_terms_euler(Q: int) -> np.ndarray:
-    """Per-q contributions of the odd-q Euler form (4/3) phi(q)/q^3."""
-    return np.concatenate(list(_b1_blocks(Q, _euler_weight)))
-
-
 def b1_euler(Q: int) -> float:
-    """Partial sum of B1 in the odd-q Euler form: np.sum of b1_terms_euler(Q),
-    bit for bit, summed as the sieve yields its blocks."""
+    """Partial sum of B1 in the odd-q Euler form (4/3) phi(q)/q^3: np.sum of
+    the terms, bit for bit, summed as the sieve yields its blocks."""
     return _b1_sum(Q, _euler_weight)
 
 

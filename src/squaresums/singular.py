@@ -5,26 +5,26 @@ its partial sums S3(n, Q) = sum_{q<=Q} A(q, n) converge (slowly) to a limit
 with 2 pi sqrt(n) S3(n) = r_3(n). The archimedean counterpart is the singular
 integral I(n), computed here exactly by coefficient extraction.
 
-A(q, n) is multiplicative in q, so singular_series evaluates it as the
+A(q, n) is multiplicative in q, so series_blocks evaluates it as the
 product of the local factors A(p^k, n) over the prime powers p^k exactly
 dividing q (Vaughan, The Hardy-Littlewood Method, 2nd ed., ch. 4). Every local
 factor has a closed form (_local_factor): for odd p in the Legendre symbol and
 the Ramanujan sum, for p = 2 an exact dyadic value, a sign read off
 8n / 2^k mod 8 times 2^{-floor(k/2)}. series_blocks yields the Q terms a
 block of q at a time from a segmented sieve, which multiplies each q's
-prime-power factors together from the largest prime down; singular_series
-keeps them all.
+prime-power factors together from the largest prime down; truncation adds
+them along np.sum's pairwise tree as they come, and hands each block on, so
+neither it nor the truncation sweep holds more than one block.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-from ._sieve import multiplicative, multiplicative_blocks
+from ._sieve import multiplicative_blocks, pairwise_sum
 
 def _legendre(a: int, p: int) -> int:
     """Legendre symbol (a/p) for an odd prime p, by Euler's criterion."""
@@ -60,32 +60,6 @@ def _local_factor(p: int, k: int, n: int) -> float:
     if n % (below * p):
         return -below / p ** (3 * k // 2)
     return (below * p - below) / p ** (3 * k // 2)
-
-
-@dataclass(frozen=True, eq=False)
-class SingularTruncation:
-    """S3(n, Q) together with its per-q terms A(q, n) for q = 1..Q.
-
-    float64 terms share the caller's buffer: the truncation holds a read-only
-    view, and the caller's array stays writable.
-    """
-
-    n: int
-    Q: int
-    value: float
-    terms: np.ndarray
-
-    def __post_init__(self):
-        if self.n < 1 or self.Q < 1:
-            raise DomainError("n and Q must be >= 1")
-        t = np.asarray(self.terms, dtype=np.float64)
-        if t.shape != (self.Q,):
-            raise DomainError(f"terms length {t.shape} does not match Q={self.Q}")
-        if abs(t[0] - 1.0) > 1e-12:
-            raise DomainError(f"q=1 term must be 1, got {t[0]!r}")
-        t = t.view()
-        t.setflags(write=False)
-        object.__setattr__(self, "terms", t)
 
 
 def _euler_symbols(n: int, primes: np.ndarray) -> np.ndarray:
@@ -125,27 +99,29 @@ def _local_factors(n: int):
     return at_prime_powers
 
 
-def _check(n: int, Q: int) -> None:
+def series_blocks(n: int, Q: int):
+    """The terms A(q, n), q = 1..Q, as (lo, terms) over the blocks of the
+    sieve: terms[i] = A(lo + i, n), one block held at a time."""
     if Q < 1:
         raise DomainError(f"Q must be >= 1, got {Q}")
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-
-
-def series_blocks(n: int, Q: int):
-    """The terms A(q, n), q = 1..Q, as (lo, terms) over the blocks of the
-    sieve: terms[i] = A(lo + i, n), one block held at a time."""
-    _check(n, Q)
     return multiplicative_blocks(Q, np.float64, _local_factors(n))
 
 
-def singular_series(n: int, Q: int) -> SingularTruncation:
-    """Partial sum S3(n, Q) with all Q terms retained, filled from the blocks
-    of series_blocks. The float64 terms, 8 B per q, and the sieve's table of
-    A(P, n) at the primes P <= Q / 2, 2 B per q, are the peak."""
-    _check(n, Q)
-    terms = multiplicative(Q, np.float64, _local_factors(n))[1:]
-    return SingularTruncation(n=n, Q=Q, value=float(np.sum(terms)), terms=terms)
+def truncation(n: int, Q: int, write=None) -> float:
+    """S3(n, Q): np.sum of the terms of series_blocks(n, Q), bit for bit,
+    holding one block at a time. write(lo, terms), if given, is called on
+    each block as the pairwise sum takes it."""
+    blocks = series_blocks(n, Q)
+
+    def taken():
+        for lo, terms in blocks:
+            if write:
+                write(lo, terms)
+            yield terms
+
+    return pairwise_sum(taken(), Q)
 
 
 def bateman_factor(n: int) -> float:

@@ -2,7 +2,8 @@
 scattering entries. None of them calls repcount or singular, so a defect in
 their kernels cannot hide in a comparison with one of these; the scattering
 entry evaluates the package's closed form in mpmath, off the half-integers
-too."""
+too. `concatenated` holds a sieve's whole output, which the package never
+does, for the tests that read its terms by q."""
 
 import itertools
 import math
@@ -14,6 +15,13 @@ from squaresums.errors import CountOverflowError
 
 _I64_MAX = (1 << 63) - 1
 IMAG_TOLERANCE = 1e-9
+
+
+def concatenated(blocks) -> np.ndarray:
+    """f(1..Q), f(q) at index q - 1, from the blocks of a sieve, one after
+    another: the (lo, f) pairs of _sieve.multiplicative_blocks or
+    singular.series_blocks, or the arrays of constants._b1_blocks."""
+    return np.concatenate([block[1] if isinstance(block, tuple) else block for block in blocks])
 
 
 def brute_counts(k: int, x: int) -> list[int]:

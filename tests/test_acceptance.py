@@ -14,7 +14,7 @@ import pytest
 
 from squaresums import cli, constants, expsum, repcount, singular, verify
 
-from oracles import a_profile, is_representable, r3_class_number_oracle, rstar_counts
+from oracles import a_profile, concatenated, is_representable, r3_class_number_oracle, rstar_counts
 
 REPORT_LINES = []
 
@@ -37,8 +37,8 @@ def r3_10k_fold():
 
 
 @pytest.fixture(scope="module")
-def truncations_10k():
-    return {n: singular.singular_series(n, 10**4) for n in (1, 2, 3, 5, 6, 7, 15)}
+def terms_10k():
+    return {n: concatenated(singular.series_blocks(n, 10**4)) for n in (1, 2, 3, 5, 6, 7, 15)}
 
 
 def test_01_cross_builder_exactness(r3_10k_fold):
@@ -113,7 +113,7 @@ def test_05_singular_term_multiplicativity():
     profiles = [None] + [a_profile(q) for q in range(1, 61)]
     worst = 0.0
     for n in range(1, 51):
-        terms = singular.singular_series(n, 3600).terms
+        terms = concatenated(singular.series_blocks(n, 3600))
         for q1 in range(1, 61):
             for q2 in range(q1, 61):
                 if math.gcd(q1, q2) != 1:
@@ -124,7 +124,7 @@ def test_05_singular_term_multiplicativity():
         5,
         worst <= 1e-9,
         f"A(q1 q2, n) = A(q1, n) A(q2, n), coprime q1,q2 <= 60, n <= 50: "
-        f"singular_series against the defining sums, worst dev {worst:.3e} "
+        f"series_blocks against the defining sums, worst dev {worst:.3e} "
         f"(tolerance 1e-9)",
     )
 
@@ -134,8 +134,8 @@ def test_06_b1_routes():
     direct_err = abs(constants.b1_direct(4096) - closed)
     euler_err = abs(constants.b1_euler(10**6) - closed)
     nonneg = bool(
-        (constants.b1_terms_direct(4096) >= 0).all()
-        and (constants.b1_terms_euler(10**6) >= 0).all()
+        (concatenated(constants._b1_blocks(4096, constants._magnitude_law)) >= 0).all()
+        and (concatenated(constants._b1_blocks(10**6, constants._euler_weight)) >= 0).all()
     )
     ok = direct_err <= 5e-4 and euler_err <= 1e-5 and nonneg
     record(
@@ -210,20 +210,19 @@ def test_10_four_square_mean_square():
     )
 
 
-def test_11_bateman_convergence(truncations_10k):
+def test_11_bateman_convergence(terms_10k):
     details = []
     ok = True
     for n in (1, 2, 3, 5, 6):
-        trunc = truncations_10k[n]
         r3 = repcount.r3_point(n)
-        partial = np.cumsum(trunc.terms)
+        partial = np.cumsum(terms_10k[n])
         factor = singular.bateman_factor(n)
         rel_high = abs(factor * partial[10**4 - 1] - r3) / r3
         rel_low = abs(factor * partial[10**2 - 1] - r3) / r3
         ok = ok and rel_high <= 0.05 and rel_high < rel_low
         details.append(f"n={n}: {rel_high:.2e}")
     for n in (7, 15):
-        s = truncations_10k[n].value
+        s = singular.truncation(n, 10**4)
         ok = ok and abs(s) <= 0.05
         details.append(f"S3({n})={s:.2e}")
     record(

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 from squaresums import cli, constants, expsum, repcount, singular, verify
 from squaresums.errors import SquaresumsError
+from oracles import concatenated
 from tablefiles import read_table
 
 
@@ -302,7 +303,6 @@ def test_singular_q_above_cap_fails_before_any_work(monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("singular series started above the cap")
 
-    monkeypatch.setattr(singular, "singular_series", refuse)
     monkeypatch.setattr(singular, "series_blocks", refuse)
     over = str(cli.Q_CAP + 1)
     assert run_cli(["singular", "--n", "1", "--q-max", over, "--dump-terms"]) == 2
@@ -406,7 +406,7 @@ def test_constants_above_caps_fail_before_any_work(monkeypatch, capsys):
         raise AssertionError("constants computed above a cap")
 
     with monkeypatch.context() as patch:
-        for name in ("constants_report", "constants_extended", "w_constant", "totient_sieve"):
+        for name in ("constants_report", "constants_extended", "w_constant", "b1_direct", "b1_euler"):
             patch.setattr(constants, name, refuse)
         for flags in (
             ["--w-orders", "400"],
@@ -652,59 +652,65 @@ def test_emit_renders_only_the_requested_format(capsys):
     assert outputs["text"] == "a line\n"
 
 
-@pytest.mark.parametrize("size", [0, 1, cli._BLOCK + 3])
+@pytest.mark.parametrize("size", [0, 1, 2**16 + 3])
 def test_json_float_arrays_match_the_encoder(capsys, size):
-    """A float64 array extra, rendered a block at a time, is the text of the
-    stdlib encoder for its list: repr for finite floats, NaN and the
-    infinities spelled as json spells them, across a block edge."""
+    """Streamed terms, written a block at a time, are the text of the stdlib
+    encoder for their list, with their sum under `value`: repr for finite
+    floats, NaN and the infinities spelled as json spells them, across block
+    edges."""
     values = np.random.default_rng(size).standard_normal(size) / 3.0
     special = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300]
     values[-len(special) :] = special[len(special) - size :]
-    extras = {"n": 1, "terms": values, "value": 0.5}
+
+    def terms(write):
+        for lo in range(0, size, 5000):
+            write(lo + 1, values[lo : lo + 5000])
+        return 0.5
+
     args = SimpleNamespace(output_format="json", output=None, reproducible=True)
-    assert cli._emit(args, cli.Result(("q",), [], list, extras=extras)) == 0
-    want = json.dumps({**extras, "terms": values.tolist()}, indent=2, sort_keys=True)
-    assert capsys.readouterr().out == want + "\n"
+    assert cli._emit(args, cli.Result(("q",), [], list, extras={"n": 1}, terms=terms)) == 0
+    want = {"n": 1, "terms": values.tolist(), "value": 0.5}
+    assert capsys.readouterr().out == json.dumps(want, indent=2, sort_keys=True) + "\n"
 
 
 def test_csv_dump_crosses_a_block(capsys):
-    Q = cli._BLOCK + 3
+    Q = 2**16 + 3  # past two of the sieve's blocks
     assert run_cli(["singular", "--n", "7", "--q-max", str(Q), "--dump-terms", "--reproducible"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    trunc = singular.singular_series(7, Q)
-    assert lines[0] == "q,A_q_n" and lines[-1] == "total,%.17g" % trunc.value
-    assert lines[1:-1] == ["%d,%.17g" % row for row in enumerate(trunc.terms.tolist(), start=1)]
+    terms = concatenated(singular.series_blocks(7, Q))
+    assert lines[0] == "q,A_q_n" and lines[-1] == "total,%.17g" % np.sum(terms)
+    assert lines[1:-1] == ["%d,%.17g" % row for row in enumerate(terms.tolist(), start=1)]
 
 
 def test_failed_write_leaves_existing_output_intact(tmp_path, monkeypatch):
+    """A dump, in each format, whose terms fail after two blocks, the header
+    and (but as text) those blocks written: the old file stays as it was and
+    no temporary file is left; then the dump replaces it, keeping its mode."""
     target = tmp_path / "terms.csv"
-    target.write_bytes(b"previous contents\n")
-    target.chmod(0o600)
     read = []
 
-    def terms_failing_after_two_chunks():
-        for _ in range(2 * 4096):
-            read.append(None)
-            yield 0.5
+    def blocks_failing_after_two(n, Q):
+        for lo in (1, 4097):
+            read.append(lo)
+            yield lo, np.full(4096, 0.5)
         raise OSError(28, "No space left on device")
 
-    class Terms(SimpleNamespace):  # the dump reads its terms a slice at a time
-        def __getitem__(self, block):
-            return self
-
-    terms = Terms(tolist=terms_failing_after_two_chunks)
-    trunc = SimpleNamespace(n=1, Q=10**4, value=1.0, terms=terms)
-    monkeypatch.setattr(singular, "singular_series", lambda n, q_max: trunc)
-    args = ["singular", "--n", "1", "--q-max", "10000", "--dump-terms", "--output", str(target)]
-    assert run_cli(args) == 1  # the header was written, and 2 * 4096 terms read, before the failure
-    assert len(read) == 2 * 4096
-    assert target.read_bytes() == b"previous contents\n"
-    assert os.listdir(tmp_path) == ["terms.csv"]
-    monkeypatch.undo()
-    assert run_cli(args + ["--reproducible"]) == 0
-    assert target.read_text().startswith("q,A_q_n\n1,1\n")
-    assert os.listdir(tmp_path) == ["terms.csv"]
-    assert stat.S_IMODE(os.stat(target).st_mode) == 0o600  # an existing file keeps its mode
+    starts = {"csv": "q,A_q_n\n1,1\n", "json": '{\n  "Q": 10000,\n  "n": 1,\n  "terms": [\n    1.0,', "text": "S3("}
+    for fmt, start in starts.items():
+        target.write_bytes(b"previous contents\n")
+        target.chmod(0o600)
+        args = ["singular", "--n", "1", "--q-max", "10000", "--dump-terms", "--format", fmt, "--output", str(target)]
+        read.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(singular, "series_blocks", blocks_failing_after_two)
+            assert run_cli(args) == 1
+        assert read == [1, 4097], fmt
+        assert target.read_bytes() == b"previous contents\n", fmt
+        assert os.listdir(tmp_path) == ["terms.csv"], fmt
+        assert run_cli(args + ["--reproducible"]) == 0
+        assert target.read_text().startswith(start), fmt
+        assert os.listdir(tmp_path) == ["terms.csv"]
+        assert stat.S_IMODE(os.stat(target).st_mode) == 0o600  # an existing file keeps its mode
 
 
 def _run_captured(argv):
@@ -902,7 +908,7 @@ _STUBS = [
     *((repcount, name, _stub_table) for name in ("build_r1", "build_r3_fold", "build_rk")),
     *((verify, name, _stub_series) for name in ("mean_value_series", "mean_square_series", "mean_square_general")),
     (verify, "singular_truncation_sweep", _stub_sweep),
-    (singular, "singular_series", lambda n, Q: SimpleNamespace(n=n, Q=Q, value=1.0, terms=np.ones(1))),
+    (singular, "series_blocks", lambda n, Q: iter([(1, np.ones(Q))])),
     (expsum, "weyl_sum", lambda alpha, n_terms: 0j),
     (expsum, "gauss_sum", lambda q, a: 0j),
     (constants, "constants_report", lambda direct_q, euler_q, orders: {"c3": 1.0}),
@@ -1115,6 +1121,34 @@ def test_no_package_module_imports_mpmath():
             assert not [n for n in names if n.split(".")[0] == "mpmath"], (path.name, node.lineno)
 
 
+# Public names of the package that no module of it uses, each with its reason.
+_UNREFERENCED = {
+    ("expsum", "f_star"): "the major-arc approximant S(q,a)/q v(beta): perfbench/libstep.py "
+                          "times its scheme, and the sixth-moment check planned in ROADMAP.md "
+                          "integrates it over the major arcs",
+    ("singular", "i_exact_range"): "the exact singular integral I(n), which that sixth-moment "
+                                   "check sums for J_box",
+}
+
+
+def test_every_public_name_is_used_in_the_package():
+    """Every public top-level function or class of the package is named, as a
+    name or an attribute, somewhere in its sources, but for _UNREFERENCED: a
+    library entry no module calls is an oracle for the tests, and belongs in
+    tests/oracles.py."""
+    package = pathlib.Path(cli.__file__).resolve().parent
+    defined, used = set(), set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        defined |= {(path.stem, node.name) for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")}
+        used |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        used |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    unused = {(module, name) for module, name in defined if name not in used}
+    assert unused == set(_UNREFERENCED), sorted(unused)
+
+
 @pytest.mark.parametrize("last", [
     "constants --w-orders 3,4 --format csv",
     "constants --precision extended --digits 20 --w-orders 3,4 --format text",
@@ -1293,17 +1327,20 @@ def test_a_convolution_build_widens_in_place(peak_tables, extra, limit, per_entr
         (["constants"], "--b1-euler-q", 4),
         (["singular", "--n", "5", "--dump-terms", "--format", "text"], "--q-max", 5),
         (["singular", "--n", "5"], "--q-grid", 5),
+        (["singular", "--n", "5", "--dump-terms", "--format", "csv"], "--q-max", 7),
+        (["singular", "--n", "5", "--dump-terms", "--format", "json"], "--q-max", 7),
     ],
-    ids=["constants", "singular-dump", "singular-sweep"],
+    ids=["constants", "singular-dump", "singular-sweep", "singular-dump-csv", "singular-dump-json"],
 )
 def test_a_sieve_holds_its_outputs_and_blocks(tmp_path, args, q_flag, per_q):
     """At Q = 2*10^6 each peaks under `per_q` B per q above the same command at
     Q = 1. The sieve holds its table of f at the primes up to Q / 2, Q / 4
     entries (1 B per q for the int32 totients, 2 for the float64 terms), and
-    one block; the B1 sums, the text dump (S3(n, Q) alone) and the sweep hold
-    no Q-sized array. Measured on a 2-CPU Xeon: 1.0 (the B1 sums sieve in
-    2^14 blocks), 3.1 and 2.9 B per q (12.4, 17.0 and 16.5 with a whole-range
-    sieve; the text dump 11.2 when it held its float64 terms)."""
+    one block; the B1 sums, the dumps and the sweep hold no Q-sized array, and
+    a CSV or JSON dump one block's rendered text besides. Measured on a 2-CPU
+    Xeon: 1.0 (the B1 sums sieve in 2^14 blocks), 3.1, 2.9, 5.2 and 5.2 B per
+    q (12.4, 17.0 and 16.5 with a whole-range sieve; the text dump 11.2 when
+    it held its float64 terms, the CSV and JSON dumps 12.4 and 13.0)."""
     code, _, err, idle = _cli_peak([*args, q_flag, "1", "--reproducible"], tmp_path)
     assert code == 0, err
     code, _, err, peak = _cli_peak([*args, q_flag, str(_PEAK_LIMIT), "--reproducible"], tmp_path)
@@ -1318,12 +1355,17 @@ def test_a_sieve_holds_its_outputs_and_blocks(tmp_path, args, q_flag, per_q):
         ("constants --b1-euler-q 10000000", "72a9f1a55e9e1ba97eb0e2ae64d34ad1f33737b1a19e4168c65785a031ab047d"),
         ("singular --n 5 --q-max 10000000 --dump-terms --format text",
          "a6f4ba09bd56301c5dae5b3e17a0cd8dc8df048382f9b83c0b5cf7324fb54ffd"),
+        ("singular --n 5 --q-max 10000000 --dump-terms --format csv",
+         "cbabaff4dd8bb7fbfbfba470e1e30200d146d695d0e9cfc3551405d6e7843d17"),
+        ("singular --n 5 --q-max 10000000 --dump-terms --format json",
+         "0cddee9d342d8dd3ea7b26f0db2d2ede0a368251e5284b7e516eb24d768c2cbd"),
     ],
-    ids=["constants", "singular-dump"],
+    ids=["constants", "singular-dump", "singular-dump-csv", "singular-dump-json"],
 )
 def test_sieve_outputs_pin_at_the_q_cap(args, digest, capsys):
     """The B1 sums and S3(5, Q) at Q = 10^7, byte for byte as the whole-range
-    sieve printed them."""
+    sieve printed them, and every term of the CSV and JSON dumps as they were
+    printed when the dump held all Q terms."""
     assert run_cli([*args.split(), "--reproducible"]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 

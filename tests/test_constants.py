@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import eisenstein_phi_mpmath, sieve_oracle
+from oracles import concatenated, eisenstein_phi_mpmath, sieve_oracle
 from squaresums import _binary, _sieve, constants
 from squaresums.cli import W_ORDER_CAP
-from squaresums._sieve import SIEVE_BLOCK, multiplicative, multiplicative_blocks, pairwise_sum
+from squaresums._sieve import SIEVE_BLOCK, multiplicative_blocks, pairwise_sum
 from squaresums.errors import DomainError, NotCoprimeError
 from squaresums.expsum import gauss_sum
 
@@ -271,13 +271,13 @@ def test_constants_extended_at_the_digit_cap_is_mpmath():
 def test_totient_sieve_matches_gcd_count():
     # Q just below, at and above a prime square moves the last sieving prime
     for Q in (1, 2, 3, 4, 5, 8, 9, 10, 120, 121, 122, 200, 361):
-        phi = constants.totient_sieve(Q)
-        assert phi.shape == (Q + 1,) and phi[0] == 0
+        phi = concatenated(multiplicative_blocks(Q, np.int32, constants._totient_at))
+        assert phi.shape == (Q,)
         for n in range(1, Q + 1):
             want = sum(1 for a in range(1, n + 1) if math.gcd(a, n) == 1)
-            assert phi[n] == want, (Q, n)
+            assert phi[n - 1] == want, (Q, n)
     with pytest.raises(DomainError):
-        constants.totient_sieve(0)
+        multiplicative_blocks(0, np.int32, constants._totient_at)
 
 
 def test_sieves_match_the_oracle_across_block_edges():
@@ -286,8 +286,8 @@ def test_sieves_match_the_oracle_across_block_edges():
     edges = [Q for edge in (SIEVE_BLOCK, 2 * SIEVE_BLOCK) for Q in range(edge - 3, edge + 4)]
     phi = sieve_oracle(edges[-1])[2]
     for Q in edges:
-        totients = constants.totient_sieve(Q)
-        assert totients.dtype == np.int32 and totients.tolist() == phi[: Q + 1], Q
+        totients = concatenated(multiplicative_blocks(Q, np.int32, constants._totient_at))
+        assert totients.dtype == np.int32 and totients.tolist() == phi[1 : Q + 1], Q
 
 
 def _primes_to(Q: int) -> list[int]:
@@ -337,12 +337,12 @@ def test_multiplicative_builds_the_divisor_count_and_moebius():
     top = _MULTIPLICATIVE_QS[-1]
     divisors, moebius = _divisor_counts(top), _moebius(top)
     for Q in _MULTIPLICATIVE_QS:
-        d = multiplicative(Q, np.int32, _divisor_count_at)
-        mu = multiplicative(Q, np.int32, _moebius_at)
+        d = concatenated(multiplicative_blocks(Q, np.int32, _divisor_count_at))
+        mu = concatenated(multiplicative_blocks(Q, np.int32, _moebius_at))
         assert d.dtype == mu.dtype == np.int32
-        assert d[0] == mu[0] == 0 and d[1] == mu[1] == 1
-        assert d[1:].tolist() == divisors[1 : Q + 1], Q
-        assert mu[1:].tolist() == moebius[1 : Q + 1], Q
+        assert d[0] == mu[0] == 1
+        assert d.tolist() == divisors[1 : Q + 1], Q
+        assert mu.tolist() == moebius[1 : Q + 1], Q
 
 
 # sqrt(Q) reaches 109, so the primes sieved in the indexed pass (67..109 by
@@ -386,7 +386,7 @@ def test_multiplicative_asks_for_each_prime_power_once():
             seen.extend(zip(p.tolist(), pk.tolist()))
             return np.zeros(p.size, dtype=np.int32)
 
-        multiplicative(Q, np.int32, record)
+        concatenated(multiplicative_blocks(Q, np.int32, record))
         want = []
         for p in _primes_to(Q):
             pk = p
@@ -421,8 +421,8 @@ def test_b1_magnitude_law_route_matches_literal_gauss_sums():
 
 
 def test_b1_partial_sums_nondecreasing():
-    for terms in (constants.b1_terms_direct(600), constants.b1_terms_euler(600)):
-        assert (terms >= 0).all()
+    for weigh in (constants._magnitude_law, constants._euler_weight):
+        assert (concatenated(constants._b1_blocks(600, weigh)) >= 0).all()
 
 
 def _split(values, rng):
@@ -450,9 +450,10 @@ def test_pairwise_sum_is_np_sum_bit_for_bit(sizes):
 
 def test_b1_sums_are_np_sum_of_their_terms():
     for Q in (1, 7, 4096, SIEVE_BLOCK, SIEVE_BLOCK + 1, 10**5 + 3):
-        assert constants.b1_direct(Q) == float(np.sum(constants.b1_terms_direct(Q))), Q
-        assert constants.b1_euler(Q) == float(np.sum(constants.b1_terms_euler(Q))), Q
-    for route in (constants.b1_direct, constants.b1_euler, constants.b1_terms_direct):
+        for route, weigh in ((constants.b1_direct, constants._magnitude_law),
+                             (constants.b1_euler, constants._euler_weight)):
+            assert route(Q) == float(np.sum(concatenated(constants._b1_blocks(Q, weigh)))), Q
+    for route in (constants.b1_direct, constants.b1_euler):
         with pytest.raises(DomainError):
             route(0)
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import IMAG_TOLERANCE, a_profile, sieve_oracle
+from oracles import IMAG_TOLERANCE, a_profile, concatenated, sieve_oracle
 from squaresums import repcount, singular
 from squaresums.errors import DomainError
 from squaresums.expsum import gauss_sum
@@ -92,17 +92,17 @@ def brute_i_exact(n: int, x: int) -> float:
 
 def test_a_term_known_values():
     for n in (1, 2, 17):
-        terms = singular.singular_series(n, 2).terms
+        terms = concatenated(singular.series_blocks(n, 2))
         assert terms[0] == 1.0
         assert terms[1] == pytest.approx(0.0, abs=1e-12)
-    terms = singular.singular_series(1, 4).terms
+    terms = concatenated(singular.series_blocks(1, 4))
     assert terms[2] == pytest.approx(-1 / 3, abs=1e-12)
     assert terms[3] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_a_term_matches_literal_definition():
     for n in (1, 2, 3, 7, 30):
-        terms = singular.singular_series(n, 50).terms
+        terms = concatenated(singular.series_blocks(n, 50))
         for q in list(range(1, 31)) + [37, 48, 50]:
             lit = brute_a_term(q, n)
             assert abs(lit.imag) < 1e-9, (q, n)
@@ -114,7 +114,7 @@ def test_a_term_matches_literal_definition():
 
 def test_a_term_fast_path_matches_direct_path():
     for n in (1, 5, 49, 99):
-        terms = singular.singular_series(n, 625).terms
+        terms = concatenated(singular.series_blocks(n, 625))
         for q in (1, 2, 3, 8, 121, 360, 625):
             assert terms[q - 1] == pytest.approx(
                 a_term_direct(q, n), abs=1e-11
@@ -143,17 +143,17 @@ def test_two_adic_local_factors_are_the_rounded_transform():
             want = round(profile[r] * scale) / scale
             n = r or 2**k  # A(q, n) is periodic in n mod q, and n >= 1
             assert singular._local_factor(2, k, n) == want, (k, r)
-    assert singular.singular_series(7, 8).terms[7] == -0.5
+    assert concatenated(singular.series_blocks(7, 8))[7] == -0.5
 
 
 def test_assembled_terms_match_full_length_transform():
     ns = range(1, 51)
-    truncs = {n: singular.singular_series(n, 2000) for n in ns}
+    terms = {n: concatenated(singular.series_blocks(n, 2000)) for n in ns}
     worst = 0.0
     for q in range(1, 2001):
         profile = a_profile(q)
         for n in ns:
-            worst = max(worst, abs(truncs[n].terms[q - 1] - profile[n % q]))
+            worst = max(worst, abs(terms[n][q - 1] - profile[n % q]))
     assert worst <= 1e-12, worst
 
 
@@ -161,20 +161,20 @@ def test_assembled_terms_match_full_length_transform():
 @given(q=st.integers(1, 4096), n=st.integers(1, 10**12))
 def test_a_term_matches_transform_property(q, n):
     profile = a_profile(q)
-    assert abs(singular.singular_series(n, q).terms[q - 1] - profile[n % q]) <= 1e-12
+    assert abs(concatenated(singular.series_blocks(n, q))[q - 1] - profile[n % q]) <= 1e-12
 
 
 def test_a_term_periodic_in_n():
     for q in (3, 4, 7, 9):
         for n in (1, 2, 5):
-            terms, shifted = (singular.singular_series(m, q).terms for m in (n, n + q))
+            terms, shifted = (concatenated(singular.series_blocks(m, q)) for m in (n, n + q))
             assert terms[q - 1] == shifted[q - 1], (q, n)
 
 
 def test_a_term_multiplicative():
     pairs = [(3, 4), (3, 5), (4, 9), (5, 8), (7, 16), (9, 20)]
     for n in range(1, 21):
-        terms = singular.singular_series(n, 180).terms
+        terms = concatenated(singular.series_blocks(n, 180))
         for q1, q2 in pairs:
             assert math.gcd(q1, q2) == 1
             got = terms[q1 * q2 - 1]
@@ -186,7 +186,7 @@ def test_a_term_decay_under_frozen_ceiling():
     cfg = FROZEN["singular_term_decay"]
     root_q = np.sqrt(np.arange(1, cfg["q_max"] + 1))
     sup = max(
-        float(np.max(np.abs(singular.singular_series(n, cfg["q_max"]).terms) * root_q))
+        float(np.max(np.abs(concatenated(singular.series_blocks(n, cfg["q_max"]))) * root_q))
         for n in range(1, cfg["n_max"] + 1)
     )
     assert sup <= cfg["ceiling"], sup
@@ -194,16 +194,14 @@ def test_a_term_decay_under_frozen_ceiling():
 
 
 def test_truncation_known_value():
-    trunc = singular.singular_series(1, 4)
-    assert trunc.n == 1 and trunc.Q == 4
-    assert trunc.terms[0] == 1.0
-    assert trunc.value == pytest.approx(7 / 6, abs=1e-12)
-    assert list(trunc.terms) == pytest.approx([1.0, 0.0, -1 / 3, 0.5], abs=1e-12)
+    terms = concatenated(singular.series_blocks(1, 4))
+    assert terms[0] == 1.0
+    assert singular.truncation(1, 4) == pytest.approx(7 / 6, abs=1e-12)
+    assert list(terms) == pytest.approx([1.0, 0.0, -1 / 3, 0.5], abs=1e-12)
 
 
 def test_truncation_terms_match_a_term():
-    trunc = singular.singular_series(5, 60)
-    for i, t in enumerate(trunc.terms):
+    for i, t in enumerate(concatenated(singular.series_blocks(5, 60))):
         assert t == a_term(i + 1, 5), i + 1
 
 
@@ -216,7 +214,7 @@ _EDGE_NS = (5, 3 * 65537, 10**8 - 1, 2**64 + 7)
 
 @functools.cache
 def _edge_terms(n: int) -> np.ndarray:
-    return singular.singular_series(n, _EDGE_Q).terms
+    return concatenated(singular.series_blocks(n, _EDGE_Q))
 
 
 @functools.cache
@@ -234,7 +232,7 @@ def a_term(q: int, n: int) -> float:
     """A(q, n) for q <= _EDGE_Q as the product of singular._local_factor over
     the prime powers p^k exactly dividing q, factored by the smallest prime
     factors of sieve_oracle. The product runs from the largest prime down,
-    the order in which singular_series assembles its terms, so both give the
+    the order in which series_blocks assembles its terms, so both give the
     same float."""
     spf, powers = _spf(), []
     while q > 1:
@@ -258,13 +256,29 @@ def test_truncation_terms_match_a_term_across_block_edges():
             assert float(terms[q - 1]).hex() == a_term(q, n).hex(), (n, q)
 
 
+def test_truncation_is_np_sum_of_the_terms_it_hands_on():
+    """S3(n, Q) is np.sum of the Q terms, bit for bit, and write(lo, terms)
+    sees each block of series_blocks once, in order: at Q inside, at and past
+    the sieve's block edges."""
+    for Q in (1, 2**15 - 1, 2**15, 2**15 + 1, _EDGE_Q):
+        for n in _EDGE_NS:
+            seen = []
+            value = singular.truncation(n, Q, lambda lo, terms: seen.append((lo, terms.copy())))
+            want = _edge_terms(n)[:Q]
+            assert value == float(np.sum(want)), (n, Q)
+            assert [lo for lo, _ in seen] == list(range(1, Q + 1, 2**15)), (n, Q)
+            assert concatenated(seen).tobytes() == want.tobytes(), (n, Q)
+    with pytest.raises(DomainError):
+        singular.truncation(1, 0)
+
+
 def test_truncation_terms_match_a_term_around_a_prime_square():
     """Q = 97^2 - 1, 97^2 and 97^2 + 1, where sqrt(Q) reaches the prime 97:
     every term, bit for bit."""
     for n in _EDGE_NS:
         want = [a_term(q, n).hex() for q in range(1, 97**2 + 2)]
         for Q in (97**2 - 1, 97**2, 97**2 + 1):
-            terms = singular.singular_series(n, Q).terms
+            terms = concatenated(singular.series_blocks(n, Q))
             assert [float(t).hex() for t in terms] == want[:Q], (n, Q)
 
 
@@ -292,7 +306,7 @@ def test_bateman_factor_and_first_truncation():
         assert singular.bateman_factor(n) == pytest.approx(
             2 * math.pi * math.sqrt(n), abs=1e-12
         )
-        assert singular.bateman_factor(n) * singular.singular_series(n, 1).value == pytest.approx(
+        assert singular.bateman_factor(n) * singular.truncation(n, 1) == pytest.approx(
             2 * math.pi * math.sqrt(n), abs=1e-12
         )
 
@@ -301,7 +315,7 @@ def test_bateman_converges_to_exact_counts():
     cfg = FROZEN["bateman_convergence"]
     for n in (1, 2, 3):
         r3 = repcount.r3_point(n)
-        rel = abs(singular.bateman_factor(n) * singular.singular_series(n, 2000).value - r3) / r3
+        rel = abs(singular.bateman_factor(n) * singular.truncation(n, 2000) - r3) / r3
         assert rel < cfg["rel_tolerance"], (n, rel)
 
 
@@ -341,9 +355,9 @@ def test_i_exact_tracks_sqrt_growth():
 
 def test_domain_errors():
     with pytest.raises(DomainError):
-        singular.singular_series(1, 0)
+        singular.series_blocks(1, 0)
     with pytest.raises(DomainError):
-        singular.singular_series(0, 5)
+        singular.series_blocks(0, 5)
     with pytest.raises(DomainError):
         singular.bateman_factor(0)
     with pytest.raises(DomainError):
@@ -351,11 +365,3 @@ def test_domain_errors():
     with pytest.raises(DomainError):
         singular.i_exact_range(-1, 5)
 
-
-def test_truncation_freezes_a_view_of_the_callers_terms():
-    a = np.array([1.0, 0.5])
-    t = singular.SingularTruncation(n=1, Q=2, value=1.5, terms=a)
-    a[1] = 0.25  # the caller's array stays writable, and the truncation shares it
-    assert t.terms.tolist() == [1.0, 0.25]
-    with pytest.raises(ValueError):
-        t.terms[1] = 0.0

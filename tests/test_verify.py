@@ -16,6 +16,7 @@ from squaresums.errors import (
     InsufficientPointsError,
     TableTooShortError,
 )
+from oracles import concatenated
 from tablefiles import read_table
 
 
@@ -349,7 +350,7 @@ def test_truncation_sweep_reads_the_prefix_sums_across_blocks():
     bit, at Q inside, at and past the edges of the running sum's blocks."""
     qs = [1, 2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 5]
     for n in (5, 199999):  # r_3(199999) = 0, as 199999 = 7 mod 8
-        prefix = np.cumsum(singular.singular_series(n, qs[-1]).terms)
+        prefix = np.cumsum(concatenated(singular.series_blocks(n, qs[-1])))
         want = [float(singular.bateman_factor(n) * prefix[Q - 1]) for Q in qs]
         assert [p.bateman for p in verify.singular_truncation_sweep(n, qs).points] == want
 
