@@ -1,5 +1,5 @@
-"""The multiplicative sieve, and the pairwise sum that adds its float blocks
-as np.sum adds one array.
+"""The multiplicative sieve, and the correctly rounded sum of its float
+blocks.
 
 Only the B1 sums and the singular series load this module.
 """
@@ -7,6 +7,7 @@ Only the B1 sums and the singular series load this module.
 from __future__ import annotations
 
 import math
+from itertools import chain
 
 import numpy as np
 
@@ -147,44 +148,8 @@ def multiplicative_blocks(Q: int, dtype, at_prime_powers, block: int = SIEVE_BLO
     return blocks()
 
 
-_PAIRWISE_LEAF = 128  # numpy's PW_BLOCKSIZE: a run this short is summed by one unrolled loop
-
-
-def pairwise_sum(blocks, n: int) -> float:
-    """np.sum of the concatenation of the float64 arrays `blocks`, n entries in
-    all, bit for bit, holding one block at a time.
-
-    np.sum adds a contiguous array along a fixed tree: a run of more than
-    _PAIRWISE_LEAF entries is split after the largest multiple of 8 not above
-    half of it, and each half summed alike. A node of the tree that lies in one
-    block is that block's np.sum over its run; a short run across blocks is
-    copied together first; any other node is the sum of its two halves.
-    """
-    stream = iter(blocks)
-    buf, at = np.empty(0), 0
-
-    def take(m):
-        nonlocal buf, at
-        if buf.size - at >= m:
-            at += m
-            return buf[at - m : at]
-        parts = []
-        while m:
-            while at == buf.size:
-                buf, at = next(stream), 0
-            part = buf[at : at + m]
-            parts.append(part)
-            at, m = at + part.size, m - part.size
-        return np.concatenate(parts)
-
-    def node(m):
-        nonlocal buf, at
-        while at == buf.size:
-            buf, at = next(stream), 0
-        if m <= _PAIRWISE_LEAF or buf.size - at >= m:
-            return np.sum(take(m))
-        half = m // 2
-        half -= half % 8
-        return node(half) + node(m - half)
-
-    return float(node(n)) if n else 0.0
+def fsum_blocks(blocks) -> float:
+    """The exact sum of the float64 arrays `blocks`, rounded once, holding one
+    block at a time: math.fsum (Shewchuk, Discrete Comput. Geom. 18 (1997))
+    over the blocks' memoryviews, which yield their entries as Python floats."""
+    return math.fsum(chain.from_iterable(map(memoryview, blocks)))

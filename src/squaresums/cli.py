@@ -30,14 +30,14 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 from .errors import InsufficientPointsError, SquaresumsError
 
 LIMIT_CAP = 10**8
-Q_CAP = 10**7  # peak RSS at the cap: --dump-terms 54 MiB as CSV, 55 as JSON, 51 as text; a sweep 51 MiB
+Q_CAP = 10**7  # peak RSS at the cap: --dump-terms 54 MiB as CSV or JSON, 50.5 as text; a sweep 51.5 MiB
 N_TERMS_CAP = 10**7  # weyl_sum holds about 40 B per term: about 0.4 GB at the cap
 GRID_POINTS_CAP = 10**6  # weyl-sweep evaluates ceil(1 / --grid) points
 WEYL_TERMS_CAP = 10**9  # --n-terms times the points: weyl_sum takes about 65 ns a term, 65 s at the cap
 GAUSS_Q_CAP = 2**16  # listing S(q, a) for every coprime a costs O(q^2)
-B1_Q_CAP = 10**7  # the B1 totient sieves: 0.6 s and 40 MiB peak RSS at the cap
+B1_Q_CAP = 10**7  # a B1 sieve: 0.9 s and 39.5 MiB peak RSS at the cap
 W_ORDER_CAP = 198  # bounds --w-orders, and --k and --n (an order-k build is k - 1 passes)
-DIGITS_CAP = 1000  # every W_N up to W_ORDER_CAP to 1000 digits: about 0.55 s and 32 MiB peak RSS
+DIGITS_CAP = 1000  # every W_N up to W_ORDER_CAP to 1000 digits: about 0.8 s and 31 MiB peak RSS
 
 
 class CliUsageError(Exception):

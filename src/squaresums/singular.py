@@ -13,7 +13,7 @@ the Ramanujan sum, for p = 2 an exact dyadic value, a sign read off
 8n / 2^k mod 8 times 2^{-floor(k/2)}. series_blocks yields the Q terms a
 block of q at a time from a segmented sieve, which multiplies each q's
 prime-power factors together from the largest prime down; truncation adds
-them along np.sum's pairwise tree as they come, and hands each block on, so
+them exactly as they come, rounding once, and hands each block on, so
 neither it nor the truncation sweep holds more than one block.
 """
 
@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from ._sieve import multiplicative_blocks, pairwise_sum
+from ._sieve import fsum_blocks, multiplicative_blocks
 
 def _legendre(a: int, p: int) -> int:
     """Legendre symbol (a/p) for an odd prime p, by Euler's criterion."""
@@ -110,9 +110,9 @@ def series_blocks(n: int, Q: int):
 
 
 def truncation(n: int, Q: int, write=None) -> float:
-    """S3(n, Q): np.sum of the terms of series_blocks(n, Q), bit for bit,
-    holding one block at a time. write(lo, terms), if given, is called on
-    each block as the pairwise sum takes it."""
+    """S3(n, Q): the exact sum of the float64 terms of series_blocks(n, Q),
+    rounded once, holding one block at a time. write(lo, terms), if given, is
+    called on each block before the sum takes it."""
     blocks = series_blocks(n, Q)
 
     def taken():
@@ -121,7 +121,7 @@ def truncation(n: int, Q: int, write=None) -> float:
                 write(lo, terms)
             yield terms
 
-    return pairwise_sum(taken(), Q)
+    return fsum_blocks(taken())
 
 
 def bateman_factor(n: int) -> float:

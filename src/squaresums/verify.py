@@ -276,7 +276,10 @@ def read_series(path) -> list[SimpleNamespace]:
 
 
 def singular_truncation_sweep(n: int, Q_grid) -> TruncationSweep:
-    """Truncated count formula 2 pi sqrt(n) S3(n, Q) against exact r_3(n)."""
+    """Truncated count formula 2 pi sqrt(n) S3(n, Q) against exact r_3(n).
+    S3(n, Q) is the sequential prefix sum of the A(q, n), so within gamma_{Q-1}
+    sum_{q<=Q} |A(q, n)| of their exact sum, gamma_k = k u / (1 - k u), u = 2^-53
+    (Higham, Accuracy and Stability of Numerical Algorithms, sec. 4.2)."""
     from . import repcount, singular  # local: the verify-* subcommands never load singular
 
     qs = sorted({int(Q) for Q in Q_grid})

@@ -3,10 +3,12 @@ scattering entries. None of them calls repcount or singular, so a defect in
 their kernels cannot hide in a comparison with one of these; the scattering
 entry evaluates the package's closed form in mpmath, off the half-integers
 too. `concatenated` holds a sieve's whole output, which the package never
-does, for the tests that read its terms by q."""
+does, for the tests that read its terms by q; `exact_sum` adds float terms
+in exact rational arithmetic, with no float addition at all."""
 
 import itertools
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -22,6 +24,16 @@ def concatenated(blocks) -> np.ndarray:
     another: the (lo, f) pairs of _sieve.multiplicative_blocks or
     singular.series_blocks, or the arrays of constants._b1_blocks."""
     return np.concatenate([block[1] if isinstance(block, tuple) else block for block in blocks])
+
+
+def exact_sum(blocks) -> float:
+    """The Fraction sum of the float64 terms of `blocks` (as `concatenated`
+    takes them), rounded once to the nearest double, ties to even. Every
+    double is a whole number of units 2^-1074, num / 2^k = num 2^(1074 - k)
+    units, so the sum is one integer count of units, rounded to a float once."""
+    ratios = map(float.as_integer_ratio, concatenated(blocks).tolist())
+    units = sum(num << (1075 - den.bit_length()) for num, den in ratios)
+    return float(Fraction(units, 1 << 1074))
 
 
 def brute_counts(k: int, x: int) -> list[int]:

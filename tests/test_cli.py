@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from squaresums import cli, constants, expsum, repcount, singular, verify
 from squaresums.errors import SquaresumsError
-from oracles import concatenated
+from oracles import concatenated, exact_sum
 from tablefiles import read_table
 
 
@@ -506,9 +506,12 @@ def test_a_certain_overflow_fails_before_any_pass(monkeypatch, capsys, tmp_path)
 # pin the output bytes the CLI wrote before it had a single emitter, except the
 # two `singular --n 7 --q-grid 1,50` csv and json cases: their Q = 50 row moved
 # in the 15th digit once A(8, 7) became exactly -0.5 (the transform gave
-# -0.5000000000000001). `3..198` stands for every order up to W_ORDER_CAP; those
-# two pins were taken from the float-formula constants, so they hold each W_N
-# to the last bit (odd and even orders alike) and every extended digit.
+# -0.5000000000000001), and the `constants` and `singular --q-max 2000` cases,
+# whose truncated sums (B1 and S3(1, 2000)) moved in the last bit when they
+# became the exact sum of their terms rounded once, in place of np.sum's.
+# `3..198` stands for every order up to W_ORDER_CAP; those two pins were taken
+# from the float-formula constants, so they hold each W_N to the last bit (odd
+# and even orders alike) and every extended digit.
 PINNED = [
     ("tables --limit 400 --k 3", 0, "1d5b8c82fe7e2c744f96515b600fcf87387069257a10c638778e052317b93e1f"),
     ("tables --limit 400 --k 3 --table-format binary", 0, "d1b03f579ea5047e462db37508aa2433e30c00b415abd4dd4f8a2bc4d3d4fb20"),
@@ -530,14 +533,14 @@ PINNED = [
     ("verify-general --n 4 --limit 2000 --checkpoints 100,300,1000,2000 --format csv", 0, "ca5482baf8d9cbea0355ef223528ee154c26f849515b6e41e5fe1df5935939a5"),
     ("verify-general --n 4 --limit 2000 --checkpoints 100,300,1000,2000 --format json", 0, "d3536eefd21897100e1309af9458aecd6cff27cbbff1a133131a9b8734f69d25"),
     ("verify-general --n 4 --limit 2000 --checkpoints 100,300,1000,2000 --format text", 0, "124dda514e77c7ddbf6fedc33c9d9ef66ab3e854d3ae6471ab303ae49f2ff37a"),
-    ("constants --w-orders 3,4 --format csv", 0, "4c9c1e846922561be7d66f0599c5bbcbae03a7e9ba2b44a1292c255f22d57224"),
-    ("constants --w-orders 3,4 --format json", 0, "60d4c52fbf1cc472d3492f00dac1bce46d469920d466febf61910400ffd9811c"),
-    ("constants --w-orders 3,4 --format text", 0, "61f4863b5417d7b1111a0ab453988c13acac59102432a78ddbf74a4c3d598183"),
-    ("constants --precision extended --digits 20 --w-orders 3,4 --format csv", 0, "b7bcb97fbd883c7a2f54b649a94012f2689eb1157cfdbe53521af415a6cd8046"),
-    ("constants --precision extended --digits 20 --w-orders 3,4 --format json", 0, "da20a5a132e4c1305c7e0d8e095d96aecf09c947a4c24a6a5cc065faed6c1cc7"),
-    ("constants --precision extended --digits 20 --w-orders 3,4 --format text", 0, "b47956b0cddb19e705c7203c769553d1c292f94f573e8c506d8fbbd9957accf7"),
-    ("constants --w-orders 3..198 --format json", 0, "7d5b9544623f1f549884e00835422f42341be0e32ae1c7d618596299ffb131f5"),
-    ("constants --precision extended --digits 100 --w-orders 3..198 --format text", 0, "97c091e74fbf17ae8dcb527f1f831e9c5e4050755b9845aa02655d7f53cfe5ab"),
+    ("constants --w-orders 3,4 --format csv", 0, "6138ada30eaf4802741fbf081c1c81399db0651396415390b4b50ba155f04921"),
+    ("constants --w-orders 3,4 --format json", 0, "82ed4cf8437c7cc90a62298b65438f3a77570219ba6a47cee4b931bfd3232a35"),
+    ("constants --w-orders 3,4 --format text", 0, "2d81d3a0ad79cb04d16d4767e183e7a3093af8faa45ef32a732959bf95a53498"),
+    ("constants --precision extended --digits 20 --w-orders 3,4 --format csv", 0, "9581d33166424d9ad72dd1fda7383e775c81c1162f165a36121ab899a780a7d0"),
+    ("constants --precision extended --digits 20 --w-orders 3,4 --format json", 0, "83dfe1d4078fc455819cb33e353cdec947616f90d80f99032f27c2a44f9bc7d2"),
+    ("constants --precision extended --digits 20 --w-orders 3,4 --format text", 0, "51e1e54e286b5301d77f4581a0a4bf385f545b0ebcf9a66ad66938b62a81fb79"),
+    ("constants --w-orders 3..198 --format json", 0, "52c96abba6a4beecbae6bad5dd33358ee95917542cd806cd4ddf3ec545284e59"),
+    ("constants --precision extended --digits 100 --w-orders 3..198 --format text", 0, "9510b1ef53238edc1737bdff80649283b635265119dd8d8f5dcc8fab8a034d24"),
     ("singular --n 1 --format csv", 0, "5edf323d0b3f6def2d42ce6b6eedabb2c8da9d9fbbaf48d72cb7b3779889e443"),
     ("singular --n 1 --format json", 0, "ce0d51558a1a1dc0d7ed224d91516bdca1d9332cee51a293be2383e073ffe656"),
     ("singular --n 1 --format text", 0, "dfcb84e9fc43073bb176f827894ad5dd0dac9e013451a21994a82c9e504e9fd6"),
@@ -547,9 +550,9 @@ PINNED = [
     ("singular --n 1 --q-max 4 --dump-terms --format csv", 0, "2ded261b2fd8086b868f3e304448eeeff4c2eb0d1e5d1f348340fcd97c1fa9b2"),
     ("singular --n 1 --q-max 4 --dump-terms --format json", 0, "3501c661c73b86b2ee406ccad5bbd5f6678b9635db6868b5082e8adc836dad51"),
     ("singular --n 1 --q-max 4 --dump-terms --format text", 0, "fd1342c98beefb30b89877f97730d1ceb7d2ed94cc8b2b7fc47c09e82eb8f38f"),
-    ("singular --n 1 --q-max 2000 --dump-terms --format csv", 0, "4ea897429a1dc79afb43c999da82374b13ab881cacb0b833816f08b6b7886dd4"),
-    ("singular --n 1 --q-max 2000 --dump-terms --format json", 0, "599f25a7abf623bb2557285a8bb323eb6bd51f4e3d7544efbe0c8a6e9a3a2710"),
-    ("singular --n 1 --q-max 2000 --dump-terms --format text", 0, "552da0515b6668643cfd740deb8434956b2fa3806b99cbb9626cba7b25af4a62"),
+    ("singular --n 1 --q-max 2000 --dump-terms --format csv", 0, "a8dfe1164e58837731f76895b0c76ca793718e93832cbda35d90fb611d9dd585"),
+    ("singular --n 1 --q-max 2000 --dump-terms --format json", 0, "2388e2e7a60a4ccdc861dda57d5f6a14218e01c6bce42340f4d12b1dc752fae3"),
+    ("singular --n 1 --q-max 2000 --dump-terms --format text", 0, "76051b614af1052e1e037c1518734f6b10e5b675f87352b662b277d44f2a3151"),
     ("gauss --q 6 --a 1 --format csv", 0, "f363e924d0efc883f9f805c62e7652a4dfaa4cb5aaa0c96c66dca2fd92e86b0f"),
     ("gauss --q 6 --a 1 --format json", 0, "c7f3ee01f2aa3e749ef68e099a5d2f3bf43a427d07c249173e9074575a51405d"),
     ("gauss --q 6 --a 1 --format text", 0, "0ab5e9238e8cbd95675f6b5620183f13e3205772a712d1049e2b1e5038fcab2f"),
@@ -678,7 +681,7 @@ def test_csv_dump_crosses_a_block(capsys):
     assert run_cli(["singular", "--n", "7", "--q-max", str(Q), "--dump-terms", "--reproducible"]) == 0
     lines = capsys.readouterr().out.splitlines()
     terms = concatenated(singular.series_blocks(7, Q))
-    assert lines[0] == "q,A_q_n" and lines[-1] == "total,%.17g" % np.sum(terms)
+    assert lines[0] == "q,A_q_n" and lines[-1] == "total,%.17g" % exact_sum([terms])
     assert lines[1:-1] == ["%d,%.17g" % row for row in enumerate(terms.tolist(), start=1)]
 
 
@@ -1352,7 +1355,7 @@ def test_a_sieve_holds_its_outputs_and_blocks(tmp_path, args, q_flag, per_q):
 @pytest.mark.parametrize(
     "args, digest",
     [
-        ("constants --b1-euler-q 10000000", "72a9f1a55e9e1ba97eb0e2ae64d34ad1f33737b1a19e4168c65785a031ab047d"),
+        ("constants --b1-euler-q 10000000", "3715f3c9dec7bbea6e4c3b2e02df2d54a62e0e92cb831a739fa0ec1bcfd9b027"),
         ("singular --n 5 --q-max 10000000 --dump-terms --format text",
          "a6f4ba09bd56301c5dae5b3e17a0cd8dc8df048382f9b83c0b5cf7324fb54ffd"),
         ("singular --n 5 --q-max 10000000 --dump-terms --format csv",
@@ -1363,9 +1366,10 @@ def test_a_sieve_holds_its_outputs_and_blocks(tmp_path, args, q_flag, per_q):
     ids=["constants", "singular-dump", "singular-dump-csv", "singular-dump-json"],
 )
 def test_sieve_outputs_pin_at_the_q_cap(args, digest, capsys):
-    """The B1 sums and S3(5, Q) at Q = 10^7, byte for byte as the whole-range
-    sieve printed them, and every term of the CSV and JSON dumps as they were
-    printed when the dump held all Q terms."""
+    """The B1 sums and S3(5, Q) at Q = 10^7, the B1 sums as their exact sums
+    rounded once, S3(5, Q) byte for byte as the whole-range sieve printed it
+    (np.sum rounded it correctly there), and every term of the CSV and JSON
+    dumps as they were printed when the dump held all Q terms."""
     assert run_cli([*args.split(), "--reproducible"]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 

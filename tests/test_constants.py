@@ -6,12 +6,12 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from oracles import concatenated, eisenstein_phi_mpmath, sieve_oracle
-from squaresums import _binary, _sieve, constants
+from oracles import concatenated, eisenstein_phi_mpmath, exact_sum, sieve_oracle
+from squaresums import _binary, _sieve, constants, singular
 from squaresums.cli import W_ORDER_CAP
-from squaresums._sieve import SIEVE_BLOCK, multiplicative_blocks, pairwise_sum
+from squaresums._sieve import SIEVE_BLOCK, multiplicative_blocks
 from squaresums.errors import DomainError, NotCoprimeError
 from squaresums.expsum import gauss_sum
 
@@ -425,37 +425,59 @@ def test_b1_partial_sums_nondecreasing():
         assert (concatenated(constants._b1_blocks(600, weigh)) >= 0).all()
 
 
-def _split(values, rng):
-    """values cut at random places into consecutive blocks, one of them
-    sometimes empty, as a stream of float64 arrays."""
-    cuts = np.sort(rng.integers(0, values.size + 1, rng.integers(0, 12)))
-    return iter(np.split(values, cuts))
+# Doubles across about 60 binades, signed zeros, and subnormals
+_SUMMANDS = st.one_of(
+    st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-30, 30)),
+    st.sampled_from([0.0, -0.0]),
+    st.floats(-(2.0**-1022), 2.0**-1022),
+)
 
 
-@pytest.mark.parametrize("sizes", [range(1, 301), (2**16 - 8, 2**16 + 8, 999983, 10**6)],
-                         ids=["1-300", "large"])
-def test_pairwise_sum_is_np_sum_bit_for_bit(sizes):
-    """Signed values across 32 binades, cut into random blocks, and into the
-    sieve's blocks: the same float as np.sum over the whole array."""
-    rng = np.random.default_rng(2005)
-    for n in sizes:
-        values = rng.standard_normal(n) * np.exp2(rng.integers(-16, 16, n))
-        want = float(np.sum(values))
-        for _ in range(3):
-            assert pairwise_sum(_split(values, rng), n) == want, n
-        blocks = (values[lo : lo + SIEVE_BLOCK] for lo in range(0, n, SIEVE_BLOCK))
-        assert pairwise_sum(blocks, n) == want, n
-    assert pairwise_sum(iter(()), 0) == 0.0
+@settings(max_examples=200)
+@given(values=st.lists(_SUMMANDS, max_size=300), cancelled=st.integers(0, 300),
+       cuts=st.lists(st.integers(0, 600), max_size=8), seed=st.integers(0, 2**32 - 1))
+@example(values=[1.0, 2.0**-53], cancelled=0, cuts=[1], seed=0)  # a tie, to even: 1.0
+@example(values=[1.0, 2.0**-53, 2.0**-106], cancelled=0, cuts=[], seed=0)  # past the tie
+@example(values=[2.0**-1074, -0.0, 2.0**-1074, 2.0**-1022], cancelled=4, cuts=[0, 0, 8], seed=1)
+def test_fsum_blocks_is_the_exact_sum_rounded_once(values, cancelled, cuts, seed):
+    """Terms with some of their negations, in a random order, cut into blocks
+    at random places (some empty): the block sum is the exact sum of the
+    terms, rounded once."""
+    terms = np.array(values + [-v for v in values[:cancelled]], dtype=np.float64)
+    terms = np.random.default_rng(seed).permutation(terms)
+    blocks = np.split(terms, sorted(min(cut, terms.size) for cut in cuts))
+    assert _sieve.fsum_blocks(iter(blocks)) == exact_sum(blocks)
 
 
-def test_b1_sums_are_np_sum_of_their_terms():
+def test_b1_sums_are_exact_sums_of_their_terms():
     for Q in (1, 7, 4096, SIEVE_BLOCK, SIEVE_BLOCK + 1, 10**5 + 3):
         for route, weigh in ((constants.b1_direct, constants._magnitude_law),
                              (constants.b1_euler, constants._euler_weight)):
-            assert route(Q) == float(np.sum(concatenated(constants._b1_blocks(Q, weigh)))), Q
+            assert route(Q) == exact_sum(constants._b1_blocks(Q, weigh)), Q
     for route in (constants.b1_direct, constants.b1_euler):
         with pytest.raises(DomainError):
             route(0)
+
+
+@settings(max_examples=40)
+@given(Q=st.integers(1, 4000), n=st.sampled_from([1, 5, 7, 199999, 2**64 + 7]), data=st.data())
+def test_float_terms_are_the_same_at_any_block_size(Q, n, data):
+    """A float f is multiplied in one order whatever the block size: the terms
+    A(q, n) and the B1 terms in random blocks are the default blocks' bits,
+    and each sum is the exact sum of those terms, rounded once."""
+    block = data.draw(st.integers(max(1, Q // 40), Q + 5), label="block")
+    at_prime_powers = singular._local_factors(n)
+    terms = concatenated(multiplicative_blocks(Q, np.float64, at_prime_powers))
+    blocks = list(multiplicative_blocks(Q, np.float64, at_prime_powers, block))
+    assert concatenated(blocks).tobytes() == terms.tobytes(), (Q, n, block)
+    assert _sieve.fsum_blocks(f for _, f in blocks) == singular.truncation(n, Q) == exact_sum([terms])
+    for route, weigh in ((constants.b1_direct, constants._magnitude_law),
+                         (constants.b1_euler, constants._euler_weight)):
+        terms = concatenated(constants._b1_blocks(Q, weigh))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(constants, "_B1_BLOCK", block)
+            assert concatenated(constants._b1_blocks(Q, weigh)).tobytes() == terms.tobytes(), (Q, block)
+            assert route(Q) == exact_sum([terms]), (Q, block)
 
 
 def test_mean_square_constant_identities():

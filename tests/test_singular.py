@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import IMAG_TOLERANCE, a_profile, concatenated, sieve_oracle
+from oracles import IMAG_TOLERANCE, a_profile, concatenated, exact_sum, sieve_oracle
 from squaresums import repcount, singular
 from squaresums.errors import DomainError
 from squaresums.expsum import gauss_sum
@@ -256,16 +256,16 @@ def test_truncation_terms_match_a_term_across_block_edges():
             assert float(terms[q - 1]).hex() == a_term(q, n).hex(), (n, q)
 
 
-def test_truncation_is_np_sum_of_the_terms_it_hands_on():
-    """S3(n, Q) is np.sum of the Q terms, bit for bit, and write(lo, terms)
-    sees each block of series_blocks once, in order: at Q inside, at and past
-    the sieve's block edges."""
+def test_truncation_is_the_exact_sum_of_the_terms_it_hands_on():
+    """S3(n, Q) is the exact sum of the Q terms, rounded once, and
+    write(lo, terms) sees each block of series_blocks once, in order: at Q
+    inside, at and past the sieve's block edges."""
     for Q in (1, 2**15 - 1, 2**15, 2**15 + 1, _EDGE_Q):
         for n in _EDGE_NS:
             seen = []
             value = singular.truncation(n, Q, lambda lo, terms: seen.append((lo, terms.copy())))
             want = _edge_terms(n)[:Q]
-            assert value == float(np.sum(want)), (n, Q)
+            assert value == exact_sum([want]), (n, Q)
             assert [lo for lo, _ in seen] == list(range(1, Q + 1, 2**15)), (n, Q)
             assert concatenated(seen).tobytes() == want.tobytes(), (n, Q)
     with pytest.raises(DomainError):

@@ -355,6 +355,26 @@ def test_truncation_sweep_reads_the_prefix_sums_across_blocks():
         assert [p.bateman for p in verify.singular_truncation_sweep(n, qs).points] == want
 
 
+def test_truncation_sweep_is_within_its_bound_of_the_exact_sum():
+    """The sweep's sequential prefix is within gamma_{Q-1} sum |A(q, n)| of the
+    exact sum, which truncation rounds once: 2 pi sqrt(n) times each of them
+    agree within that bound times the factor, plus the rounding of the exact
+    sum and of both products, at Q across the sieve's block edges."""
+    u = 2.0**-53
+    qs = [2**15 - 1, 2**15, 2**15 + 1, 2**16 - 1, 2**16, 2**16 + 1]
+    for n in (1, 5, 199999):
+        factor = singular.bateman_factor(n)
+        sizes = np.abs(concatenated(singular.series_blocks(n, qs[-1])))
+        points = verify.singular_truncation_sweep(n, qs).points
+        assert [p.Q for p in points] == qs
+        for p in points:
+            exact = singular.truncation(n, p.Q)
+            gamma = (p.Q - 1) * u / (1 - (p.Q - 1) * u)
+            bound = factor * (gamma * math.fsum(sizes[: p.Q]) + math.ulp(exact) / 2)
+            bound += (math.ulp(p.bateman) + math.ulp(factor * exact)) / 2
+            assert abs(p.bateman - factor * exact) <= bound, (n, p.Q)
+
+
 def test_truncation_sweep_zero_class():
     sweep = verify.singular_truncation_sweep(7, [1, 100])
     assert sweep.r3 == 0
