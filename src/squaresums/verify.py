@@ -13,16 +13,17 @@ held whole.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from .errors import DomainError, InsufficientPointsError, TableTooShortError
 from ._util import SAFE_LIMIT
 
-if TYPE_CHECKING:  # at run time only the sweep uses repcount, and imports it: fit loads no table code
+if TYPE_CHECKING:  # at run time only the sweep uses repcount: fit loads no table code and no numpy
+    import numpy as np
+
     from . import repcount
 
 _SUM_BLOCK = 2**16  # entries per block of an exact prefix sum
@@ -127,7 +128,7 @@ def _chunk_sum(chunk: np.ndarray, square: bool) -> int:
     exact bound, top * size (top * top * size for squares, top its largest
     entry), stays below SAFE_LIMIT sums in int64; any other is cast to Python
     ints, _OBJECT_BLOCK entries at a time."""
-    chunk = chunk.astype(np.int64, copy=False)
+    chunk = chunk.astype("int64", copy=False)
     top = int(chunk.max())
     if (top * top if square else top) * chunk.size < SAFE_LIMIT:
         return int((chunk * chunk if square else chunk).sum())
@@ -147,7 +148,7 @@ def _prefix_at(blocks, xs: list[int], square: bool) -> dict[int, int]:
     chunks of at most _SUM_BLOCK, each ending at a checkpoint or a block's
     end; the running total is a Python int.
     """
-    if isinstance(blocks, np.ndarray):
+    if not isinstance(blocks, Iterator):  # one counts array
         blocks = (blocks,)
     out: dict[int, int] = {}
     todo = iter(xs)
@@ -218,38 +219,40 @@ def mean_square_general(N: int, table: repcount.RepTable | repcount.TableFile, c
 
 
 def fit_error_exponent(checkpoints) -> FitResult:
-    """OLS on (log x, log abs_err); zero-error points are skipped."""
+    """OLS on (log x, log abs_err); zero-error points are skipped. Each sum is
+    math.fsum: the exact sum of its float64 terms, rounded once."""
     pts = [
         (math.log(c.x), math.log(c.abs_err)) for c in checkpoints if c.abs_err > 0.0
     ]
-    if len(pts) < 3:
+    n = len(pts)
+    if n < 3:
         raise InsufficientPointsError(
-            f"need >= 3 checkpoints with positive error, got {len(pts)}"
+            f"need >= 3 checkpoints with positive error, got {n}"
         )
-    xs = np.array([p[0] for p in pts])
-    ys = np.array([p[1] for p in pts])
-    xm, ym = xs.mean(), ys.mean()
-    sxx = float(np.sum((xs - xm) ** 2))
+    xm = math.fsum(x for x, _ in pts) / n
+    ym = math.fsum(y for _, y in pts) / n
+    dx = [x - xm for x, _ in pts]
+    dy = [y - ym for _, y in pts]
+    sxx = math.fsum(d * d for d in dx)
     if sxx == 0.0:
         raise InsufficientPointsError("checkpoints share a single x value")
-    slope = float(np.sum((xs - xm) * (ys - ym))) / sxx
+    slope = math.fsum(a * b for a, b in zip(dx, dy)) / sxx
     intercept = ym - slope * xm
-    sst = float(np.sum((ys - ym) ** 2))
+    sst = math.fsum(d * d for d in dy)
     if sst == 0.0:
         r2 = 1.0
     else:
-        ssr = float(np.sum((ys - intercept - slope * xs) ** 2))
+        res = [y - intercept - slope * x for x, y in pts]
+        ssr = math.fsum(r * r for r in res)
         r2 = min(1.0, max(0.0, 1.0 - ssr / sst))
-    return FitResult(
-        slope=slope, intercept=float(intercept), r_squared=r2, points_used=len(pts)
-    )
+    return FitResult(slope=slope, intercept=intercept, r_squared=r2, points_used=n)
 
 
 def read_series(path) -> list[SimpleNamespace]:
     """(x, abs_err) of every data row of a series CSV, such as verify-* output.
 
     Comment lines and rows not led by an integer (footers) are skipped; a
-    malformed data row raises DomainError.
+    malformed data row, or one whose abs_err is inf or nan, raises DomainError.
     """
     with open(path, newline="", errors="replace") as fh:
         lines = [line.strip() for line in fh]
@@ -271,6 +274,8 @@ def read_series(path) -> list[SimpleNamespace]:
             raise DomainError(f"{path}: no integer x and real abs_err in {bad!r}") from None
         if x < 1:
             raise DomainError(f"{path}: x must be >= 1, got {x}")
+        if not math.isfinite(abs_err):
+            raise DomainError(f"{path}: abs_err must be finite, got {','.join(row)!r}")
         points.append(SimpleNamespace(x=x, abs_err=abs_err))
     return points
 
@@ -295,7 +300,7 @@ def singular_truncation_sweep(n: int, Q_grid) -> TruncationSweep:
     carry = 0.0  # the prefix sum before the block: np.cumsum's, bit for bit
     for lo, terms in singular.series_blocks(n, qs[-1]):
         terms[0] += carry
-        prefix = np.cumsum(terms, out=terms)
+        prefix = terms.cumsum(out=terms)
         while Q is not None and Q < lo + prefix.size:
             val = float(factor * prefix[Q - lo])
             abs_err = abs(val - r3)

@@ -508,7 +508,9 @@ def test_a_certain_overflow_fails_before_any_pass(monkeypatch, capsys, tmp_path)
 # in the 15th digit once A(8, 7) became exactly -0.5 (the transform gave
 # -0.5000000000000001), and the `constants` and `singular --q-max 2000` cases,
 # whose truncated sums (B1 and S3(1, 2000)) moved in the last bit when they
-# became the exact sum of their terms rounded once, in place of np.sum's.
+# became the exact sum of their terms rounded once, in place of np.sum's, and
+# the three `verify-*` json cases, whose `fit` fields moved in the last bit when
+# the fit's sums became math.fsum in place of numpy's reductions.
 # `3..198` stands for every order up to W_ORDER_CAP; those two pins were taken
 # from the float-formula constants, so they hold each W_N to the last bit (odd
 # and even orders alike) and every extended digit.
@@ -516,7 +518,7 @@ PINNED = [
     ("tables --limit 400 --k 3", 0, "1d5b8c82fe7e2c744f96515b600fcf87387069257a10c638778e052317b93e1f"),
     ("tables --limit 400 --k 3 --table-format binary", 0, "d1b03f579ea5047e462db37508aa2433e30c00b415abd4dd4f8a2bc4d3d4fb20"),
     ("verify-mean --limit 10000 --checkpoints 100,1000,10000 --format csv", 0, "cd2c59b1be5aa26169264c3b8daba1fbc8836e6975988f97130f323eebb3f805"),
-    ("verify-mean --limit 10000 --checkpoints 100,1000,10000 --format json", 0, "e0357ecd27178e673adcb0ff1553c2a4a7c2b0466f4f5dfc0104493f5adbcc2d"),
+    ("verify-mean --limit 10000 --checkpoints 100,1000,10000 --format json", 0, "4f144c07fa294d065d4b177bb16c2255ef8888ea211826ff68a7d6ff0299ac70"),
     ("verify-mean --limit 10000 --checkpoints 100,1000,10000 --format text", 0, "2896e249af26274bae1e080b766b6da5f4486a0fd8173097d2ab8fc1729c9195"),
     ("verify-mean --limit 400 --checkpoints 100,400 --format csv", 0, "d7a14bcb3eddba8521f07d7c491dcfe46ac97466b6361d2b7174206f2241163f"),
     ("verify-mean --limit 400 --checkpoints 100,400 --format json", 0, "4c9cfb78e3577abc1b2989c6c714805c9fc8966388ae09abb3b2281e4b438771"),
@@ -528,10 +530,10 @@ PINNED = [
     ("verify-mean --limit 4 --checkpoints 1,4 --format json", 0, "1859643a2fe72a85f7319d7fefb542df2c762594910343988a61bf1328ad9f1b"),
     ("verify-mean --limit 4 --checkpoints 1,4 --format text", 0, "1c465fa517b4ec91174d3cd66e8df7df31da421d234dc87866318cd0f58fbb70"),
     ("verify-meansquare --limit 30000 --format csv", 0, "0b65739c95993932afa7eb071e0c030e5a07112592806a3b98df9fcddea3b549"),
-    ("verify-meansquare --limit 30000 --format json", 0, "1cc67974ec28ad1b27a811cb6cf2c933f6489471ee3bfc659f00c13bf629b5db"),
+    ("verify-meansquare --limit 30000 --format json", 0, "1d7a9b58bb6f15cfda459bde4f625fcb7e2e2a3570b32d83f4d038fe1d9eaf4a"),
     ("verify-meansquare --limit 30000 --format text", 0, "81fb3b387397c47c1cff754c552d3316a3181830b591ac6433f95ef8688e814a"),
     ("verify-general --n 4 --limit 2000 --checkpoints 100,300,1000,2000 --format csv", 0, "ca5482baf8d9cbea0355ef223528ee154c26f849515b6e41e5fe1df5935939a5"),
-    ("verify-general --n 4 --limit 2000 --checkpoints 100,300,1000,2000 --format json", 0, "d3536eefd21897100e1309af9458aecd6cff27cbbff1a133131a9b8734f69d25"),
+    ("verify-general --n 4 --limit 2000 --checkpoints 100,300,1000,2000 --format json", 0, "d8b1226c385133705f41fef3538c61a5417a5f425c47c54b816ca0b25eb9dd46"),
     ("verify-general --n 4 --limit 2000 --checkpoints 100,300,1000,2000 --format text", 0, "124dda514e77c7ddbf6fedc33c9d9ef66ab3e854d3ae6471ab303ae49f2ff37a"),
     ("constants --w-orders 3,4 --format csv", 0, "6138ada30eaf4802741fbf081c1c81399db0651396415390b4b50ba155f04921"),
     ("constants --w-orders 3,4 --format json", 0, "82ed4cf8437c7cc90a62298b65438f3a77570219ba6a47cee4b931bfd3232a35"),
@@ -861,6 +863,16 @@ def test_short_fit_row_is_a_domain_error(tmp_path):
     assert err.startswith("error: DomainError: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("bad", ["inf", "-inf", "nan"])
+def test_non_finite_fit_error_is_a_domain_error(tmp_path, bad):
+    """A row whose abs_err is not finite is named in one error line: it is
+    neither fitted (inf gave a NaN slope, which is not JSON) nor skipped (nan)."""
+    path = tmp_path / "series.csv"
+    path.write_text(f"x,abs_err\n100,3.5\n1000,{bad}\n10000,130.0\n")
+    code, err = _run_captured(["fit", "--input", str(path), "--format", "json"])
+    assert (code, err) == (1, f"error: DomainError: {path}: abs_err must be finite, got '1000,{bad}'\n")
+
+
 _SUBPARSERS = next(
     action.choices
     for action in cli.build_parser()._actions
@@ -1020,7 +1032,7 @@ def test_imports_load_no_constants_thread_pool_or_numpy(tmp_path):
         (["verify-general", "--n", "4", "--limit", "1000"], 0,
          ["mpmath", "squaresums._sieve", "squaresums.expsum", "squaresums.singular"]),
         (["fit", "--input", str(series)], 0,
-         ["mpmath", "squaresums.constants", "squaresums.repcount", "squaresums.singular"]),
+         ["mpmath", "numpy", "squaresums.constants", "squaresums.repcount", "squaresums.singular"]),
         (["constants", "--w-orders", "3,4", "--b1-euler-q", "1000"], 0,
          ["mpmath", "squaresums._util", "squaresums.repcount", "squaresums.singular", "squaresums.verify"]),
         (["constants", "--precision", "extended", "--digits", "30"], 0,
@@ -1184,6 +1196,119 @@ def test_only_a_constant_loads_mpmath(last, tmp_path):
     pinned = [(key, digest) for key, (_, _, digest) in zip(keys, report) if key in pins]
     assert len(pinned) == len(runs) - 2  # all but the two that write files
     assert all(digest == pins[key] for key, digest in pinned), pinned
+
+
+# One pinned case of each subcommand, run through the process entry point.
+_ENTRY_CASES = [
+    "tables --limit 400 --k 3 --table-format binary",
+    "verify-mean --limit 400 --checkpoints 100,400 --format json",
+    "verify-meansquare --limit 30000 --format text",
+    "verify-general --n 4 --limit 2000 --checkpoints 100,300,1000,2000 --format csv",
+    "constants --w-orders 3,4 --format csv",
+    "singular --n 1 --q-max 2000 --dump-terms --format json",
+    "gauss --q 12 --format text",
+    "weyl-sweep --n-terms 40 --grid 0.25 --format csv",
+    "fit --input SERIES --format json",
+]
+
+
+def _entry(args, stdout=subprocess.PIPE):
+    """`python -m squaresums.cli args` in a fresh interpreter whose stdout is
+    block-buffered, so the output is still buffered when main returns."""
+    env = {k: v for k, v in _child_env().items() if k != "PYTHONUNBUFFERED"}
+    return subprocess.Popen([sys.executable, "-m", "squaresums.cli", *args], env=env,
+                            stdout=stdout, stderr=subprocess.PIPE)
+
+
+@pytest.mark.parametrize("case", _ENTRY_CASES, ids=[case.split()[0] for case in _ENTRY_CASES])
+def test_entry_point_writes_the_pinned_bytes(case, tmp_path):
+    """The entry point ends the process once main returns and the output is
+    flushed: the pinned bytes reach stdout as a pipe, stdout as a regular
+    file, and --output alike (for `tables`, --output with stdout either way)."""
+    digest = next(digest for args, _, digest in PINNED if args == case)
+    argv = case.split() + ["--reproducible"]
+    if argv[0] == "fit":
+        series = tmp_path / "series.csv"
+        mean = ["verify-mean", "--limit", "10000", "--checkpoints", "100,300,1000,3000,10000"]
+        assert run_cli(mean + ["--reproducible", "--output", str(series)]) == 0
+        argv[argv.index("SERIES")] = str(series)
+    tables = argv[0] == "tables"  # the table is its --output, and stdout stays empty
+    output = lambda name: argv + ["--output", str(tmp_path / name)]  # noqa: E731
+    with open(tmp_path / "stdout", "wb") as fh:
+        procs = [_entry(output("piped") if tables else argv),
+                 _entry(output("filed") if tables else argv, stdout=fh)]
+    if not tables:
+        procs.append(_entry(output("written")))
+    outs = [proc.communicate(timeout=300) for proc in procs]
+    assert [proc.returncode for proc in procs] == [0] * len(procs), outs
+    note = [err.startswith(b"wrote ") and err.count(b"\n") == 1 if tables else err == b"" for _, err in outs]
+    assert all(note), outs
+    stdout = (tmp_path / "stdout").read_bytes()
+    if tables:
+        assert outs[0][0] == stdout == b""
+        written = [(tmp_path / name).read_bytes() for name in ("piped", "filed")]
+    else:
+        assert outs[2][0] == b""
+        written = [outs[0][0], stdout, (tmp_path / "written").read_bytes()]
+    assert [hashlib.sha256(data).hexdigest() for data in written] == [digest] * len(written)
+
+
+def test_entry_point_keeps_main_s_statuses(tmp_path):
+    """0, 1 and 2 as main returns them, with their output, also when stdout
+    was closed at start (sys.stdout is None); an exception that escapes main
+    still ends in its traceback and status 1."""
+    failing = "verify-mean --limit 2 --checkpoints 1,2 --format csv"
+    procs = [_entry(["--help"]), _entry(failing.split() + ["--reproducible"]), _entry(["nonsense"])]
+    (help_out, _), (out, err), (_, usage) = [proc.communicate(timeout=300) for proc in procs]
+    assert [proc.returncode for proc in procs] == [0, 1, 2]
+    assert help_out.startswith(b"usage: squaresums")
+    digest = next(digest for args, _, digest in PINNED if args == failing)
+    assert hashlib.sha256(out).hexdigest() == digest and err.startswith(b"assertion failed: ")
+    assert usage.startswith(b"usage: squaresums")
+    table = tmp_path / "t.csv"
+    argv = [sys.executable, "-m", "squaresums.cli", "tables", "--limit", "400", "--output", str(table)]
+    closed = subprocess.run(argv, env=_child_env(), stderr=subprocess.PIPE, preexec_fn=lambda: os.close(1))
+    assert closed.returncode == 0 and closed.stderr.startswith(b"wrote ") and table.stat().st_size
+    raising = "from squaresums import cli; cli.main = lambda: 1 / 0; cli.run()"
+    proc = subprocess.run([sys.executable, "-c", raising], env=_child_env(), capture_output=True, text=True)
+    assert proc.returncode == 1 and proc.stderr.startswith("Traceback")
+    assert proc.stderr.endswith("ZeroDivisionError: division by zero\n")
+
+
+@pytest.mark.parametrize("size", ["buffered", "large"])
+@pytest.mark.parametrize("sink", ["closed-pipe", "dev-full"])
+def test_a_failed_write_is_one_error_line(sink, size):
+    """Stdout to a pipe whose read end is closed, or to /dev/full: one `error:`
+    line and status 1, no traceback, whether the write fails in run's final
+    flush (--help, still buffered when main returns) or inside main (2000
+    rows, past the buffer)."""
+    if sink == "dev-full":
+        if not sys.platform.startswith("linux"):
+            pytest.skip("/dev/full is Linux's")
+        fd = os.open("/dev/full", os.O_WRONLY)
+    else:
+        read_end, fd = os.pipe()
+        os.close(read_end)
+    args = ["--help"] if size == "buffered" else ["singular", "--n", "1", "--q-max", "2000", "--dump-terms"]
+    try:
+        proc = _entry(args, stdout=fd)
+    finally:
+        os.close(fd)
+    _, err = proc.communicate(timeout=300)
+    lines = err.decode().splitlines()
+    assert proc.returncode == 1 and len(lines) == 1 and lines[0].startswith("error: "), err
+
+
+def test_console_script_and_main_block_run_one_function():
+    """The `squaresums` script and `python -m squaresums.cli` both call run()."""
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = pathlib.Path(__file__).resolve().parent.parent / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    assert scripts == {"squaresums": "squaresums.cli:run"}
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text())
+    blocks = [node.body for node in tree.body
+              if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert [[ast.unparse(stmt) for stmt in body] for body in blocks] == [["run()"]]
 
 
 # Runs argv[4:] with stdout and stderr to the files argv[2] and argv[3], kills

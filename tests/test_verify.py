@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -16,7 +17,7 @@ from squaresums.errors import (
     InsufficientPointsError,
     TableTooShortError,
 )
-from oracles import concatenated
+from oracles import concatenated, exact_sum
 from tablefiles import read_table
 
 
@@ -317,6 +318,36 @@ def test_fit_requires_three_positive_points():
     ]
     with pytest.raises(InsufficientPointsError):
         verify.fit_error_exponent(cps)
+
+
+def _fit_oracle(points):
+    """fit_error_exponent's algebra with each fsum replaced by exact_sum: the
+    exact rational sum of the float64 terms, rounded once."""
+    total = lambda terms: exact_sum([np.array(terms, dtype=np.float64)])  # noqa: E731
+    pts = [(math.log(p.x), math.log(p.abs_err)) for p in points if p.abs_err > 0.0]
+    n = len(pts)
+    xm = total([x for x, _ in pts]) / n
+    ym = total([y for _, y in pts]) / n
+    dx = [x - xm for x, _ in pts]
+    dy = [y - ym for _, y in pts]
+    slope = total([a * b for a, b in zip(dx, dy)]) / total([d * d for d in dx])
+    intercept = ym - slope * xm
+    sst = total([d * d for d in dy])
+    res = [y - intercept - slope * x for x, y in pts]
+    r2 = 1.0 if sst == 0.0 else min(1.0, max(0.0, 1.0 - total([r * r for r in res]) / sst))
+    return slope, intercept, r2
+
+
+@settings(max_examples=200)
+@given(st.lists(st.tuples(st.integers(1, 10**12), st.floats(5e-324, 1e300)),
+                min_size=3, max_size=40, unique_by=lambda row: row[0]))
+def test_fit_sums_are_exact_sums_rounded_once(rows):
+    """On 3-40 points with distinct x, the fit equals the oracle bit for bit."""
+    points = [SimpleNamespace(x=x, abs_err=err) for x, err in rows]
+    fit = verify.fit_error_exponent(points)
+    got = (fit.slope, fit.intercept, fit.r_squared)
+    assert list(map(float.hex, got)) == list(map(float.hex, _fit_oracle(points)))
+    assert fit.points_used == len(rows)
 
 
 def test_checkpoint_validation():
