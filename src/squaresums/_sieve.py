@@ -1,7 +1,9 @@
 """The multiplicative sieve, and the correctly rounded sum of its float
 blocks.
 
-Only the B1 sums and the singular series load this module.
+Only the B1 sums and the singular series load this module. The sieve holds
+one block of q and the values of f at the primes up to Q / 2, not a Q-sized
+array.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from .errors import DomainError
 
 SIEVE_BLOCK = 1 << 15
 _STRIDED_TOP = 64  # primes up to this are sieved by strided slices, larger ones in one indexed pass
+_BIT = np.left_shift(np.uint32(1), np.arange(32, dtype=np.uint32))
 
 
 def _primes_to(top: int) -> list[int]:
@@ -57,9 +60,13 @@ def multiplicative_blocks(Q: int, dtype, at_prime_powers, block: int = SIEVE_BLO
     f(p^k) of the small primes are multiplied on from the largest prime down,
     each onto the running product of the larger ones, so a float f is the
     same product whatever the block size. A prime P <= Q / 2 has later
-    multiples, so f(P) is kept at P // 2 (P is odd) of a table of Q / 4
-    entries; with the small primes' prime powers and one block's temporaries,
-    that is all the sieve holds.
+    multiples, so f(P) is kept: the kept values are held in increasing P, and
+    a bitmap with one bit per odd number up to Q / 2, with the count of its
+    marks up to each 32-bit word, finds the slot of f(P) as the rank of P's
+    bit. That is Q / 16 bytes and pi(Q / 2) values (3.4 MB for the float64
+    terms at Q = 10^7, where a table of f at every odd number up to Q / 2 took
+    20 MB); with the small primes' prime powers and one block's temporaries,
+    it is all the sieve holds.
     """
     if Q < 1:
         raise DomainError(f"Q must be >= 1, got {Q}")
@@ -77,8 +84,18 @@ def multiplicative_blocks(Q: int, dtype, at_prime_powers, block: int = SIEVE_BLO
     values = np.zeros(len(powers), dtype)  # f(p^k), k = 1, 2, ... for each prime in turn
     if powers:
         values[:] = at_prime_powers(np.array(p_of, dtype=np.int32), np.array(powers, dtype=np.int32))
-    table = np.zeros(Q // 4 + 1, dtype)  # f(P) at P // 2, and f(1) = 1 at 0
-    table[0] = 1
+    # f(1), then f(P) of each prime sqrt(Q) < P <= Q / 2 in increasing P, each
+    # marked by bit i & 31 of marks[i >> 5], i = P // 2 (bit 0 marks q = 1);
+    # pi(x) < 1.25506 x / ln x for x > 1 (Rosser and Schoenfeld, Illinois J.
+    # Math. 6 (1962), (3.6)) bounds how many
+    half = Q // 2
+    held = np.empty(1 + (int(1.25506 * half / math.log(half)) + 1 if half > 1 else 0), dtype)
+    held[0] = 1
+    marks = np.zeros((Q >> 7) + 1, dtype=np.uint32)
+    marks[0] = 1
+    counts = np.zeros(marks.size + 1, dtype=np.int32)  # counts[w]: the marks in the words below w
+    counts[1] = 1
+    ranks = counts[1:]  # the marks up to and including word w
     strided = [(p, i) for p, i in zip(primes, first) if p <= _STRIDED_TOP]
     wide = [(p, i) for p, i in zip(primes, first) if p > _STRIDED_TOP][::-1]  # largest first
     wide_p, wide_first = np.array(wide, dtype=np.int64).reshape(-1, 2).T
@@ -92,6 +109,7 @@ def multiplicative_blocks(Q: int, dtype, at_prime_powers, block: int = SIEVE_BLO
         levels.append((cut, pj))
 
     def blocks():
+        count = 1  # the entries of held so far
         for lo in range(1, Q + 1, block):
             hi = min(lo + block, Q + 1)
             smooth = np.ones(hi - lo, dtype=np.int32)  # the part of q made of primes <= sqrt(Q)
@@ -123,12 +141,31 @@ def multiplicative_blocks(Q: int, dtype, at_prime_powers, block: int = SIEVE_BLO
             fresh = np.zeros(new.size, dtype)
             if new.size:
                 fresh[:] = at_prime_powers(P, P)
-            kept = P <= Q // 2
-            table[P[kept] >> 1] = fresh[kept]
+            kept = int(np.count_nonzero(P <= half))  # a prefix, as P increases
+            held[count : count + kept] = fresh[:kept]
+            count += kept
+            index = P[:kept] >> 1
+            np.bitwise_or.at(marks, index >> 5, _BIT[index & 31])
+            if lo <= half:  # recount from the word of lo // 2, which the block before may share
+                w0, w1 = lo >> 6, (min(hi - 1, half) >> 6) + 1
+                np.cumsum(np.bitwise_count(marks[w0:w1]), dtype=np.int32, out=counts[w0 + 1 : w1 + 1])
+                counts[w0 + 1 : w1 + 1] += counts[w0]
+            # the slot of i = rest // 2 is the count of the marks below i: those
+            # up to and including its word, less those at i and above in it. The
+            # new primes (one above Q / 2 has no slot) read q = 1's until f[new] is set
+            rest[new] = 1
+            word = rest >> 6
+            slot = np.take(ranks, word)
+            bits = np.take(marks, word)
+            del word
             rest >>= 1
-            rest[new] = 0  # a prime above Q / 2 has no entry
-            f = table[rest]
+            rest &= 31
+            bits >>= rest.view(np.uint32)
             del rest
+            slot -= np.bitwise_count(bits)
+            del bits
+            f = np.take(held, slot)
+            del slot
             f[new] = fresh
             np.multiply.at(f, at, values[at_value])  # in order: the larger prime first
             for p, i in reversed(strided):

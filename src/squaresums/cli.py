@@ -32,12 +32,14 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 from .errors import InsufficientPointsError, SquaresumsError
 
 LIMIT_CAP = 10**8
-Q_CAP = 10**7  # peak RSS at the cap: --dump-terms 54 MiB as CSV or JSON, 50.5 as text; a sweep 51.5 MiB
+# At the cap, on a 2-CPU Xeon: --dump-terms peaks at 39 MiB RSS in 9 s as CSV or JSON, 35 MiB in 1 s
+# as text; a sweep at 35.5 MiB in 0.9 s
+Q_CAP = 10**7
 N_TERMS_CAP = 10**7  # weyl_sum holds about 40 B per term: about 0.4 GB at the cap
 GRID_POINTS_CAP = 10**6  # weyl-sweep evaluates ceil(1 / --grid) points
 WEYL_TERMS_CAP = 10**9  # --n-terms times the points: weyl_sum takes about 65 ns a term, 65 s at the cap
 GAUSS_Q_CAP = 2**16  # listing S(q, a) for every coprime a costs O(q^2)
-B1_Q_CAP = 10**7  # a B1 sieve: 0.9 s and 39.5 MiB peak RSS at the cap
+B1_Q_CAP = 10**7  # a B1 sieve: 0.9 s and 32.2 MiB peak RSS at the cap
 W_ORDER_CAP = 198  # bounds --w-orders, and --k and --n (an order-k build is k - 1 passes)
 DIGITS_CAP = 1000  # every W_N up to W_ORDER_CAP to 1000 digits: about 0.8 s and 31 MiB peak RSS
 
@@ -465,14 +467,15 @@ def main(argv=None) -> int:
         result = _HANDLERS[args.subcommand](_config_from_args(args))
         return 0 if result is None else _emit(args, result)
     except CliUsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
+        line, status = f"usage error: {exc}", 2
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        line, status = f"error: {exc}", 1
     except SquaresumsError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        line, status = f"error: {type(exc).__name__}: {exc}", 1
+    if sys.stderr is not None:  # None: closed at start, and print would pick stdout
+        with contextlib.suppress(OSError):  # a stderr that refuses writes loses the line, not the status
+            print(line, file=sys.stderr)
+    return status
 
 
 def run() -> None:

@@ -252,7 +252,8 @@ def read_series(path) -> list[SimpleNamespace]:
     """(x, abs_err) of every data row of a series CSV, such as verify-* output.
 
     Comment lines and rows not led by an integer (footers) are skipped; a
-    malformed data row, or one whose abs_err is inf or nan, raises DomainError.
+    malformed data row, or one whose abs_err is inf, nan or negative, raises
+    DomainError.
     """
     with open(path, newline="", errors="replace") as fh:
         lines = [line.strip() for line in fh]
@@ -276,6 +277,8 @@ def read_series(path) -> list[SimpleNamespace]:
             raise DomainError(f"{path}: x must be >= 1, got {x}")
         if not math.isfinite(abs_err):
             raise DomainError(f"{path}: abs_err must be finite, got {','.join(row)!r}")
+        if abs_err < 0:
+            raise DomainError(f"{path}: abs_err must be >= 0, got {','.join(row)!r}")
         points.append(SimpleNamespace(x=x, abs_err=abs_err))
     return points
 

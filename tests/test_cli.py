@@ -863,14 +863,17 @@ def test_short_fit_row_is_a_domain_error(tmp_path):
     assert err.startswith("error: DomainError: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("bad", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("bad", ["inf", "-inf", "nan", "-20.25"])
 def test_non_finite_fit_error_is_a_domain_error(tmp_path, bad):
-    """A row whose abs_err is not finite is named in one error line: it is
-    neither fitted (inf gave a NaN slope, which is not JSON) nor skipped (nan)."""
+    """A row whose abs_err is not finite, or is negative, is named in one error
+    line: it is neither fitted (inf gave a NaN slope, which is not JSON) nor
+    skipped (nan, and a negative error, which gave a fit of the 3 other
+    points and status 0). Zero stays valid: the fit skips it."""
     path = tmp_path / "series.csv"
-    path.write_text(f"x,abs_err\n100,3.5\n1000,{bad}\n10000,130.0\n")
+    path.write_text(f"x,abs_err\n100,3.5\n1000,{bad}\n10000,130.0\n30000,400\n")
     code, err = _run_captured(["fit", "--input", str(path), "--format", "json"])
-    assert (code, err) == (1, f"error: DomainError: {path}: abs_err must be finite, got '1000,{bad}'\n")
+    rule = "finite" if bad in ("inf", "-inf", "nan") else ">= 0"
+    assert (code, err) == (1, f"error: DomainError: {path}: abs_err must be {rule}, got '1000,{bad}'\n")
 
 
 _SUBPARSERS = next(
@@ -1275,6 +1278,26 @@ def test_entry_point_keeps_main_s_statuses(tmp_path):
     assert proc.stderr.endswith("ZeroDivisionError: division by zero\n")
 
 
+@pytest.mark.parametrize("stderr", ["closed", "read-only"])
+def test_a_lost_error_line_keeps_the_status(stderr, tmp_path):
+    """A usage error exits 2 and a missing --table file 1, also when stderr
+    was closed at start (sys.stderr is None) or is a descriptor that refuses
+    writes (EBADF, which raised out of main: status 1 for the usage error).
+    The lost line goes nowhere: stdout stays empty."""
+
+    def lose_stderr():
+        os.close(2)
+        if stderr == "read-only":  # the lowest free descriptor, 2, kept across exec
+            os.set_inheritable(os.open(os.devnull, os.O_RDONLY), True)
+
+    cases = [(["verify-mean", "--limit", "0"], 2),
+             (["verify-mean", "--limit", "100", "--table", str(tmp_path / "missing.csv")], 1)]
+    for args, status in cases:
+        proc = subprocess.run([sys.executable, "-m", "squaresums.cli", *args], env=_child_env(),
+                              stdout=subprocess.PIPE, preexec_fn=lose_stderr, timeout=300)
+        assert (proc.returncode, proc.stdout) == (status, b""), args
+
+
 @pytest.mark.parametrize("size", ["buffered", "large"])
 @pytest.mark.parametrize("sink", ["closed-pipe", "dev-full"])
 def test_a_failed_write_is_one_error_line(sink, size):
@@ -1452,23 +1475,26 @@ def test_a_convolution_build_widens_in_place(peak_tables, extra, limit, per_entr
 @pytest.mark.parametrize(
     "args, q_flag, per_q",
     [
-        (["constants"], "--b1-euler-q", 4),
-        (["singular", "--n", "5", "--dump-terms", "--format", "text"], "--q-max", 5),
-        (["singular", "--n", "5"], "--q-grid", 5),
-        (["singular", "--n", "5", "--dump-terms", "--format", "csv"], "--q-max", 7),
-        (["singular", "--n", "5", "--dump-terms", "--format", "json"], "--q-max", 7),
+        (["constants"], "--b1-euler-q", 0.75),
+        (["singular", "--n", "5", "--dump-terms", "--format", "text"], "--q-max", 2.25),
+        (["singular", "--n", "5"], "--q-grid", 2.25),
+        (["singular", "--n", "5", "--dump-terms", "--format", "csv"], "--q-max", 4),
+        (["singular", "--n", "5", "--dump-terms", "--format", "json"], "--q-max", 4),
     ],
     ids=["constants", "singular-dump", "singular-sweep", "singular-dump-csv", "singular-dump-json"],
 )
 def test_a_sieve_holds_its_outputs_and_blocks(tmp_path, args, q_flag, per_q):
     """At Q = 2*10^6 each peaks under `per_q` B per q above the same command at
-    Q = 1. The sieve holds its table of f at the primes up to Q / 2, Q / 4
-    entries (1 B per q for the int32 totients, 2 for the float64 terms), and
-    one block; the B1 sums, the dumps and the sweep hold no Q-sized array, and
-    a CSV or JSON dump one block's rendered text besides. Measured on a 2-CPU
-    Xeon: 1.0 (the B1 sums sieve in 2^14 blocks), 3.1, 2.9, 5.2 and 5.2 B per
-    q (12.4, 17.0 and 16.5 with a whole-range sieve; the text dump 11.2 when
-    it held its float64 terms, the CSV and JSON dumps 12.4 and 13.0)."""
+    Q = 1. The sieve holds f at the primes between sqrt(Q) and Q / 2 (0.16 B
+    per q for the int32 totients, 0.31 for the float64 terms), a bitmap of
+    them with the count of its marks per word (1/16 B per q), and one block;
+    the B1 sums, the dumps and the sweep hold no Q-sized array, and a CSV or
+    JSON dump one block's rendered text besides. Measured on a 2-CPU Xeon,
+    the largest of 3 runs: 0.22 (the B1 sums sieve in 2^14 blocks), 1.69,
+    1.74, 3.55 and 3.56 B per q; each bound adds 0.5 B per q (about 1 MiB).
+    A table of f at every odd q up to Q / 2 put 1.0, 3.1, 2.9, 5.2 and 5.2
+    there, and a whole-range sieve 12.4, 17.0 and 16.5 (the text dump 11.2
+    when it held its float64 terms, the CSV and JSON dumps 12.4 and 13.0)."""
     code, _, err, idle = _cli_peak([*args, q_flag, "1", "--reproducible"], tmp_path)
     assert code == 0, err
     code, _, err, peak = _cli_peak([*args, q_flag, str(_PEAK_LIMIT), "--reproducible"], tmp_path)
@@ -1497,6 +1523,26 @@ def test_sieve_outputs_pin_at_the_q_cap(args, digest, capsys):
     dumps as they were printed when the dump held all Q terms."""
     assert run_cli([*args.split(), "--reproducible"]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
+@pytest.mark.parametrize(
+    "args, documented",
+    [
+        ("constants --b1-euler-q 10000000", 32.1),
+        ("singular --n 5 --q-max 10000000 --dump-terms --format csv", 39),
+    ],
+    ids=["constants", "singular-dump-csv"],
+)
+def test_the_q_caps_peak_as_documented(args, documented, tmp_path):
+    """The B1 sieve and the CSV dump at Q = 10^7 peak under the peak RSS in MiB
+    that the B1_Q_CAP and Q_CAP comments give, plus 1 MiB: the run-to-run
+    spread is under 0.2 MiB, and a table of f at every odd q up to Q / 2 put
+    7.4 and 15.2 MiB more there."""
+    code, _, err, peak = _cli_peak([*args.split(), "--reproducible"], tmp_path)
+    assert code == 0, err
+    assert peak < (documented + 1) * 2**20, peak / 2**20
 
 
 @pytest.mark.slow
